@@ -13,11 +13,11 @@ to the derived quantities.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.ndimage
 import scipy.optimize
 
 from .constants import AtomSpecies, K_B
@@ -30,8 +30,11 @@ DEFAULT_OFFSET_B0 = 1.5e-2
 
 HESSIAN_STEP = 1e-8          # m, central-difference step at the minimum
 POSITION_TOLERANCE = 1e-9    # m, refinement tolerance of the minimizer
+# T, spread of |B| over the final simplex. At a quadrupole zero line no two
+# vertices give bit-equal values, so fatol = 0 never stops the minimizer.
+MODULUS_TOLERANCE = 1e-16
 COARSE_GRID = 201            # coarse scan resolution per axis
-DEPTH_GRID = 1001            # flood-fill grid resolution per axis
+DEPTH_GRID = 1001            # priority-flood barrier grid resolution per axis
 
 # geometric constant of the first-order corrugation model, per unit df/ds
 CORRUGATION_FIELD_CONSTANT = 1.0  # T A^-1 m^-1
@@ -118,7 +121,7 @@ def find_guide_minimum(geometry: GuideGeometry) -> tuple:
         method="Nelder-Mead",
         options={
             "xatol": POSITION_TOLERANCE / 10.0,
-            "fatol": 0.0,
+            "fatol": MODULUS_TOLERANCE,
             "maxiter": 4000,
             "initial_simplex": np.array(
                 [
@@ -129,47 +132,53 @@ def find_guide_minimum(geometry: GuideGeometry) -> tuple:
             ),
         },
     )
+    if not result.success:
+        raise NoGuideMinimumError(f"minimum refinement did not converge: {result.message}")
     rho0, z0 = float(result.x[0]), float(result.x[1])
     if not (z_lo < z0 <= z_hi):
         raise NoGuideMinimumError("refined minimum escaped the search box")
     return rho0, z0
 
 
-def _depth_field(geometry: GuideGeometry, min_pos, B_min) -> float:
-    """Escape barrier of |B| within the search box.
+def _flood_barrier(B: np.ndarray, i: int, j: int) -> float:
+    """Lowest level at which the 4-connected region {B <= level} containing
+    cell (i, j) touches the edge of the grid.
 
-    Flood-fill level search: the barrier is the lowest modulus level at which
-    the region {|B| <= level} containing the minimum touches the box boundary,
-    found by bisection on the level over a DEPTH_GRID^2 map.
+    Priority flood (Barnes, Lehman & Mulla, Computers & Geosciences 62, 2014):
+    cells are popped lowest first from (i, j); the barrier is the highest
+    level popped up to the first edge cell. Exact on the grid.
     """
+    n_rho, n_z = B.shape
+    flat = B.ravel()
+    start = i * n_z + j
+    heap = [(flat[start], start)]
+    seen = np.zeros(flat.size, dtype=bool)
+    seen[start] = True
+    barrier = -math.inf
+    while True:
+        level, k = heapq.heappop(heap)
+        barrier = max(barrier, level)
+        a, b = divmod(k, n_z)
+        if a in (0, n_rho - 1) or b in (0, n_z - 1):
+            return float(barrier)
+        for n in (k - n_z, k + n_z, k - 1, k + 1):
+            if not seen[n]:
+                seen[n] = True
+                heapq.heappush(heap, (flat[n], n))
+
+
+def _depth_field(geometry: GuideGeometry, min_pos, B_min) -> float:
+    """Escape barrier of |B| within the search box: the priority-flood
+    barrier of a DEPTH_GRID^2 map, flooded from the cell nearest the minimum,
+    less B_min."""
     (rho_lo, rho_hi), (_, z_hi) = _search_box(geometry)
     rho = np.linspace(rho_lo, rho_hi, DEPTH_GRID)
     z = np.linspace(z_hi / DEPTH_GRID, z_hi, DEPTH_GRID)
-    RR, ZZ = np.meshgrid(rho, z, indexing="ij")
-    B = field_modulus(geometry, RR, ZZ)
+    B = field_modulus(geometry, rho[:, None], z[None, :])
 
     i = int(np.argmin(np.abs(rho - min_pos[0])))
     j = int(np.argmin(np.abs(z - min_pos[1])))
-
-    lo, hi = float(B[i, j]), float(B.max())
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        labels, _ = scipy.ndimage.label(B <= mid)
-        region = labels[i, j]
-        touches = (
-            region != 0
-            and (
-                (labels[0, :] == region).any()
-                or (labels[-1, :] == region).any()
-                or (labels[:, 0] == region).any()
-                or (labels[:, -1] == region).any()
-            )
-        )
-        if touches:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi) - B_min
+    return _flood_barrier(B, i, j) - B_min
 
 
 def characterize_guide(

@@ -5,10 +5,9 @@ is z = 0 and the loop plane sits at ``height``. Azimuthal symmetry makes the
 problem two-dimensional in (rho, z); the azimuthal field component is
 identically zero.
 
-The closed form uses complete elliptic integrals evaluated with the
-arithmetic-geometric-mean iteration, so no special-function dependency is
-needed. A straight-segment Biot-Savart sum (``loop_field_oracle``) provides an
-independent slow route for validation.
+The closed form uses the complete elliptic integrals K(m) and E(m) of
+``scipy.special``. A straight-segment Biot-Savart sum (``loop_field_oracle``)
+provides an independent slow route for validation.
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.special import ellipe, ellipk
 
 from .constants import MU_0
 from .errors import ConfigError, SingularPointError
@@ -85,28 +85,6 @@ class FieldVector:
         return math.hypot(self.B_rho, self.B_z)
 
 
-def _ellip_ke(m):
-    """Complete elliptic integrals K(m), E(m) by the AGM iteration.
-
-    Vectorized; accurate to better than 1e-12 relative for m in [0, 1).
-    """
-    m = np.asarray(m, dtype=float)
-    a = np.ones_like(m)
-    b = np.sqrt(1.0 - m)
-    c = np.sqrt(m)
-    csum = 0.5 * c * c
-    power = 1.0
-    for _ in range(60):
-        if np.all(np.abs(c) < 1e-17):
-            break
-        a, b, c = 0.5 * (a + b), np.sqrt(a * b), 0.5 * (a - b)
-        power *= 2.0
-        csum = csum + power * 0.5 * c * c
-    K = np.pi / (2.0 * a)
-    E = K * (1.0 - csum)
-    return K, E
-
-
 def _loop_field_arrays(loop: WireLoop, rho, z):
     """Vectorized closed-form loop field; returns (B_rho, B_z) arrays."""
     rho = np.asarray(rho, dtype=float)
@@ -121,7 +99,7 @@ def _loop_field_arrays(loop: WireLoop, rho, z):
 
     denom_plus = (a + rho) ** 2 + zp ** 2
     m = 4.0 * a * rho / denom_plus
-    K, E = _ellip_ke(m)
+    K, E = ellipk(m), ellipe(m)
 
     pref = MU_0 * loop.current / (2.0 * np.pi)
     root = np.sqrt(denom_plus)

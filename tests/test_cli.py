@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import yaml
 
+import chipgyro
 from chipgyro.cli import load_config, main
 
 BASE_CONFIG = {
@@ -247,3 +251,13 @@ def test_csv_floats_full_precision(tmp_path, config_path, capsys):
     # round-tripping the printed value reproduces it exactly
     assert format(float(sigma_str), ".17g") == sigma_str
     assert len(sigma_str.replace("-", "").replace(".", "").split("e")[0]) >= 16
+
+
+def test_import_leaves_out_scipy_ndimage():
+    src = os.path.dirname(os.path.dirname(chipgyro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, chipgyro.cli; print('scipy.ndimage' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "False"

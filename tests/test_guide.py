@@ -2,11 +2,16 @@ import math
 
 import numpy as np
 import pytest
+import scipy.ndimage
+import scipy.optimize
 
 from chipgyro.constants import species_rb87
 from chipgyro.errors import ConfigError, NoGuideMinimumError, NonSmoothPotentialError
 from chipgyro.guide import (
+    DEPTH_GRID,
     CorrugationModel,
+    _flood_barrier,
+    _search_box,
     characterize_guide,
     find_guide_minimum,
     modulated_roughness_average,
@@ -14,7 +19,13 @@ from chipgyro.guide import (
     radial_frequency_quadrupole,
     roughness_potential,
 )
-from chipgyro.magnetostatics import design_guide_geometry, field_modulus
+from chipgyro.magnetostatics import (
+    GuideGeometry,
+    WireLoop,
+    design_guide_geometry,
+    field_modulus,
+    total_field_arrays,
+)
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +106,105 @@ def test_hessian_symmetric():
     assert h[0, 0] == pytest.approx(2.0, rel=1e-4)
     assert h[1, 1] == pytest.approx(6.0, rel=1e-4)
     assert h[0, 1] == pytest.approx(0.5, rel=1e-3)
+
+
+def _bisection_barrier(B, i, j):
+    """Independent route to the barrier: bisection on the level, with
+    scipy.ndimage.label (4-connected) deciding whether the region {B <= level}
+    holding cell (i, j) touches the edge of the grid."""
+    lo, hi = float(B[i, j]), float(B.max())
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        labels, _ = scipy.ndimage.label(B <= mid)
+        region = labels[i, j]
+        edges = (labels[0, :], labels[-1, :], labels[:, 0], labels[:, -1])
+        if any((edge == region).any() for edge in edges):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def test_flood_barrier_on_design_map_matches_bisection(characterization):
+    geometry = design_guide_geometry()
+    (rho_lo, rho_hi), (_, z_hi) = _search_box(geometry)
+    rho = np.linspace(rho_lo, rho_hi, DEPTH_GRID)
+    z = np.linspace(z_hi / DEPTH_GRID, z_hi, DEPTH_GRID)
+    B = field_modulus(geometry, rho[:, None], z[None, :])
+    rho0, z0 = characterization.min_position
+    i = int(np.argmin(np.abs(rho - rho0)))
+    j = int(np.argmin(np.abs(z - z0)))
+    flood = _flood_barrier(B, i, j)
+    assert flood == pytest.approx(_bisection_barrier(B, i, j), rel=1e-12, abs=0)
+    assert characterization.depth_field == pytest.approx(
+        flood - characterization.B_min, rel=1e-12, abs=0
+    )
+
+
+def test_flood_barrier_double_well_saddle():
+    """f = (x^2 - 1)^2 + 2 y^2 has wells at (+-1, 0) and its saddle at the
+    origin with f = 1. On x in [-2, 1] the right well sits on the edge, so the
+    barrier out of the left well is the saddle value."""
+    x = np.linspace(-2.0, 1.0, 301)
+    y = np.linspace(-1.0, 1.0, 201)
+    f = (x[:, None] ** 2 - 1.0) ** 2 + 2.0 * y[None, :] ** 2
+    i, j = 100, 100  # (x, y) = (-1, 0)
+    assert _flood_barrier(f, i, j) == pytest.approx(1.0, rel=1e-12)
+    assert _bisection_barrier(f, i, j) == pytest.approx(1.0, rel=1e-12)
+    # a start on the edge is its own barrier
+    assert _flood_barrier(f, 300, 100) == f[300, 100]
+
+
+def test_flood_barrier_on_random_surface_matches_bisection():
+    """White noise has passes through diagonal neighbours everywhere, so a
+    flood that is not 4-connected like ndimage.label disagrees here."""
+    rng = np.random.default_rng(5)
+    B = rng.uniform(size=(40, 30))
+    for i, j in [(20, 15), (1, 1), (38, 7), (10, 28)]:
+        assert _flood_barrier(B, i, j) == pytest.approx(
+            _bisection_barrier(B, i, j), rel=1e-12, abs=0
+        )
+
+
+def test_imbalanced_ring_minimum_converges(monkeypatch):
+    """A 2 % high centre current ran Nelder-Mead to its 4000-iteration cap
+    with fatol = 0. The refined minimum must converge well before that, at
+    the zero of the field vector found by an independent root solve."""
+    ring = GuideGeometry(
+        loops=(
+            WireLoop(radius=974e-6, current=-0.123, height=0.0),
+            WireLoop(radius=1000e-6, current=0.12342, height=0.0),
+            WireLoop(radius=1026e-6, current=-0.123, height=0.0),
+        )
+    )
+    minimize = scipy.optimize.minimize
+    results = []
+
+    def recording_minimize(*args, **kwargs):
+        results.append(minimize(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(scipy.optimize, "minimize", recording_minimize)
+    rho0, z0 = find_guide_minimum(ring)
+    assert results[-1].success and results[-1].nit < 4000
+
+    zero = scipy.optimize.root(
+        lambda x: np.array(total_field_arrays(ring, x[0], x[1])), x0=[1e-3, 2.5e-5]
+    )
+    assert zero.success
+    assert rho0 == pytest.approx(zero.x[0], abs=2e-9)
+    assert z0 == pytest.approx(zero.x[1], abs=2e-9)
+
+
+def test_unconverged_refinement_raises(monkeypatch):
+    def failing_minimize(fun, x0, **kwargs):
+        return scipy.optimize.OptimizeResult(
+            x=np.asarray(x0), success=False, message="Maximum number of iterations exceeded"
+        )
+
+    monkeypatch.setattr(scipy.optimize, "minimize", failing_minimize)
+    with pytest.raises(NoGuideMinimumError, match="did not converge"):
+        find_guide_minimum(design_guide_geometry())
 
 
 def test_zero_current_raises():
