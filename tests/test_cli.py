@@ -228,6 +228,22 @@ def test_noise_budget_zero_psd_is_exactly_zero(tmp_path, config_path, capsys):
         assert entry["sigma_omega_rad_s"] == 0.0
 
 
+def test_missing_psd_file_exit_1(tmp_path, config_path, capsys):
+    code, summary = _run(
+        capsys,
+        "noise",
+        "--config",
+        config_path,
+        "--out",
+        str(tmp_path / "out"),
+        "--override",
+        f"noise.file={tmp_path / 'nope.csv'}",
+    )
+    assert code == 1
+    assert summary["status"] == "config-error"
+    assert "nope.csv" in summary["error"]
+
+
 def test_config_loader_overrides():
     config = {"a": {"b": 1}}
     import tempfile, os
@@ -253,10 +269,11 @@ def test_csv_floats_full_precision(tmp_path, config_path, capsys):
     assert len(sigma_str.replace("-", "").replace(".", "").split("e")[0]) >= 16
 
 
-def test_import_leaves_out_scipy_ndimage():
+@pytest.mark.parametrize("module", ["scipy.ndimage", "scipy.integrate"])
+def test_import_leaves_out_scipy_ndimage(module):
     src = os.path.dirname(os.path.dirname(chipgyro.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, chipgyro.cli; print('scipy.ndimage' in sys.modules)"
+    probe = f"import sys, chipgyro.cli; print({module!r} in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import sici
 
 from chipgyro.errors import ConfigError, DivergentIntegralError, DomainMismatchError
 from chipgyro.interferometer import rb87_config, scale_factor, transfer_H_abs2
 from chipgyro.noise import (
+    DEFAULT_F_MIN,
     PowerSpectralDensity,
     acceleration_phase_variance,
     convert_psd,
@@ -135,6 +137,36 @@ def test_line_at_transfer_zero_is_suppressed():
     assert at_zero < at_peak / 1e6
 
 
+def test_line_at_high_transfer_zero_keeps_error_estimate():
+    """A line on the zero 30/D, above the panels split into smooth and
+    cosine-weight parts: the line's narrow panels are integrated whole, so
+    the error estimate stays within rtol of the suppressed value."""
+    cfg = _small_config()
+    d = cfg.interrogation_time - cfg.pulse_duration
+    width = 1e-6
+    f = 30.0 / d + width * np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+    s = np.array([0.0, 0.5, 1.0, 0.5, 0.0]) * 1e-6
+    at_zero = phase_variance(
+        PowerSpectralDensity(domain="phase", frequencies=f, values=s), cfg, f_min=1e-4, f_max=200.0
+    )
+    assert 0 < at_zero.value < 1e-21
+    assert at_zero.error_estimate <= 1e-6 * at_zero.value
+
+
+def test_acceleration_kernel_down_to_default_cutoff():
+    """omega^-4 kernel from f_min = 1e-4 Hz, where S K sinc^2 exceeds the
+    integrand by about 1/(2 pi f D)^2; log-grid trapezoid oracle."""
+    cfg = _small_config()
+    psd = PowerSpectralDensity(domain="acceleration", white=1e-12)
+    f_max = 20.0
+    f = np.geomspace(DEFAULT_F_MIN, f_max, 2_000_001)
+    kernel = cfg.k_eff ** 2 / (2 * np.pi * f) ** 4
+    oracle = np.trapezoid(psd.evaluate(f) * kernel * transfer_H_abs2(f, cfg), f)
+    result = acceleration_phase_variance(psd, cfg, f_max=f_max, rtol=1e-6)
+    assert result.value == pytest.approx(oracle, rel=1e-6)
+    assert result.error_estimate <= 1e-6 * result.value
+
+
 def test_monotone_in_psd_level():
     cfg = _small_config()
     v1 = phase_variance(PowerSpectralDensity(domain="phase", white=1e-9), cfg).value
@@ -149,6 +181,75 @@ def test_divergent_cutoff_raises():
         phase_variance(psd, cfg, f_min=0.0)
     with pytest.raises(ConfigError):
         phase_variance(psd, cfg, f_min=1.0, f_max=0.5)
+
+
+def test_band_edge_and_rtol_validation():
+    cfg = _small_config()
+    psd = PowerSpectralDensity(domain="phase", white=1e-9)
+    for f_max in (math.inf, math.nan):
+        with pytest.raises(ConfigError):
+            phase_variance(psd, cfg, f_max=f_max)
+    for rtol in (1e-15, 0.0, 1.0, math.nan):
+        with pytest.raises(ConfigError):
+            phase_variance(psd, cfg, rtol=rtol)
+
+
+def _white_phase_variance(s0, tau, two_t, f_lo, f_hi):
+    """Closed form of int S0 |H|^2 df over [f_lo, f_hi] for white phase noise,
+    |H|^2 = 4 sinc^2(pi f tau) sin^2(pi f D), D = 2T - tau.
+
+    4 sin^2(a) sin^2(b) expands into sum_k c_k (1 - cos(w_k f)), and
+    int (1 - cos wf) / f^2 df = -(1 - cos wf) / f + w Si(wf).
+    """
+    d = two_t - tau
+    terms = ((1.0, tau), (1.0, d), (-0.5, abs(d - tau)), (-0.5, d + tau))
+
+    def antiderivative(f):
+        total = 0.0
+        for c, period in terms:
+            w = 2.0 * math.pi * period
+            total += c * (-2.0 * math.sin(0.5 * w * f) ** 2 / f + w * sici(w * f)[0])
+        return total
+
+    return s0 * (antiderivative(f_hi) - antiderivative(f_lo)) / (math.pi * tau) ** 2
+
+
+@pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("two_t", [4.0, 100.0])
+def test_white_phase_long_interrogation_against_closed_form(two_t):
+    """Design pulse, default band (f_max = 10/tau), 2T up to 100 s: about
+    5e7 zeros of H in band. At 2T = 100 s the closed form itself loses about
+    5e-10 to the cancellation of its Si terms."""
+    cfg = rb87_config(pulse_duration=20e-6, interrogation_time=two_t)
+    s0, rtol = 1e-8, 1e-6
+    result = phase_variance(PowerSpectralDensity(domain="phase", white=s0), cfg, rtol=rtol)
+    assert result.band == (DEFAULT_F_MIN, 10.0 / cfg.pulse_duration)
+    exact = _white_phase_variance(s0, cfg.pulse_duration, two_t, *result.band)
+    assert result.value == pytest.approx(exact, rel=1e-9)
+    assert result.error_estimate <= rtol * result.value
+
+
+def test_quadrature_cost_flat_in_interrogation_time(monkeypatch):
+    """Points at which the PSD is evaluated, 2T = 1 s against 2T = 100 s."""
+    points = [0]
+    evaluate = PowerSpectralDensity.evaluate
+
+    def counting_evaluate(self, f):
+        points[0] += np.size(f)
+        return evaluate(self, f)
+
+    monkeypatch.setattr(PowerSpectralDensity, "evaluate", counting_evaluate)
+    cases = (
+        (phase_variance, PowerSpectralDensity(domain="phase", white=1e-8)),
+        (acceleration_phase_variance, PowerSpectralDensity(domain="acceleration", white=1e-12)),
+    )
+    for variance, psd in cases:
+        counts = []
+        for two_t in (1.0, 100.0):
+            points[0] = 0
+            variance(psd, rb87_config(pulse_duration=20e-6, interrogation_time=two_t))
+            counts.append(points[0])
+        assert max(counts) < 2 * min(counts), (variance.__name__, counts)
 
 
 def test_domain_mismatch_raises():
