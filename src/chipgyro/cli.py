@@ -124,6 +124,24 @@ def load_config(path: str, overrides=()) -> dict:
     return config
 
 
+def _finite_float(block: dict, key: str, default, where: str) -> float:
+    value = block.get(key, default)
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if isinstance(value, bool) or not math.isfinite(number):
+        raise ConfigError(f"{where}.{key} must be a finite number, got {value!r}")
+    return number
+
+
+def _positive_int(block: dict, key: str, default: int, where: str) -> int:
+    number = _finite_float(block, key, default, where)
+    if number < 1 or number != int(number):
+        raise ConfigError(f"{where}.{key} must be an integer >= 1, got {block.get(key, default)!r}")
+    return int(number)
+
+
 def _species_from_config(config: dict) -> AtomSpecies:
     block = config.get("species", {}) or {}
     name = str(block.get("name", "rb87")).lower()
@@ -144,11 +162,11 @@ def _species_from_config(config: dict) -> AtomSpecies:
 
 def _geometry_from_config(config: dict):
     block = config.get("geometry", {}) or {}
+    offset_b0 = _finite_float(block, "offset_B0_T", DEFAULT_OFFSET_B0, "geometry")
     records = block.get("loops")
     if records is None:
-        return design_guide_geometry(), float(block.get("offset_B0_T", DEFAULT_OFFSET_B0))
-    geometry = geometry_from_records(records, label=str(block.get("label", "")))
-    return geometry, float(block.get("offset_B0_T", DEFAULT_OFFSET_B0))
+        return design_guide_geometry(), offset_b0
+    return geometry_from_records(records, label=str(block.get("label", ""))), offset_b0
 
 
 def _interferometer_from_config(config: dict) -> InterferometerConfig:
@@ -213,6 +231,12 @@ def _band_from_config(config: dict, ai: InterferometerConfig) -> tuple:
 def cmd_guide(config: dict, out_dir: str) -> dict:
     geometry, offset_b0 = _geometry_from_config(config)
     species = _species_from_config(config)
+    run = (config.get("run", {}) or {}).get("guide", {}) or {}
+    n_rho = _positive_int(run, "map_n_rho", 101, "run.guide")
+    n_z = _positive_int(run, "map_n_z", 101, "run.guide")
+    span = _finite_float(run, "map_span_m", 40e-6, "run.guide")
+    if span <= 0:
+        raise ConfigError(f"run.guide.map_span_m must be > 0, got {span!r}")
     characterization = characterize_guide(geometry, species, offset_B0=offset_b0)
 
     record = characterization.as_record()
@@ -224,11 +248,7 @@ def cmd_guide(config: dict, out_dir: str) -> dict:
     json_path = os.path.join(out_dir, "guide_characterization.json")
     _write_json(json_path, record)
 
-    run = (config.get("run", {}) or {}).get("guide", {}) or {}
-    n_rho = int(run.get("map_n_rho", 101))
-    n_z = int(run.get("map_n_z", 101))
     rho0, z0 = characterization.min_position
-    span = float(run.get("map_span_m", 40e-6))
     rho = np.linspace(rho0 - span, rho0 + span, n_rho)
     z = np.linspace(max(z0 - span, 1e-7), z0 + span, n_z)
     RR, ZZ = np.meshgrid(rho, z, indexing="ij")

@@ -35,6 +35,7 @@ POSITION_TOLERANCE = 1e-9    # m, refinement tolerance of the minimizer
 MODULUS_TOLERANCE = 1e-16
 COARSE_GRID = 201            # coarse scan resolution per axis
 DEPTH_GRID = 1001            # priority-flood barrier grid resolution per axis
+DEPTH_TILE = 32              # cells per side of a lazily evaluated depth-map tile
 
 # geometric constant of the first-order corrugation model, per unit df/ds
 CORRUGATION_FIELD_CONSTANT = 1.0  # T A^-1 m^-1
@@ -49,6 +50,9 @@ class GuideCharacterization:
     radial_frequency: float    # Hz
     depth_field: float         # T
     depth_temperature: float   # K
+    minimizer_iterations: int  # Nelder-Mead iterations of the minimum refinement
+    depth_grid_step: tuple     # (d_rho, d_z) in m, resolution bound on depth_field
+    depth_map_points: int      # depth-map cells at which |B| was evaluated
 
     def as_record(self) -> dict:
         return {
@@ -60,6 +64,9 @@ class GuideCharacterization:
             "radial_frequency_Hz": self.radial_frequency,
             "depth_field_T": self.depth_field,
             "depth_temperature_K": self.depth_temperature,
+            "minimizer_iterations": self.minimizer_iterations,
+            "depth_grid_step_m": list(self.depth_grid_step),
+            "depth_map_points": self.depth_map_points,
         }
 
 
@@ -76,11 +83,12 @@ def _search_box(geometry: GuideGeometry):
     return (0.5 * R, 1.5 * R), (0.0, 10.0 * spacing)
 
 
-def find_guide_minimum(geometry: GuideGeometry) -> tuple:
+def find_guide_minimum(geometry: GuideGeometry, full_output: bool = False) -> tuple:
     """Locate the minimum of |B| above the chip, to 1e-9 m in position.
 
     Coarse grid scan followed by Nelder-Mead refinement; deterministic for a
-    fixed geometry. Raises NoGuideMinimumError when the box contains no
+    fixed geometry. Returns (rho0, z0), or (rho0, z0, iterations) with
+    ``full_output``. Raises NoGuideMinimumError when the box contains no
     interior minimum (e.g. all currents zero or non-trapping signs).
     """
     (rho_lo, rho_hi), (z_lo, z_hi) = _search_box(geometry)
@@ -137,48 +145,81 @@ def find_guide_minimum(geometry: GuideGeometry) -> tuple:
     rho0, z0 = float(result.x[0]), float(result.x[1])
     if not (z_lo < z0 <= z_hi):
         raise NoGuideMinimumError("refined minimum escaped the search box")
+    if full_output:
+        return rho0, z0, int(result.nit)
     return rho0, z0
 
 
-def _flood_barrier(B: np.ndarray, i: int, j: int) -> float:
+class _TiledFieldMap:
+    """|B| on the grid rho x z, read as ``map[a, b]``. The field is evaluated
+    one DEPTH_TILE x DEPTH_TILE tile at a time, the first time a cell of the
+    tile is read; the tiles of the last row and column are partial. Each cell
+    is bit-identical to the same cell of the full map."""
+
+    def __init__(self, geometry: GuideGeometry, rho: np.ndarray, z: np.ndarray):
+        self.geometry, self.rho, self.z = geometry, rho, z
+        self.shape = (rho.size, z.size)
+        self.tiles = {}
+
+    def __getitem__(self, cell):
+        ta, a = divmod(cell[0], DEPTH_TILE)
+        tb, b = divmod(cell[1], DEPTH_TILE)
+        tile = self.tiles.get((ta, tb))
+        if tile is None:
+            rho = self.rho[ta * DEPTH_TILE:(ta + 1) * DEPTH_TILE]
+            z = self.z[tb * DEPTH_TILE:(tb + 1) * DEPTH_TILE]
+            tile = self.tiles[ta, tb] = field_modulus(self.geometry, rho[:, None], z[None, :])
+        return tile[a, b]
+
+    @property
+    def points(self) -> int:
+        """Number of cells evaluated so far."""
+        return sum(tile.size for tile in self.tiles.values())
+
+
+def _flood_barrier(B, i: int, j: int) -> float:
     """Lowest level at which the 4-connected region {B <= level} containing
     cell (i, j) touches the edge of the grid.
 
     Priority flood (Barnes, Lehman & Mulla, Computers & Geosciences 62, 2014):
     cells are popped lowest first from (i, j); the barrier is the highest
-    level popped up to the first edge cell. Exact on the grid.
+    level popped up to the first edge cell. Exact on the grid. ``B`` is
+    anything with ``.shape`` and ``B[a, b]``: an ndarray, or a
+    _TiledFieldMap, which then evaluates only the tiles the flood reaches.
     """
     n_rho, n_z = B.shape
-    flat = B.ravel()
-    start = i * n_z + j
-    heap = [(flat[start], start)]
-    seen = np.zeros(flat.size, dtype=bool)
-    seen[start] = True
+    heap = [(B[i, j], i, j)]
+    seen = {(i, j)}
     barrier = -math.inf
     while True:
-        level, k = heapq.heappop(heap)
+        level, a, b = heapq.heappop(heap)
         barrier = max(barrier, level)
-        a, b = divmod(k, n_z)
         if a in (0, n_rho - 1) or b in (0, n_z - 1):
             return float(barrier)
-        for n in (k - n_z, k + n_z, k - 1, k + 1):
-            if not seen[n]:
-                seen[n] = True
-                heapq.heappush(heap, (flat[n], n))
+        for cell in ((a - 1, b), (a + 1, b), (a, b - 1), (a, b + 1)):
+            if cell not in seen:
+                seen.add(cell)
+                heapq.heappush(heap, (B[cell], *cell))
 
 
-def _depth_field(geometry: GuideGeometry, min_pos, B_min) -> float:
+def _depth_field(geometry: GuideGeometry, min_pos, B_min) -> tuple:
     """Escape barrier of |B| within the search box: the priority-flood
     barrier of a DEPTH_GRID^2 map, flooded from the cell nearest the minimum,
-    less B_min."""
+    less B_min.
+
+    The map is a _TiledFieldMap, so only the DEPTH_TILE^2 tiles the flood
+    touches are evaluated (28 of 1024 on the design guide). Returns
+    (depth, (d_rho, d_z) grid step, number of cells evaluated).
+    """
     (rho_lo, rho_hi), (_, z_hi) = _search_box(geometry)
     rho = np.linspace(rho_lo, rho_hi, DEPTH_GRID)
     z = np.linspace(z_hi / DEPTH_GRID, z_hi, DEPTH_GRID)
-    B = field_modulus(geometry, rho[:, None], z[None, :])
+    B = _TiledFieldMap(geometry, rho, z)
 
     i = int(np.argmin(np.abs(rho - min_pos[0])))
     j = int(np.argmin(np.abs(z - min_pos[1])))
-    return _flood_barrier(B, i, j) - B_min
+    depth = _flood_barrier(B, i, j) - B_min
+    return depth, (float(rho[1] - rho[0]), float(z[1] - z[0])), B.points
 
 
 def characterize_guide(
@@ -189,7 +230,7 @@ def characterize_guide(
     """Full characterization of the guide minimum for the given species."""
     if offset_B0 < 0:
         raise ConfigError(f"offset_B0 must be >= 0, got {offset_B0!r}")
-    rho0, z0 = find_guide_minimum(geometry)
+    rho0, z0, iterations = find_guide_minimum(geometry, full_output=True)
     B_min = float(field_modulus(geometry, rho0, z0))
 
     mu = species.magnetic_moment
@@ -215,7 +256,7 @@ def characterize_guide(
     )
     gradient = (b_out - B_min) / step
 
-    depth_field = _depth_field(geometry, (rho0, z0), B_min)
+    depth_field, depth_step, depth_points = _depth_field(geometry, (rho0, z0), B_min)
     depth_temperature = mu * depth_field / K_B
 
     return GuideCharacterization(
@@ -226,6 +267,9 @@ def characterize_guide(
         radial_frequency=radial_frequency,
         depth_field=depth_field,
         depth_temperature=depth_temperature,
+        minimizer_iterations=iterations,
+        depth_grid_step=depth_step,
+        depth_map_points=depth_points,
     )
 
 

@@ -13,6 +13,7 @@ Kernels (omega = 2 pi f):
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -40,6 +41,11 @@ class PowerSpectralDensity:
     random_walk: float = 0.0  # h_-2, S += h_-2 / f^2
     frequencies: Optional[np.ndarray] = field(default=None, repr=False)
     values: Optional[np.ndarray] = field(default=None, repr=False)
+    # log knots and log values (0 where S = 0), built once from the table
+    _log_f: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+    _log_s: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+    # (knots, log knots, values, log values) as float lists for the scalar route
+    _lists: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.domain not in DOMAINS:
@@ -55,8 +61,13 @@ class PowerSpectralDensity:
                 raise ConfigError("PSD frequency grid must be strictly increasing and > 0")
             if np.any(s < 0) or not np.all(np.isfinite(s)):
                 raise ConfigError("PSD values must be finite and >= 0")
+            log_f = np.log(f)
+            log_s = np.log(np.where(s > 0, s, 1.0))
             object.__setattr__(self, "frequencies", f)
             object.__setattr__(self, "values", s)
+            object.__setattr__(self, "_log_f", log_f)
+            object.__setattr__(self, "_log_s", log_s)
+            object.__setattr__(self, "_lists", tuple(a.tolist() for a in (f, log_f, s, log_s)))
         for name in ("white", "flicker", "random_walk"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"analytic PSD component {name} must be >= 0")
@@ -66,7 +77,13 @@ class PowerSpectralDensity:
         return self.frequencies is not None
 
     def evaluate(self, f):
-        """S(f) for f > 0 (vectorized)."""
+        """S(f) for f > 0 (vectorized). A float argument to a tabulated PSD,
+        as QUADPACK passes one point at a time, takes a scalar route over the
+        same tables that skips numpy's per-call overhead."""
+        if self.is_tabulated and isinstance(f, float):
+            if not f > 0:
+                raise ConfigError("PSDs are one-sided: evaluation needs f > 0")
+            return self._interpolate_scalar(f)
         f = np.asarray(f, dtype=float)
         if np.any(f <= 0):
             raise ConfigError("PSDs are one-sided: evaluation needs f > 0")
@@ -75,26 +92,34 @@ class PowerSpectralDensity:
         return self._interpolate(f)
 
     def _interpolate(self, f):
-        grid = self.frequencies
-        vals = self.values
-        logf = np.log(f)
-        loggrid = np.log(grid)
+        grid, vals, log_grid, log_vals = self.frequencies, self.values, self._log_f, self._log_s
+        # extrapolation is pinned to the end segments: out-of-range points
+        # reuse idx = 0 / idx = n-2
         idx = np.clip(np.searchsorted(grid, f, side="right") - 1, 0, grid.size - 2)
         f0, f1 = grid[idx], grid[idx + 1]
         s0, s1 = vals[idx], vals[idx + 1]
-        frac = (logf - loggrid[idx]) / (loggrid[idx + 1] - loggrid[idx])
         # log-log segments where both endpoints are positive, linear otherwise
         positive = (s0 > 0) & (s1 > 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            loglog = np.exp(
-                np.log(np.where(positive, s0, 1.0))
-                + frac * (np.log(np.where(positive, s1, 1.0)) - np.log(np.where(positive, s0, 1.0)))
-            )
+        frac = (np.log(f) - log_grid[idx]) / (log_grid[idx + 1] - log_grid[idx])
+        exponent = log_vals[idx] + frac * (log_vals[idx + 1] - log_vals[idx])
+        loglog = np.exp(np.where(positive, exponent, 0.0))
         linear = s0 + (f - f0) / (f1 - f0) * (s1 - s0)
-        out = np.where(positive, loglog, linear)
-        # extrapolation is pinned to the end segments, so out-of-range points
-        # reuse idx = 0 / idx = n-2 above; clamp the linear branch at >= 0
-        return np.maximum(out, 0.0)
+        # clamp the linear branch at >= 0
+        return np.maximum(np.where(positive, loglog, linear), 0.0)
+
+    def _interpolate_scalar(self, f: float) -> float:
+        """_interpolate for one point, with bisect and math on float lists."""
+        knots, log_knots, vals, log_vals = self._lists
+        k = min(max(bisect.bisect_right(knots, f) - 1, 0), len(knots) - 2)
+        s0, s1 = vals[k], vals[k + 1]
+        if s0 > 0 and s1 > 0:
+            frac = (math.log(f) - log_knots[k]) / (log_knots[k + 1] - log_knots[k])
+            try:
+                return math.exp(log_vals[k] + frac * (log_vals[k + 1] - log_vals[k]))
+            except OverflowError:
+                return math.inf
+        f0, f1 = knots[k], knots[k + 1]
+        return max(s0 + (f - f0) / (f1 - f0) * (s1 - s0), 0.0)
 
     @classmethod
     def from_csv(cls, path, domain: str) -> "PowerSpectralDensity":

@@ -108,6 +108,37 @@ def test_zero_current_guide_exit_2(tmp_path, config_path, capsys):
     assert summary["status"] == "physics-error"
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        "run.guide.map_n_rho=0",
+        "run.guide.map_n_rho=1.5",
+        "run.guide.map_span_m=-1.0",
+        "run.guide.map_span_m=abc",
+        "run.guide.map_n_z=abc",
+        "geometry.offset_B0_T=abc",
+    ],
+)
+def test_bad_guide_config_exit_1(tmp_path, config_path, capsys, override):
+    out = tmp_path / "out"
+    code, summary = _run(
+        capsys, "guide", "--config", config_path, "--out", str(out), "--override", override
+    )
+    assert code == 1
+    assert summary["status"] == "config-error"
+    assert override.split("=")[0] in summary["error"]
+    assert not out.joinpath("potential_map.csv").exists()
+
+
+def test_guide_work_counters(tmp_path, config_path, capsys):
+    code, _ = _run(capsys, "guide", "--config", config_path, "--out", str(tmp_path))
+    assert code == 0
+    record = json.loads((tmp_path / "guide_characterization.json").read_text())
+    assert 0 < record["minimizer_iterations"] < 4000
+    assert len(record["depth_grid_step_m"]) == 2
+    assert 0 < record["depth_map_points"] <= 0.05 * 1001 ** 2
+
+
 def test_bad_override_exit_1(config_path, capsys):
     code, _ = _run(capsys, "transfer", "--config", config_path, "--override", "no-equals-sign")
     assert code == 1

@@ -9,7 +9,10 @@ from chipgyro.constants import species_rb87
 from chipgyro.errors import ConfigError, NoGuideMinimumError, NonSmoothPotentialError
 from chipgyro.guide import (
     DEPTH_GRID,
+    DEPTH_TILE,
     CorrugationModel,
+    _TiledFieldMap,
+    _depth_field,
     _flood_barrier,
     _search_box,
     characterize_guide,
@@ -164,6 +167,81 @@ def test_flood_barrier_on_random_surface_matches_bisection():
         assert _flood_barrier(B, i, j) == pytest.approx(
             _bisection_barrier(B, i, j), rel=1e-12, abs=0
         )
+
+
+RING_1MM = GuideGeometry(
+    loops=(
+        WireLoop(radius=974e-6, current=-0.123, height=0.0),
+        WireLoop(radius=1000e-6, current=0.121, height=0.0),
+        WireLoop(radius=1026e-6, current=-0.123, height=0.0),
+    )
+)
+
+
+def _depth_grid(geometry):
+    (rho_lo, rho_hi), (_, z_hi) = _search_box(geometry)
+    return np.linspace(rho_lo, rho_hi, DEPTH_GRID), np.linspace(z_hi / DEPTH_GRID, z_hi, DEPTH_GRID)
+
+
+def _assert_tiled_map_matches_full(geometry, rho, z):
+    rho0, z0 = find_guide_minimum(geometry)
+    i = int(np.argmin(np.abs(rho - rho0)))
+    j = int(np.argmin(np.abs(z - z0)))
+    full = field_modulus(geometry, rho[:, None], z[None, :])
+    tiled = _TiledFieldMap(geometry, rho, z)
+    assert _flood_barrier(tiled, i, j) == _flood_barrier(full, i, j)
+    for (ta, tb), tile in tiled.tiles.items():
+        rows = slice(ta * DEPTH_TILE, (ta + 1) * DEPTH_TILE)
+        cols = slice(tb * DEPTH_TILE, (tb + 1) * DEPTH_TILE)
+        assert np.array_equal(tile, full[rows, cols])
+    return tiled
+
+
+@pytest.mark.parametrize("geometry", [design_guide_geometry(), RING_1MM], ids=["design", "ring"])
+def test_tiled_map_barrier_equals_full_map(geometry):
+    tiled = _assert_tiled_map_matches_full(geometry, *_depth_grid(geometry))
+    assert tiled.points < DEPTH_GRID ** 2
+
+
+def test_tiled_map_partial_edge_tiles():
+    """75 x 50 = (2 * 32 + 11) x (32 + 18) cells with the minimum in the last,
+    partial row of tiles: the flood reads a tile that is partial on both axes."""
+    geometry = design_guide_geometry()
+    rho0, _ = find_guide_minimum(geometry)
+    rho = np.linspace(rho0 - 40e-6, rho0 + 6e-6, 75)
+    z = np.linspace(1e-6, 60e-6, 50)
+    tiled = _assert_tiled_map_matches_full(geometry, rho, z)
+    assert (11, 18) in {tile.shape for tile in tiled.tiles.values()}
+
+
+def test_depth_field_evaluates_few_map_points(monkeypatch, characterization):
+    """Guards against a silent return to the full DEPTH_GRID^2 map."""
+    import chipgyro.guide as guide
+
+    points = [0]
+
+    def counting_field_modulus(geometry, rho, z):
+        points[0] += np.broadcast(rho, z).size
+        return field_modulus(geometry, rho, z)
+
+    monkeypatch.setattr(guide, "field_modulus", counting_field_modulus)
+    depth, step, evaluated = _depth_field(
+        design_guide_geometry(), characterization.min_position, characterization.B_min
+    )
+    assert depth == characterization.depth_field
+    assert evaluated == points[0] == characterization.depth_map_points
+    assert points[0] <= 0.05 * DEPTH_GRID ** 2
+
+
+def test_work_counters(characterization):
+    rho, z = _depth_grid(design_guide_geometry())
+    assert characterization.depth_grid_step == (rho[1] - rho[0], z[1] - z[0])
+    assert 0 < characterization.minimizer_iterations < 4000
+    record = characterization.as_record()
+    assert record["minimizer_iterations"] == characterization.minimizer_iterations
+    assert record["depth_grid_step_m"] == list(characterization.depth_grid_step)
+    assert record["depth_map_points"] == characterization.depth_map_points
+    assert characterize_guide(design_guide_geometry(), species_rb87()) == characterization
 
 
 def test_imbalanced_ring_minimum_converges(monkeypatch):

@@ -116,6 +116,35 @@ def test_interpolation_reproduces_grid_points():
     assert np.allclose(psd.evaluate(mid), 1e-9 * mid ** -1.3, rtol=1e-10)
 
 
+def test_scalar_route_matches_array_route():
+    """A float argument takes bisect + math, an array searchsorted + numpy;
+    both read the same log tables."""
+    f = np.geomspace(1e-2, 1e2, 41)
+    values = 1e-9 * f ** -1.3 * np.exp(0.3 * np.random.default_rng(3).standard_normal(41))
+    values[10:13] = 0.0  # zero-valued segments, and half-zero ones next to them
+    psd = PowerSpectralDensity(domain="rotation", frequencies=f, values=values)
+    points = np.concatenate(
+        [
+            f,                                       # on the knots
+            np.sqrt(f[:-1] * f[1:]),                 # between knots
+            np.geomspace(f[9], f[13], 101),          # across the zero segments
+            [1e-5, 1e-3, 9.9e-3, 101.0, 1e3, 1e5],   # out of range
+        ]
+    )
+    array = psd.evaluate(points)
+    scalar = np.array([psd.evaluate(float(x)) for x in points])
+    assert np.all(scalar[(points > f[10]) & (points < f[12])] == 0.0)
+    np.testing.assert_allclose(scalar, array, rtol=1e-15, atol=0)
+    with pytest.raises(ConfigError):
+        psd.evaluate(-1.0)
+    # a steep end segment extrapolates past the float range on both routes
+    steep = PowerSpectralDensity(
+        domain="rotation", frequencies=np.array([1.0, 2.0]), values=np.array([1.0, 1e300])
+    )
+    with np.errstate(over="ignore"):
+        assert steep.evaluate(np.array([8.0]))[0] == steep.evaluate(8.0) == math.inf
+
+
 def test_line_at_transfer_zero_is_suppressed():
     """A narrow spectral line sitting on a zero of H contributes >= 1e6 times
     less than the same line at a transmission maximum."""
