@@ -124,104 +124,150 @@ def load_config(path: str, overrides=()) -> dict:
     return config
 
 
-def _finite_float(block: dict, key: str, default, where: str) -> float:
-    value = block.get(key, default)
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        number = math.nan
-    if isinstance(value, bool) or not math.isfinite(number):
-        raise ConfigError(f"{where}.{key} must be a finite number, got {value!r}")
-    return number
+# Kinds of config value; the names are also the error messages' wording.
+NUMBER, POSITIVE, COUNT = "finite number", "finite number > 0", "integer >= 1"
+STRING, LIST, POSITIVES = "string", "non-empty list", "non-empty list of numbers > 0"
+# Every config key the CLI reads: dotted path -> (kind, default). A default
+# of None means "not given": the one subcommand that reads the key derives
+# its value from other inputs or reports it missing.
+SCHEMA = {
+    "species.name": (STRING, None),
+    "species.mass_kg": (POSITIVE, None),
+    "species.wavelength_m": (POSITIVE, None),
+    "species.magnetic_moment_J_T": (POSITIVE, None),
+    "geometry.label": (STRING, ""),
+    "geometry.offset_B0_T": (NUMBER, DEFAULT_OFFSET_B0),
+    "geometry.loops": (LIST, None),
+    "interferometer.pulse_duration_s": (POSITIVE, 20e-6),
+    "interferometer.interrogation_time_s": (POSITIVE, None),
+    "interferometer.guide_radius_m": (POSITIVE, None),
+    "interferometer.n_loops": (COUNT, 1),
+    "interferometer.atom_number": (POSITIVE, 1e4),
+    "interferometer.contrast": (POSITIVE, 1.0),
+    "interferometer.latitude_deg": (NUMBER, 90.0),
+    "interferometer.squeezing": (POSITIVE, 1.0),
+    "interferometer.dead_time_s": (NUMBER, 0.0),
+    "interferometer.v_launch_over_vr": (POSITIVE, 1.0),
+    "noise.domain": (STRING, None),
+    "noise.file": (STRING, None),
+    "noise.model.white": (NUMBER, 0.0),
+    "noise.model.flicker": (NUMBER, 0.0),
+    "noise.model.random_walk": (NUMBER, 0.0),
+    "noise.band.f_min_hz": (NUMBER, DEFAULT_F_MIN),
+    "noise.band.f_max_hz": (NUMBER, None),
+    "run.guide.map_n_rho": (COUNT, 101),
+    "run.guide.map_n_z": (COUNT, 101),
+    "run.guide.map_span_m": (POSITIVE, 40e-6),
+    "run.transfer.f_min_hz": (POSITIVE, 1e-3),
+    "run.transfer.f_max_hz": (POSITIVE, 1e5),
+    "run.transfer.points_per_decade": (COUNT, 250),
+    "run.sensitivity.two_t_min_s": (POSITIVE, 0.1),
+    "run.sensitivity.two_t_max_s": (POSITIVE, 10.0),
+    "run.sensitivity.n_points": (COUNT, 61),
+    "run.sensitivity.atom_numbers": (POSITIVES, [1e4, 1e5]),
+    "run.allan.tau_min_s": (POSITIVE, None),
+    "run.allan.tau_max_s": (POSITIVE, SECONDS_PER_YEAR),
+    "run.allan.n_points": (COUNT, 61),
+    "run.mission.v_over_vr": (POSITIVES, [1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0]),
+    "run.mission.target_sigma_rad_s": (POSITIVE, GEODETIC_TARGET_SIGMA),
+    "run.mission.integration_time_s": (POSITIVE, SECONDS_PER_YEAR),
+}
+_SECTIONS = {path[:i] for path in SCHEMA for i, char in enumerate(path) if char == "."}
 
 
-def _positive_int(block: dict, key: str, default: int, where: str) -> int:
-    number = _finite_float(block, key, default, where)
-    if number < 1 or number != int(number):
-        raise ConfigError(f"{where}.{key} must be an integer >= 1, got {block.get(key, default)!r}")
-    return int(number)
+def _check(path: str, kind: str, value):
+    """``value`` as a ``kind``; ConfigError naming ``path`` if it is not one."""
+    if kind == STRING and isinstance(value, str):
+        return value
+    if kind in (LIST, POSITIVES) and isinstance(value, list) and value:
+        if kind == LIST:
+            return value
+        return [_check(f"{path}[{i}]", POSITIVE, item) for i, item in enumerate(value)]
+    if kind in (NUMBER, POSITIVE, COUNT) and not isinstance(value, bool):
+        try:
+            # numeric strings count: YAML 1.1 reads 20e-6 (no dot) as a string
+            number = float(value)
+        except (TypeError, ValueError, OverflowError):
+            number = math.nan
+        if math.isfinite(number) and (kind == NUMBER or number > 0):
+            if kind != COUNT:
+                return number
+            if number == int(number):
+                return int(number)
+    raise ConfigError(f"{path}: expected {kind}, got {value!r}")
+
+
+def resolve_config(config: dict) -> dict:
+    """Check a loaded config against SCHEMA in one walk.
+
+    Returns {dotted path: checked value} for every key of the table, with
+    defaults filled in. A null value, or a null section such as ``species:``
+    with nothing under it, reads as not given. Raises ConfigError naming the
+    dotted path for an unknown key or a value of the wrong kind.
+    """
+    resolved = {path: default for path, (_, default) in SCHEMA.items()}
+
+    def walk(block: dict, prefix: str) -> None:
+        for key, value in block.items():
+            path = f"{prefix}{key}"
+            if path in SCHEMA:
+                if value is not None:
+                    resolved[path] = _check(path, SCHEMA[path][0], value)
+            elif isinstance(value, dict) or (value is None and path in _SECTIONS):
+                walk(value or {}, f"{path}.")
+            elif path in _SECTIONS:
+                raise ConfigError(f"{path}: expected mapping, got {value!r}")
+            else:
+                import difflib  # only on the error path
+
+                hint = difflib.get_close_matches(path, [*SCHEMA, *_SECTIONS], n=1)
+                suggestion = f"; did you mean {hint[0]!r}?" if hint else ""
+                raise ConfigError(f"unknown config key {path!r}{suggestion}")
+
+    walk(config, "")
+    return resolved
 
 
 def _species_from_config(config: dict) -> AtomSpecies:
-    block = config.get("species", {}) or {}
-    name = str(block.get("name", "rb87")).lower()
-    if {"mass_kg", "wavelength_m", "magnetic_moment_J_T"} <= set(block):
-        return AtomSpecies(
-            name=block.get("name", "custom"),
-            mass=float(block["mass_kg"]),
-            wavelength=float(block["wavelength_m"]),
-            magnetic_moment=float(block["magnetic_moment_J_T"]),
-        )
-    if name == "rb87":
+    name = config["species.name"]
+    keys = ("species.mass_kg", "species.wavelength_m", "species.magnetic_moment_J_T")
+    explicit = [config[key] for key in keys]
+    if None not in explicit:
+        return AtomSpecies(name if name is not None else "custom", *explicit)
+    if explicit == [None, None, None] and (name is None or name.lower() == "rb87"):
         return species_rb87()
     raise ConfigError(
-        f"species.name: unknown species {name!r}; give rb87 or explicit "
-        "mass_kg/wavelength_m/magnetic_moment_J_T"
+        f"species: give name rb87 or all of {', '.join(keys)} "
+        f"(got name {name!r} and {3 - explicit.count(None)} of the three fields)"
     )
-
-
-def _geometry_from_config(config: dict):
-    block = config.get("geometry", {}) or {}
-    offset_b0 = _finite_float(block, "offset_B0_T", DEFAULT_OFFSET_B0, "geometry")
-    records = block.get("loops")
-    if records is None:
-        return design_guide_geometry(), offset_b0
-    return geometry_from_records(records, label=str(block.get("label", ""))), offset_b0
 
 
 def _interferometer_from_config(config: dict) -> InterferometerConfig:
-    block = config.get("interferometer", {}) or {}
     species = _species_from_config(config)
-    has_two_t = "interrogation_time_s" in block
-    has_radius = "guide_radius_m" in block
-    if has_two_t and has_radius:
+    two_t = config["interferometer.interrogation_time_s"]
+    radius = config["interferometer.guide_radius_m"]
+    if two_t is not None and radius is not None:
         raise ConfigError(
             "interferometer: give exactly one of interrogation_time_s or guide_radius_m"
         )
-    n_loops = int(block.get("n_loops", 1))
-    v_over_vr = float(block.get("v_launch_over_vr", 1.0))
-    if has_radius:
-        radius = float(block["guide_radius_m"])
-        two_t = n_loops * math.pi * radius / species.recoil_velocity
-    else:
-        two_t = float(block.get("interrogation_time_s", 4.0))
-        radius = guide_radius_for(species, two_t, n_loops)
-    return InterferometerConfig(
+    n_loops = config["interferometer.n_loops"]
+    settings = dict(
         species=species,
-        pulse_duration=float(block.get("pulse_duration_s", 20e-6)),
-        interrogation_time=two_t,
-        guide_radius=radius,
         n_loops=n_loops,
-        atom_number=float(block.get("atom_number", 1e4)),
-        contrast=float(block.get("contrast", 1.0)),
-        latitude=math.radians(float(block.get("latitude_deg", 90.0))),
-        squeezing=float(block.get("squeezing", 1.0)),
-        cycle_dead_time=float(block.get("dead_time_s", 0.0)),
-        launch_velocity=v_over_vr * species.recoil_velocity,
+        pulse_duration=config["interferometer.pulse_duration_s"],
+        atom_number=config["interferometer.atom_number"],
+        contrast=config["interferometer.contrast"],
+        latitude=math.radians(config["interferometer.latitude_deg"]),
+        squeezing=config["interferometer.squeezing"],
+        cycle_dead_time=config["interferometer.dead_time_s"],
+        launch_velocity=config["interferometer.v_launch_over_vr"] * species.recoil_velocity,
     )
-
-
-def _psd_from_config(config: dict) -> PowerSpectralDensity:
-    block = config.get("noise", {}) or {}
-    domain = block.get("domain")
-    if domain is None:
-        raise ConfigError("noise.domain is required (phase | acceleration | rotation)")
-    if "file" in block:
-        return PowerSpectralDensity.from_csv(block["file"], domain=domain)
-    model = block.get("model", {}) or {}
-    return PowerSpectralDensity(
-        domain=domain,
-        white=float(model.get("white", 0.0)),
-        flicker=float(model.get("flicker", 0.0)),
-        random_walk=float(model.get("random_walk", 0.0)),
+    if radius is not None:
+        return InterferometerConfig.from_geometry(guide_radius=radius, **settings)
+    two_t = 4.0 if two_t is None else two_t
+    return InterferometerConfig(
+        interrogation_time=two_t, guide_radius=guide_radius_for(species, two_t, n_loops), **settings
     )
-
-
-def _band_from_config(config: dict, ai: InterferometerConfig) -> tuple:
-    block = (config.get("noise", {}) or {}).get("band", {}) or {}
-    f_min = float(block.get("f_min_hz", DEFAULT_F_MIN))
-    f_max = float(block.get("f_max_hz", 10.0 / ai.pulse_duration))
-    return f_min, f_max
 
 
 # ---------------------------------------------------------------------------
@@ -229,14 +275,14 @@ def _band_from_config(config: dict, ai: InterferometerConfig) -> tuple:
 
 
 def cmd_guide(config: dict, out_dir: str) -> dict:
-    geometry, offset_b0 = _geometry_from_config(config)
+    records = config["geometry.loops"]
+    if records is None:
+        geometry = design_guide_geometry()
+    else:
+        geometry = geometry_from_records(records, label=config["geometry.label"])
+    offset_b0 = config["geometry.offset_B0_T"]
     species = _species_from_config(config)
-    run = (config.get("run", {}) or {}).get("guide", {}) or {}
-    n_rho = _positive_int(run, "map_n_rho", 101, "run.guide")
-    n_z = _positive_int(run, "map_n_z", 101, "run.guide")
-    span = _finite_float(run, "map_span_m", 40e-6, "run.guide")
-    if span <= 0:
-        raise ConfigError(f"run.guide.map_span_m must be > 0, got {span!r}")
+    span = config["run.guide.map_span_m"]
     characterization = characterize_guide(geometry, species, offset_B0=offset_b0)
 
     record = characterization.as_record()
@@ -249,17 +295,13 @@ def cmd_guide(config: dict, out_dir: str) -> dict:
     _write_json(json_path, record)
 
     rho0, z0 = characterization.min_position
-    rho = np.linspace(rho0 - span, rho0 + span, n_rho)
-    z = np.linspace(max(z0 - span, 1e-7), z0 + span, n_z)
+    rho = np.linspace(rho0 - span, rho0 + span, config["run.guide.map_n_rho"])
+    z = np.linspace(max(z0 - span, 1e-7), z0 + span, config["run.guide.map_n_z"])
     RR, ZZ = np.meshgrid(rho, z, indexing="ij")
     U = species.magnetic_moment * np.sqrt(
         field_modulus(geometry, RR, ZZ) ** 2 + offset_b0 ** 2
     )
-    rows = [
-        (float(RR[i, j]), float(ZZ[i, j]), float(U[i, j]))
-        for i in range(n_rho)
-        for j in range(n_z)
-    ]
+    rows = zip(RR.ravel().tolist(), ZZ.ravel().tolist(), U.ravel().tolist())
     map_path = os.path.join(out_dir, "potential_map.csv")
     _write_csv(
         map_path,
@@ -288,11 +330,10 @@ def _transfer_grid(f_min: float, f_max: float, points_per_decade: int, config_ai
 
 def cmd_transfer(config: dict, out_dir: str) -> dict:
     ai = _interferometer_from_config(config)
-    run = (config.get("run", {}) or {}).get("transfer", {}) or {}
-    f_min = float(run.get("f_min_hz", 1e-3))
-    f_max = float(run.get("f_max_hz", 1e5))
-    ppd = int(run.get("points_per_decade", 250))
-    grid = _transfer_grid(f_min, f_max, ppd, ai)
+    f_min, f_max = config["run.transfer.f_min_hz"], config["run.transfer.f_max_hz"]
+    if f_max <= f_min:
+        raise ConfigError(f"run.transfer.f_max_hz must be > f_min_hz, got {f_max} <= {f_min}")
+    grid = _transfer_grid(f_min, f_max, config["run.transfer.points_per_decade"], ai)
     H = transfer_H(grid, ai)
     f_hp, f_lp = corner_frequencies(ai)
     path = os.path.join(out_dir, "transfer.csv")
@@ -312,22 +353,15 @@ def cmd_transfer(config: dict, out_dir: str) -> dict:
 
 def cmd_sensitivity(config: dict, out_dir: str) -> dict:
     ai = _interferometer_from_config(config)
-    run = (config.get("run", {}) or {}).get("sensitivity", {}) or {}
     two_t_grid = np.geomspace(
-        float(run.get("two_t_min_s", 0.1)),
-        float(run.get("two_t_max_s", 10.0)),
-        int(run.get("n_points", 61)),
+        config["run.sensitivity.two_t_min_s"],
+        config["run.sensitivity.two_t_max_s"],
+        config["run.sensitivity.n_points"],
     )
-    atom_numbers = [float(n) for n in run.get("atom_numbers", [1e4, 1e5])]
     rows = []
-    for n_atoms in atom_numbers:
+    for n_atoms in config["run.sensitivity.atom_numbers"]:
         for two_t in two_t_grid:
-            cfg = replace(
-                ai,
-                interrogation_time=float(two_t),
-                guide_radius=guide_radius_for(ai.species, float(two_t), ai.n_loops),
-                atom_number=n_atoms,
-            )
+            cfg = replace(ai.with_interrogation_time(float(two_t)), atom_number=n_atoms)
             per_shot = shot_noise_sensitivity(cfg)
             rows.append(
                 (
@@ -352,11 +386,11 @@ def cmd_sensitivity(config: dict, out_dir: str) -> dict:
 
 def cmd_allan(config: dict, out_dir: str) -> dict:
     ai = _interferometer_from_config(config)
-    run = (config.get("run", {}) or {}).get("allan", {}) or {}
+    tau_min = config["run.allan.tau_min_s"]
     taus = np.geomspace(
-        float(run.get("tau_min_s", ai.cycle_time)),
-        float(run.get("tau_max_s", SECONDS_PER_YEAR)),
-        int(run.get("n_points", 61)),
+        ai.cycle_time if tau_min is None else tau_min,
+        config["run.allan.tau_max_s"],
+        config["run.allan.n_points"],
     )
     curve = projection_allan_curve(ai, taus)
     csv_path = os.path.join(out_dir, "allan.csv")
@@ -368,13 +402,11 @@ def cmd_allan(config: dict, out_dir: str) -> dict:
 
 def cmd_mission(config: dict, out_dir: str) -> dict:
     ai = _interferometer_from_config(config)
-    run = (config.get("run", {}) or {}).get("mission", {}) or {}
-    v_over_vr = [float(v) for v in run.get("v_over_vr", [1, 2, 3, 4, 6, 8, 12, 16])]
-    target = float(run.get("target_sigma_rad_s", GEODETIC_TARGET_SIGMA))
-    integration = float(run.get("integration_time_s", SECONDS_PER_YEAR))
+    target = config["run.mission.target_sigma_rad_s"]
+    integration = config["run.mission.integration_time_s"]
     v_r = ai.species.recoil_velocity
     rows = []
-    for ratio in v_over_vr:
+    for ratio in config["run.mission.v_over_vr"]:
         two_t, radius = required_interrogation_time(target, integration, ratio * v_r, ai)
         rows.append((ratio, two_t, radius))
     path = os.path.join(out_dir, "mission.csv")
@@ -385,16 +417,30 @@ def cmd_mission(config: dict, out_dir: str) -> dict:
     return {"outputs": [path]}
 
 
+_VARIANCE_BY_DOMAIN = {
+    "phase": phase_variance,
+    "acceleration": acceleration_phase_variance,
+    "rotation": rotation_phase_variance,
+}
+
+
 def cmd_noise(config: dict, out_dir: str) -> dict:
     ai = _interferometer_from_config(config)
-    psd = _psd_from_config(config)
-    f_min, f_max = _band_from_config(config, ai)
-    if psd.domain == "phase":
-        result = phase_variance(psd, ai, f_min=f_min, f_max=f_max)
-    elif psd.domain == "acceleration":
-        result = acceleration_phase_variance(psd, ai, f_min=f_min, f_max=f_max)
+    domain = config["noise.domain"]
+    if domain is None:
+        raise ConfigError("noise.domain is required (phase | acceleration | rotation)")
+    if config["noise.file"] is not None:
+        psd = PowerSpectralDensity.from_csv(config["noise.file"], domain=domain)
     else:
-        result = rotation_phase_variance(psd, ai, f_min=f_min, f_max=f_max)
+        psd = PowerSpectralDensity(
+            domain=domain,
+            white=config["noise.model.white"],
+            flicker=config["noise.model.flicker"],
+            random_walk=config["noise.model.random_walk"],
+        )
+    result = _VARIANCE_BY_DOMAIN[psd.domain](
+        psd, ai, f_min=config["noise.band.f_min_hz"], f_max=config["noise.band.f_max_hz"]
+    )
     sigma_phi = result.sigma
     record = {
         "entries": [
@@ -451,7 +497,10 @@ def main(argv=None) -> int:
         config_dir = os.environ.get(CONFIG_DIR_ENV, ".")
         config_path = os.path.join(config_dir, DEFAULT_CONFIG_NAME)
     try:
-        config = load_config(config_path, overrides=args.override)
+        config = resolve_config(load_config(config_path, overrides=args.override))
+        if config["noise.file"] is not None:
+            # a relative PSD path is read from the config file's directory
+            config["noise.file"] = os.path.join(os.path.dirname(config_path), config["noise.file"])
         summary = COMMANDS[args.command](config, args.out)
     except ConfigError as exc:
         print(json.dumps({"command": args.command, "status": "config-error", "error": str(exc)}))

@@ -82,34 +82,29 @@ _ROTATION_FACTORS = {
 }
 
 
+def _rotation_factor(value: float, tag: str) -> float:
+    if not math.isfinite(value):
+        raise ConfigError(f"rotation value must be finite, got {value!r}")
+    try:
+        return _ROTATION_FACTORS[tag]
+    except KeyError:
+        raise ConfigError(
+            f"unknown rotation unit tag {tag!r}; expected one of {sorted(_ROTATION_FACTORS)}"
+        ) from None
+
+
 def convert_rotation(value: float, target: str) -> float:
     """Convert a rotation quantity expressed in rad/s (or rad/s/sqrt(Hz) for
     the ARW tag) to the requested presentation unit.
 
     Tags: ``rad_s``, ``deg_h``, ``arw_deg_sqrt_h``.
     """
-    if not math.isfinite(value):
-        raise ConfigError(f"rotation value must be finite, got {value!r}")
-    try:
-        factor = _ROTATION_FACTORS[target]
-    except KeyError:
-        raise ConfigError(
-            f"unknown rotation unit tag {target!r}; expected one of {sorted(_ROTATION_FACTORS)}"
-        ) from None
-    return value * factor
+    return value * _rotation_factor(value, target)
 
 
 def rotation_from(value: float, source: str) -> float:
     """Inverse of :func:`convert_rotation`: presentation unit back to rad/s."""
-    if not math.isfinite(value):
-        raise ConfigError(f"rotation value must be finite, got {value!r}")
-    try:
-        factor = _ROTATION_FACTORS[source]
-    except KeyError:
-        raise ConfigError(
-            f"unknown rotation unit tag {source!r}; expected one of {sorted(_ROTATION_FACTORS)}"
-        ) from None
-    return value / factor
+    return value / _rotation_factor(value, source)
 
 
 @dataclass(frozen=True)

@@ -211,18 +211,9 @@ def shot_noise_sensitivity_per_sqrt_hz(config: InterferometerConfig) -> float:
 def sensitivity_function_g(t, config: InterferometerConfig):
     """Response of the output phase to a phase jump at time t: 0 outside
     [-T, T], linear ramps across the two pulses, 1 between them."""
-    tau = config.pulse_duration
-    T = config.half_time
-    scalar = np.isscalar(t) or np.ndim(t) == 0
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    g = np.zeros_like(t)
-    rising = (t >= -T) & (t < -T + tau)
-    flat = (t >= -T + tau) & (t <= T - tau)
-    falling = (t > T - tau) & (t <= T)
-    g[rising] = (t[rising] + T) / tau
-    g[flat] = 1.0
-    g[falling] = (T - t[falling]) / tau
-    return float(g[0]) if scalar else g
+    t = np.asarray(t, dtype=float)
+    g = np.clip((config.half_time - np.abs(t)) / config.pulse_duration, 0.0, 1.0)
+    return float(g) if g.ndim == 0 else g
 
 
 def transfer_h(t, config: InterferometerConfig):
@@ -230,12 +221,11 @@ def transfer_h(t, config: InterferometerConfig):
     -1/tau on the last, 0 elsewhere (h = dg/dt)."""
     tau = config.pulse_duration
     T = config.half_time
-    scalar = np.isscalar(t) or np.ndim(t) == 0
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    h = np.zeros_like(t)
-    h[(t >= -T) & (t <= -T + tau)] = 1.0 / tau
-    h[(t >= T - tau) & (t <= T)] = -1.0 / tau
-    return float(h[0]) if scalar else h
+    t = np.asarray(t, dtype=float)
+    first = (t >= -T) & (t <= -T + tau)
+    last = (t >= T - tau) & (t <= T)
+    h = np.where(last, -1.0, first) / tau
+    return float(h) if h.ndim == 0 else h
 
 
 def transfer_H(f, config: InterferometerConfig):

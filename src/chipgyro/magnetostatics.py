@@ -186,6 +186,11 @@ def geometry_from_records(records: Sequence[dict], label: str = "") -> GuideGeom
     (the CLI config representation)."""
     loops = []
     for i, rec in enumerate(records):
+        if not isinstance(rec, dict):
+            raise ConfigError(f"geometry.loops[{i}] must be a mapping, got {rec!r}")
+        unknown = sorted(str(key) for key in rec if key not in ("radius_m", "current_A", "height_m"))
+        if unknown:
+            raise ConfigError(f"geometry.loops[{i}]: unknown field(s) {unknown}")
         try:
             loops.append(
                 WireLoop(
@@ -196,4 +201,6 @@ def geometry_from_records(records: Sequence[dict], label: str = "") -> GuideGeom
             )
         except KeyError as exc:
             raise ConfigError(f"geometry.loops[{i}]: missing field {exc}") from None
+        except (TypeError, ValueError):
+            raise ConfigError(f"geometry.loops[{i}]: fields must be numbers, got {rec!r}") from None
     return GuideGeometry(loops=tuple(loops), label=label)

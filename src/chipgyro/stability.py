@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .constants import (
     HBAR,
@@ -191,11 +192,11 @@ def required_interrogation_time(
     integration_time: float,
     launch_velocity: float,
     config_template: InterferometerConfig,
-    rel_tol: float = 1e-3,
 ) -> tuple:
     """Smallest interrogation time 2T whose projection-noise Allan deviation
-    at ``integration_time`` meets ``target_sigma``, by bisection on the
-    bracket INTERROGATION_BRACKET.
+    at ``integration_time`` meets ``target_sigma``: Brent's method on the
+    bracket INTERROGATION_BRACKET to a few ulp, then stepped up ulp by ulp
+    until the returned 2T meets the target.
 
     Returns (min_2T, guide_radius) with the radius from the full-circumference
     round-trip relation R = v_launch (2T) / (2 pi).
@@ -222,13 +223,10 @@ def required_interrogation_time(
     if sigma_at(lo) <= target_sigma:
         two_t = lo
     else:
-        while (hi - lo) > rel_tol * hi:
-            mid = 0.5 * (lo + hi)
-            if sigma_at(mid) <= target_sigma:
-                hi = mid
-            else:
-                lo = mid
-        two_t = hi
+        # brentq needs xtol > 0 and rtol >= 4 eps; an xtol of one ulp leaves the stop to rtol
+        two_t = brentq(lambda t: sigma_at(t) - target_sigma, lo, hi, xtol=math.ulp(lo), rtol=1e-15)
+        while sigma_at(two_t) > target_sigma:
+            two_t = math.nextafter(two_t, hi)
     return two_t, launch_velocity * two_t / (2.0 * math.pi)
 
 

@@ -3,13 +3,16 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
 import chipgyro
-from chipgyro.cli import load_config, main
+from chipgyro.cli import SCHEMA, load_config, main, resolve_config
+
+REPO = Path(__file__).resolve().parents[1]
 
 BASE_CONFIG = {
     "interferometer": {
@@ -128,6 +131,98 @@ def test_bad_guide_config_exit_1(tmp_path, config_path, capsys, override):
     assert summary["status"] == "config-error"
     assert override.split("=")[0] in summary["error"]
     assert not out.joinpath("potential_map.csv").exists()
+
+
+SPECIES = ["species.wavelength_m=7.8e-7", "species.magnetic_moment_J_T=9.3e-24"]
+
+
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("transfer", ["interferometer.interogation_time_s=9.0"]),
+        ("transfer", ["interferometr.n_loops=2"]),
+        ("noise", ["noise.model.whtie=1"]),
+        ("transfer", ["interferometer.interrogation_time_s=abc"]),
+        ("transfer", ["interferometer.n_loops=1.5"]),
+        ("transfer", ["species.mass_kg=-1.4e-25", *SPECIES]),
+        ("transfer", ["species.mass_kg=1.4e-25"]),
+        ("sensitivity", ["run.sensitivity.n_points=0"]),
+        ("transfer", ["run.transfer.points_per_decade=0"]),
+        ("transfer", ["run.transfer.f_min_hz=-1"]),
+        ("transfer", ["run.transfer.f_max_hz=1e-4"]),
+        ("allan", ["run.allan.n_points=abc"]),
+        ("mission", ["run.mission.v_over_vr=abc"]),
+        ("noise", ["noise.band.f_max_hz=abc"]),
+        ("guide", ["geometry.loops=[abc]"]),
+        ("guide", ["geometry.loops=[{radius_m: abc, current_A: 1}]"]),
+        ("guide", ["geometry.loops=[{radius_m: 5.0e-4, current_A: 0.1, heigth_m: 0}]"]),
+    ],
+    ids=lambda param: param if isinstance(param, str) else param[0],
+)
+def test_bad_config_exit_1(tmp_path, config_path, capsys, command, overrides):
+    out = tmp_path / "out"
+    argv = [command, "--config", config_path, "--out", str(out)]
+    for override in overrides:
+        argv += ["--override", override]
+    code, summary = _run(capsys, *argv)
+    assert code == 1
+    assert summary["status"] == "config-error"
+    assert overrides[0].split("=")[0] in summary["error"]
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_misspelled_key_suggests_the_right_one(config_path, capsys):
+    code, summary = _run(
+        capsys, "transfer", "--config", config_path,
+        "--override", "interferometer.interogation_time_s=9.0",
+    )
+    assert code == 1
+    assert "did you mean 'interferometer.interrogation_time_s'?" in summary["error"]
+
+
+def test_null_sections_and_numeric_strings(tmp_path, config_path, capsys):
+    """A section with nothing under it reads as empty, and a number YAML 1.1
+    reads as a string (20e-6 has no dot) is taken as that number."""
+    text = yaml.safe_dump(BASE_CONFIG) + "species:\ngeometry:\n"
+    text = text.replace("pulse_duration_s: 2.0e-05", "pulse_duration_s: 20e-6")
+    assert "20e-6" in text
+    other = tmp_path / "other.yaml"
+    other.write_text(text)
+    for path, out in ((config_path, "a"), (str(other), "b")):
+        code, _ = _run(capsys, "transfer", "--config", path, "--out", str(tmp_path / out))
+        assert code == 0
+    a, b = (tmp_path / out / "transfer.csv" for out in "ab")
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_benchmark_inputs_resolve(tmp_path):
+    sys.path.insert(0, str(REPO / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    for workload in workloads.WORKLOADS:
+        for invocation in workloads.generate(workload, None, str(tmp_path / workload)):
+            resolve_config(load_config(invocation.config))
+
+
+def test_readme_lists_every_config_key():
+    readme = (REPO / "README.md").read_text()
+    assert [path for path in SCHEMA if f"`{path}`" not in readme] == []
+
+
+def test_relative_psd_file_is_read_from_config_dir(tmp_path, capsys, monkeypatch):
+    config_dir = tmp_path / "configs"
+    config_dir.mkdir()
+    (config_dir / "psd.csv").write_text("f_hz,psd_value\n1e-4,1e-8\n1e3,1e-8\n")
+    config = dict(BASE_CONFIG, noise={"domain": "phase", "file": "psd.csv"})
+    (config_dir / "cfg.yaml").write_text(yaml.safe_dump(config))
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    code, summary = _run(capsys, "noise", "--config", str(config_dir / "cfg.yaml"), "--out", "out")
+    assert code == 0, summary
+    assert (elsewhere / "out" / "noise_budget.json").exists()
 
 
 def test_guide_work_counters(tmp_path, config_path, capsys):

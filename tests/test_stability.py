@@ -122,6 +122,22 @@ def test_required_interrogation_time_flagship():
     assert sigma(0.99 * two_t) > target
 
 
+def test_required_interrogation_time_closed_form():
+    """With zero dead time sigma(2T) = C (2T)^-3/2, so 2T = (C / target)^(2/3)."""
+    from dataclasses import replace
+
+    tpl = rb87_config(pulse_duration=20e-6, interrogation_time=4.0, atom_number=1e5)
+    target = 5.2e-14
+    for ratio in (1.0, 2.0, 4.0, 16.0):
+        v = ratio * RB.recoil_velocity
+        radius = v / (2 * math.pi)
+        unit = replace(tpl, interrogation_time=1.0, guide_radius=radius, launch_velocity=v)
+        c = projection_allan(unit, SECONDS_PER_YEAR, extrapolate=True)
+        two_t, radius = required_interrogation_time(target, SECONDS_PER_YEAR, v, tpl)
+        assert two_t == pytest.approx((c / target) ** (2.0 / 3.0), rel=1e-12)
+        assert radius == pytest.approx(v * two_t / (2 * math.pi), rel=1e-15)
+
+
 def test_required_interrogation_time_infeasible():
     tpl = rb87_config(pulse_duration=20e-6, interrogation_time=4.0, atom_number=1e5)
     with pytest.raises(InfeasibleTargetError) as excinfo:
