@@ -6,7 +6,7 @@ Layers, bottom up:
 * :mod:`chipgyro.constants` — physical constants, species data, rotation units
 * :mod:`chipgyro.magnetostatics` — circular-loop fields (closed form + oracle)
 * :mod:`chipgyro.guide` — guide minimum, trap frequency, depth, corrugation
-* :mod:`chipgyro.interferometer` — phases, fringe, sensitivity, g/h/H(f)
+* :mod:`chipgyro.interferometer` — phases, fringe, sensitivity, g/h/|H(f)|²
 * :mod:`chipgyro.noise` — PSD models and phase-variance quadrature
 * :mod:`chipgyro.stability` — Allan deviation, harmonic sum, mission solver
 * :mod:`chipgyro.cli` — the ``chipgyro`` command
@@ -63,7 +63,6 @@ from .interferometer import (
     sensitivity_function_g,
     shot_noise_sensitivity,
     shot_noise_sensitivity_per_sqrt_hz,
-    transfer_H,
     transfer_H_abs2,
     transfer_h,
     transfer_zeros,
@@ -84,6 +83,7 @@ from .noise import (
     VarianceResult,
     acceleration_phase_variance,
     convert_psd,
+    phase_kernel,
     phase_sigma_to_rotation_sigma,
     phase_variance,
     rotation_phase_variance,

@@ -39,7 +39,7 @@ from .interferometer import (
     guide_radius_for,
     shot_noise_sensitivity,
     shot_noise_sensitivity_per_sqrt_hz,
-    transfer_H,
+    transfer_H_abs2,
 )
 from .magnetostatics import field_modulus, geometry_from_records, design_guide_geometry
 from .noise import (
@@ -100,7 +100,10 @@ def _set_dotted(config: dict, dotted: str, raw_value: str) -> None:
     keys = dotted.split(".")
     node = config
     for key in keys[:-1]:
-        node = node.setdefault(key, {})
+        if node.get(key) is None:
+            # a null section reads as empty, as in resolve_config
+            node[key] = {}
+        node = node[key]
         if not isinstance(node, dict):
             raise ConfigError(f"override path {dotted!r} crosses a non-mapping node at {key!r}")
     node[keys[-1]] = yaml.safe_load(raw_value)
@@ -150,9 +153,9 @@ SCHEMA = {
     "interferometer.v_launch_over_vr": (POSITIVE, 1.0),
     "noise.domain": (STRING, None),
     "noise.file": (STRING, None),
-    "noise.model.white": (NUMBER, 0.0),
-    "noise.model.flicker": (NUMBER, 0.0),
-    "noise.model.random_walk": (NUMBER, 0.0),
+    "noise.model.white": (NUMBER, None),
+    "noise.model.flicker": (NUMBER, None),
+    "noise.model.random_walk": (NUMBER, None),
     "noise.band.f_min_hz": (NUMBER, DEFAULT_F_MIN),
     "noise.band.f_max_hz": (NUMBER, None),
     "run.guide.map_n_rho": (COUNT, 101),
@@ -334,7 +337,7 @@ def cmd_transfer(config: dict, out_dir: str) -> dict:
     if f_max <= f_min:
         raise ConfigError(f"run.transfer.f_max_hz must be > f_min_hz, got {f_max} <= {f_min}")
     grid = _transfer_grid(f_min, f_max, config["run.transfer.points_per_decade"], ai)
-    H = transfer_H(grid, ai)
+    abs2 = transfer_H_abs2(grid, ai)
     f_hp, f_lp = corner_frequencies(ai)
     path = os.path.join(out_dir, "transfer.csv")
     _write_csv(
@@ -346,7 +349,7 @@ def cmd_transfer(config: dict, out_dir: str) -> dict:
             "f_LP_hz": _fmt(f_lp),
         },
         ["f_hz", "abs_H", "abs_H_sq"],
-        ((float(f), float(a), float(a * a)) for f, a in zip(grid, np.abs(H))),
+        zip(grid.tolist(), np.sqrt(abs2).tolist(), abs2.tolist()),
     )
     return {"outputs": [path], "f_HP_hz": f_hp, "f_LP_hz": f_lp}
 
@@ -429,15 +432,15 @@ def cmd_noise(config: dict, out_dir: str) -> dict:
     domain = config["noise.domain"]
     if domain is None:
         raise ConfigError("noise.domain is required (phase | acceleration | rotation)")
+    model = {key: config[f"noise.model.{key}"] for key in ("white", "flicker", "random_walk")}
+    given = ", ".join(f"noise.model.{key}" for key, value in model.items() if value is not None)
     if config["noise.file"] is not None:
         psd = PowerSpectralDensity.from_csv(config["noise.file"], domain=domain)
+        if given:
+            raise ConfigError(f"give noise.file or noise.model, not both; got {given} too")
     else:
-        psd = PowerSpectralDensity(
-            domain=domain,
-            white=config["noise.model.white"],
-            flicker=config["noise.model.flicker"],
-            random_walk=config["noise.model.random_walk"],
-        )
+        model = {key: 0.0 if value is None else value for key, value in model.items()}
+        psd = PowerSpectralDensity(domain=domain, **model)
     result = _VARIANCE_BY_DOMAIN[psd.domain](
         psd, ai, f_min=config["noise.band.f_min_hz"], f_max=config["noise.band.f_max_hz"]
     )

@@ -1,7 +1,7 @@
 """Two-pulse guided Sagnac interferometer.
 
 Inertial phases, fringe model, scale factor, shot-noise-limited rotation
-sensitivity, and the sensitivity/transfer functions g(t), h(t), H(f) of the
+sensitivity, and the sensitivity/transfer functions g(t), h(t), |H(f)|^2 of the
 two-beam-splitter sequence (the circular guide itself acts as the mirror).
 
 Conventions (reported in every CLI output):
@@ -180,27 +180,16 @@ def fringe_population(config: InterferometerConfig, phase: float) -> FringeReado
 def shot_noise_sensitivity(config: InterferometerConfig) -> float:
     """Projection-noise-limited rotation sensitivity per shot (rad/s):
 
-        dOmega = xi * pi / (2 eta sqrt(2N) (M/hbar) v_r v_launch (2T)^2 sin(latitude))
+        dOmega = xi / (eta sqrt(N/2) scale_factor)
 
     i.e. sqrt(N/2) of population noise divided by the fringe slope.
     """
-    sin_lat = math.sin(config.latitude)
-    if sin_lat == 0.0:
+    if math.sin(config.latitude) == 0.0:
         raise DegenerateOrientationError(
             "sin(latitude) = 0: rotation has no projection on the sensing axis"
         )
-    species = config.species
-    denom = (
-        2.0
-        * config.contrast
-        * math.sqrt(2.0 * config.atom_number)
-        * (species.mass / HBAR)
-        * species.recoil_velocity
-        * config.launch_velocity
-        * config.interrogation_time ** 2
-        * sin_lat
-    )
-    return config.squeezing * math.pi / denom
+    slope = config.contrast * math.sqrt(0.5 * config.atom_number) * scale_factor(config)
+    return config.squeezing / slope
 
 
 def shot_noise_sensitivity_per_sqrt_hz(config: InterferometerConfig) -> float:
@@ -228,22 +217,9 @@ def transfer_h(t, config: InterferometerConfig):
     return float(h) if h.ndim == 0 else h
 
 
-def transfer_H(f, config: InterferometerConfig):
-    """Frequency-domain transfer function
-    H(f) = -(2i / (pi f tau)) sin(pi f tau) sin(pi f (2T - tau)),
-    with the analytic limit H(0) = 0. Only |H| is contract-bearing."""
-    tau = config.pulse_duration
-    D = config.interrogation_time - tau
-    scalar = np.isscalar(f) or np.ndim(f) == 0
-    f = np.atleast_1d(np.asarray(f, dtype=float))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        H = -2.0j / (np.pi * f * tau) * np.sin(np.pi * f * tau) * np.sin(np.pi * f * D)
-    H = np.where(f == 0.0, 0.0 + 0.0j, H)
-    return complex(H[0]) if scalar else H
-
-
 def transfer_H_abs2(f, config: InterferometerConfig):
-    """|H(f)|^2, vectorized, safe at f = 0."""
+    """|H(f)|^2 of the transfer function H(f) = -(2i / (pi f tau)) sin(pi f tau)
+    sin(pi f (2T - tau)); vectorized, with the analytic limit |H(0)|^2 = 0."""
     tau = config.pulse_duration
     D = config.interrogation_time - tau
     f = np.asarray(f, dtype=float)

@@ -9,6 +9,9 @@ Kernels (omega = 2 pi f):
   phase:        sigma^2 = int S_phi(f) |H(f)|^2 df
   acceleration: sigma^2 = int (k_eff^2 / omega^4) S_a(f) |H(f)|^2 df
   rotation:     sigma^2 = int ((2 k_eff R)^2 / omega^2) S_Omega(f) |H(f)|^2 df
+
+Each kernel is written once, in ``phase_kernel``, and |H|^2 once, in
+``interferometer.transfer_H_abs2``; the variances and conversions read them.
 """
 
 from __future__ import annotations
@@ -136,6 +139,20 @@ class PowerSpectralDensity:
         return cls(domain=domain, frequencies=f, values=s)
 
 
+def phase_kernel(domain: str, f, k_eff: float, guide_radius: float):
+    """Factor K(f) taking a ``domain`` PSD to the phase PSD it induces,
+    S_phi = K S: 1 (phase), k_eff^2 / omega^4 (acceleration) or
+    (2 k_eff R)^2 / omega^2 (rotation), with omega = 2 pi f."""
+    omega = 2.0 * np.pi * np.asarray(f, dtype=float)
+    if domain == "phase":
+        return np.ones_like(omega)
+    if domain == "acceleration":
+        return k_eff ** 2 / omega ** 4
+    if domain == "rotation":
+        return (2.0 * k_eff * guide_radius) ** 2 / omega ** 2
+    raise ConfigError(f"unknown PSD domain {domain!r}; expected one of {DOMAINS}")
+
+
 def convert_psd(
     psd: PowerSpectralDensity,
     target_domain: str,
@@ -149,8 +166,6 @@ def convert_psd(
     Tabulated PSDs convert pointwise on their own grid (round trips are exact);
     analytic PSDs need an explicit grid and come back tabulated.
     """
-    if target_domain not in DOMAINS:
-        raise ConfigError(f"unknown PSD domain {target_domain!r}")
     if psd.is_tabulated:
         f = psd.frequencies
         s = psd.values
@@ -159,15 +174,8 @@ def convert_psd(
             raise ConfigError("converting an analytic PSD needs an explicit frequency grid")
         f = np.asarray(grid, dtype=float)
         s = psd.evaluate(f)
-    omega = 2.0 * np.pi * f
-    # factor taking this domain's PSD to the equivalent phase PSD
-    to_phase = {
-        "phase": np.ones_like(omega),
-        "acceleration": k_eff ** 2 / omega ** 4,
-        "rotation": (2.0 * k_eff * guide_radius) ** 2 / omega ** 2,
-    }
-    s_phase = s * to_phase[psd.domain]
-    s_target = s_phase / to_phase[target_domain]
+    s_phase = s * phase_kernel(psd.domain, f, k_eff, guide_radius)
+    s_target = s_phase / phase_kernel(target_domain, f, k_eff, guide_radius)
     return PowerSpectralDensity(domain=target_domain, frequencies=f, values=s_target)
 
 
@@ -197,18 +205,18 @@ class VarianceResult:
         }
 
 
-def _integrate_band(psd, config, kernel, f_min, f_max, rtol):
+def _integrate_band(psd, config, f_min, f_max, rtol):
     """int S K |H|^2 df over [f_min, f_max] on QUADPACK, with an error estimate.
 
-    |H|^2 = 2 sinc^2(pi f tau) (1 - cos 2 pi D f), D = 2T - tau. A panel that
-    spans fewer than 8 periods of the cosine is integrated whole. A wider one
-    is split into int g - int g cos(2 pi D f), g = 2 S K sinc^2, the second by
-    QUADPACK's cosine-weight rule (QAWO), whose cost does not depend on D. On
-    a narrow panel the two parts would cancel (to about 8 digits for the
-    omega^-4 kernel near f_min, completely for a line on a zero of H).
-    Panel edges are the band ends, the zeros m/D for m <= 8, the zeros n/tau
-    of sinc, tabulated-PSD knots and one edge per octave; none above 8/D
-    depends on 2T, so neither does the cost.
+    K is the ``phase_kernel`` of the PSD's domain; |H|^2 = 2 sinc^2(pi f tau)
+    (1 - cos 2 pi D f), D = 2T - tau. A panel that spans fewer than 8 periods
+    of the cosine is integrated whole. A wider one is split into int g - int g
+    cos(2 pi D f), g = 2 S K sinc^2, the second by QUADPACK's cosine-weight
+    rule (QAWO), whose cost does not depend on D. On a narrow panel the two
+    parts would cancel (to about 8 digits for the omega^-4 kernel near f_min,
+    completely for a line on a zero of H). Panel edges are the band ends, the
+    zeros m/D for m <= 8, the zeros n/tau of sinc, tabulated-PSD knots and one
+    edge per octave; none above 8/D depends on 2T, so neither does the cost.
     """
     # imported here: at module level it adds ~55 ms to every CLI start
     from scipy.integrate import quad
@@ -227,11 +235,14 @@ def _integrate_band(psd, config, kernel, f_min, f_max, rtol):
     edges = np.unique(np.concatenate(edges))
     edges = edges[(edges >= f_min) & (edges <= f_max)]
 
+    def weighted(f):
+        return psd.evaluate(f) * phase_kernel(psd.domain, f, config.k_eff, config.guide_radius)
+
     def integrand(f):
-        return float(psd.evaluate(f) * kernel(f) * transfer_H_abs2(f, config))
+        return float(weighted(f) * transfer_H_abs2(f, config))
 
     def smooth(f):
-        return float(2.0 * psd.evaluate(f) * kernel(f) * np.sinc(f * tau) ** 2)
+        return float(2.0 * weighted(f) * np.sinc(f * tau) ** 2)
 
     total = err = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -252,7 +263,11 @@ def _integrate_band(psd, config, kernel, f_min, f_max, rtol):
     return total, err
 
 
-def _variance(psd, config, kernel, f_min, f_max, rtol, notes=""):
+def _variance(domain, psd, config, f_min, f_max, rtol, notes=""):
+    if psd.domain != domain:
+        raise DomainMismatchError(
+            f"the {domain} phase variance needs a {domain} PSD, got {psd.domain!r}"
+        )
     if f_min <= 0 or not math.isfinite(f_min):
         raise DivergentIntegralError(
             f"infrared cutoff must be > 0 (band [{f_min}, {f_max}]): the kernel is "
@@ -267,7 +282,7 @@ def _variance(psd, config, kernel, f_min, f_max, rtol, notes=""):
     if not 1e-13 <= rtol < 1.0:
         raise ConfigError(f"rtol must lie in [1e-13, 1), got {rtol}")
 
-    value, err = _integrate_band(psd, config, kernel, f_min, f_max, rtol)
+    value, err = _integrate_band(psd, config, f_min, f_max, rtol)
     if not math.isfinite(value):
         raise DivergentIntegralError(f"noise integral diverged on band [{f_min}, {f_max}]")
     return VarianceResult(
@@ -292,15 +307,12 @@ def phase_variance(
     [1e-13, 1); the reported ``error_estimate`` is the sum of the panels'
     absolute error estimates. The other variance functions take it alike.
     """
-    if psd.domain != "phase":
-        raise DomainMismatchError(f"phase_variance needs a phase PSD, got {psd.domain!r}")
-    return _variance(psd, config, lambda f: np.ones_like(np.asarray(f, float)), f_min, f_max, rtol)
+    return _variance("phase", psd, config, f_min, f_max, rtol)
 
 
 def acceleration_phase_variance(
     psd: PowerSpectralDensity,
     config: InterferometerConfig,
-    k_eff: Optional[float] = None,
     f_min: float = DEFAULT_F_MIN,
     f_max: Optional[float] = None,
     rtol: float = 1e-6,
@@ -311,50 +323,23 @@ def acceleration_phase_variance(
     white acceleration noise; the declared infrared cutoff bounds it and is
     echoed in the result.
     """
-    if psd.domain != "acceleration":
-        raise DomainMismatchError(
-            f"acceleration_phase_variance needs an acceleration PSD, got {psd.domain!r}"
-        )
-    if k_eff is None:
-        k_eff = config.k_eff
-
-    def kernel(f):
-        omega = 2.0 * np.pi * np.asarray(f, float)
-        return k_eff ** 2 / omega ** 4
-
     notes = f"omega^-4 kernel bounded by infrared cutoff {f_min} Hz"
-    return _variance(psd, config, kernel, f_min, f_max, rtol, notes=notes)
+    return _variance("acceleration", psd, config, f_min, f_max, rtol, notes=notes)
 
 
 def rotation_phase_variance(
     psd: PowerSpectralDensity,
     config: InterferometerConfig,
-    k_eff: Optional[float] = None,
-    guide_radius: Optional[float] = None,
     f_min: float = DEFAULT_F_MIN,
     f_max: Optional[float] = None,
     rtol: float = 1e-6,
 ) -> VarianceResult:
     """Rotation-noise phase variance: int ((2 k_eff R)^2 / omega^2) S_Omega |H|^2 df."""
-    if psd.domain != "rotation":
-        raise DomainMismatchError(
-            f"rotation_phase_variance needs a rotation PSD, got {psd.domain!r}"
-        )
-    if k_eff is None:
-        k_eff = config.k_eff
-    if guide_radius is None:
-        guide_radius = config.guide_radius
-
-    def kernel(f):
-        omega = 2.0 * np.pi * np.asarray(f, float)
-        return (2.0 * k_eff * guide_radius) ** 2 / omega ** 2
-
-    return _variance(psd, config, kernel, f_min, f_max, rtol)
+    return _variance("rotation", psd, config, f_min, f_max, rtol)
 
 
 def phase_sigma_to_rotation_sigma(sigma_phi: float, config: InterferometerConfig) -> float:
-    """Rms output phase to rms rotation rate: sigma_phi over the scale factor,
-    i.e. (pi/4)(hbar/M) sigma_phi / (v_r v_launch (2T)^2 sin(latitude))."""
+    """Rms output phase to rms rotation rate: sigma_phi over ``scale_factor``."""
     if math.sin(config.latitude) == 0.0:
         raise DegenerateOrientationError("sin(latitude) = 0: no rotation projection")
     return sigma_phi / scale_factor(config)

@@ -26,7 +26,7 @@ def test_criterion_1_transfer_corners_and_zeros():
     ok_hp = abs(f_hp / 15915.494309 - 1.0) < 1e-4
     ok_lp = abs(f_lp / 0.0795783 - 1.0) < 1e-4
     tau_zeros = np.array([1.0, 2.0]) / cfg.pulse_duration
-    h_at_zeros = np.max(np.abs(cg.transfer_H(tau_zeros, cfg)))
+    h_at_zeros = np.max(np.sqrt(cg.transfer_H_abs2(tau_zeros, cfg)))
     ok_zeros = h_at_zeros < 1e-12 * 2.0
     _report(
         "1 transfer corners/zeros (0.01% / 1e-12)",

@@ -287,6 +287,15 @@ def test_transfer_pinned_zeros(tmp_path, config_path, capsys):
         assert a[idx] < 1e-12 * a.max()
 
 
+def test_transfer_columns(tmp_path, config_path, capsys):
+    """abs_H is the square root of abs_H_sq and never exceeds the mid-band
+    plateau 2 of |H|."""
+    _run(capsys, "transfer", "--config", config_path, "--out", str(tmp_path / "out"))
+    data = _read_transfer(tmp_path / "out" / "transfer.csv")
+    np.testing.assert_allclose(data["abs_H"] ** 2, data["abs_H_sq"], rtol=1e-15, atol=0)
+    assert 1.9 < data["abs_H"].max() <= 2.0
+
+
 def test_sensitivity_columns_and_values(tmp_path, config_path, capsys):
     _run(capsys, "sensitivity", "--config", config_path, "--out", str(tmp_path / "out"))
     data = np.genfromtxt(
@@ -345,6 +354,8 @@ def test_noise_budget_zero_psd_is_exactly_zero(tmp_path, config_path, capsys):
         str(tmp_path / "out"),
         "--override",
         f"noise.file={psd_file}",
+        "--override",
+        "noise.model=null",
     )
     assert code == 0
     record = json.loads((tmp_path / "out" / "noise_budget.json").read_text())
@@ -352,6 +363,33 @@ def test_noise_budget_zero_psd_is_exactly_zero(tmp_path, config_path, capsys):
         assert entry["variance_rad2"] == 0.0
         assert entry["sigma_phi_rad"] == 0.0
         assert entry["sigma_omega_rad_s"] == 0.0
+
+
+def test_noise_file_and_model_together_exit_1(tmp_path, config_path, capsys):
+    psd_file = tmp_path / "psd.csv"
+    psd_file.write_text("f_hz,psd_value\n1e-4,1e-8\n1e3,1e-8\n")
+    out = tmp_path / "out"
+    code, summary = _run(
+        capsys, "noise", "--config", config_path, "--out", str(out),
+        "--override", f"noise.file={psd_file}",
+    )
+    assert code == 1
+    assert summary["status"] == "config-error"
+    assert "noise.file" in summary["error"] and "noise.model.white" in summary["error"]
+    assert not out.exists()
+
+
+def test_override_into_null_section(tmp_path, capsys):
+    """An override reaches into a section the YAML leaves null, which reads
+    as empty everywhere else."""
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(BASE_CONFIG) + "species:\n")
+    assert load_config(str(path), ["species.name=rb87"])["species"] == {"name": "rb87"}
+    code, summary = _run(
+        capsys, "transfer", "--config", str(path), "--out", str(tmp_path / "out"),
+        "--override", "species.name=rb87",
+    )
+    assert code == 0, summary
 
 
 def test_missing_psd_file_exit_1(tmp_path, config_path, capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from chipgyro.constants import ARW_DEG_SQRT_H_PER_RAD_S_SQRT_HZ, species_rb87
+from chipgyro.constants import ARW_DEG_SQRT_H_PER_RAD_S_SQRT_HZ, HBAR, species_rb87
 from chipgyro.errors import ConfigError, DegenerateOrientationError
 from chipgyro.interferometer import (
     InterferometerConfig,
@@ -18,7 +18,6 @@ from chipgyro.interferometer import (
     sensitivity_function_g,
     shot_noise_sensitivity,
     shot_noise_sensitivity_per_sqrt_hz,
-    transfer_H,
     transfer_H_abs2,
     transfer_h,
     transfer_zeros,
@@ -31,6 +30,17 @@ def _config(**kwargs):
     kwargs.setdefault("pulse_duration", 20e-6)
     kwargs.setdefault("interrogation_time", 4.0)
     return rb87_config(**kwargs)
+
+
+def _transfer_H(f, config):
+    """Oracle: the complex closed form
+    H(f) = -(2i / (pi f tau)) sin(pi f tau) sin(pi f (2T - tau)), H(0) = 0."""
+    tau = config.pulse_duration
+    D = config.interrogation_time - tau
+    f = np.atleast_1d(np.asarray(f, dtype=float))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        H = -2.0j / (np.pi * f * tau) * np.sin(np.pi * f * tau) * np.sin(np.pi * f * D)
+    return np.where(f == 0.0, 0.0 + 0.0j, H)
 
 
 def test_acceleration_phase():
@@ -108,6 +118,23 @@ def test_shot_noise_scalings():
     assert shot_noise_sensitivity(
         _config(launch_velocity=2 * rb.recoil_velocity)
     ) == pytest.approx(shot_noise_sensitivity(base) / 2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("v_over_vr", [1.0, 4.0])
+@pytest.mark.parametrize("latitude_deg", [48.85, 90.0])
+def test_shot_noise_against_explicit_closed_form(v_over_vr, latitude_deg):
+    """xi pi / (2 eta sqrt(2N) (M/hbar) v_r v_launch (2T)^2 sin(latitude)),
+    written out without the scale factor."""
+    rb = species_rb87()
+    cfg = _config(
+        interrogation_time=3.0, atom_number=2.5e4, contrast=0.7, squeezing=0.4,
+        latitude=math.radians(latitude_deg), launch_velocity=v_over_vr * rb.recoil_velocity,
+    )
+    denom = (
+        2.0 * 0.7 * math.sqrt(2.0 * 2.5e4) * (rb.mass / HBAR) * rb.recoil_velocity
+        * cfg.launch_velocity * 3.0 ** 2 * math.sin(cfg.latitude)
+    )
+    assert shot_noise_sensitivity(cfg) == pytest.approx(0.4 * math.pi / denom, rel=1e-15, abs=0)
 
 
 def test_per_sqrt_hz_uses_cycle_time():
@@ -190,7 +217,7 @@ def test_transfer_corners():
     # mid-band plateau of |H| is 2 (at half-integer multiples of 1/(2T - tau))
     d = cfg.interrogation_time - cfg.pulse_duration
     f_plateau = (np.arange(10, 20) + 0.5) / d
-    assert np.abs(transfer_H(f_plateau, cfg)) == pytest.approx(2.0, rel=1e-6)
+    assert np.sqrt(transfer_H_abs2(f_plateau, cfg)) == pytest.approx(2.0, rel=1e-6)
 
 
 def test_transfer_zeros_are_zero():
@@ -199,16 +226,16 @@ def test_transfer_zeros_are_zero():
     # lose accuracy to float rounding, so the full-band check uses only the
     # exactly representable pulse-duration family below)
     zeros_low = transfer_zeros(cfg, 10.0)
-    assert np.max(np.abs(transfer_H(zeros_low, cfg))) < 1e-12 * 2.0
+    assert np.max(np.sqrt(transfer_H_abs2(zeros_low, cfg))) < 1e-12 * 2.0
     tau_family = np.arange(1, 3) / cfg.pulse_duration
-    assert np.max(np.abs(transfer_H(tau_family, cfg))) < 1e-12 * 2.0
-    assert transfer_H(0.0, cfg) == 0.0
+    assert np.max(np.sqrt(transfer_H_abs2(tau_family, cfg))) < 1e-12 * 2.0
+    assert transfer_H_abs2(0.0, cfg) == 0.0
 
 
 def test_abs2_matches_transfer_H():
     cfg = _config()
     f = np.geomspace(1e-4, 1e5, 4001)
-    assert np.allclose(np.abs(transfer_H(f, cfg)) ** 2, transfer_H_abs2(f, cfg), rtol=1e-10)
+    assert np.allclose(np.abs(_transfer_H(f, cfg)) ** 2, transfer_H_abs2(f, cfg), rtol=1e-10)
     assert transfer_H_abs2(np.array([0.0]), cfg)[0] == 0.0
 
 
@@ -220,5 +247,5 @@ def test_H_equals_omega_G():
     for f in (0.3, 0.7, 1.3, 2.7, 6.1):
         G = np.trapezoid(g * np.exp(-2j * math.pi * f * t), t)
         assert 2 * math.pi * f * abs(G) == pytest.approx(
-            abs(transfer_H(f, cfg)), rel=1e-5, abs=1e-8
+            math.sqrt(transfer_H_abs2(f, cfg)), rel=1e-5, abs=1e-8
         )

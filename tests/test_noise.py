@@ -11,6 +11,7 @@ from chipgyro.noise import (
     PowerSpectralDensity,
     acceleration_phase_variance,
     convert_psd,
+    phase_kernel,
     phase_sigma_to_rotation_sigma,
     phase_variance,
     rotation_phase_variance,
@@ -290,6 +291,11 @@ def test_domain_mismatch_raises():
         acceleration_phase_variance(psd, cfg)
     with pytest.raises(DomainMismatchError):
         rotation_phase_variance(PowerSpectralDensity(domain="phase", white=1e-9), cfg)
+
+
+def test_phase_kernel_rejects_unknown_domain():
+    with pytest.raises(ConfigError, match="volts"):
+        phase_kernel("volts", 1.0, 1.6e7, 1e-3)
 
 
 def test_psd_validation():
