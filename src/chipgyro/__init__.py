@@ -10,6 +10,9 @@ Layers, bottom up:
 * :mod:`chipgyro.noise` — PSD models and phase-variance quadrature
 * :mod:`chipgyro.stability` — Allan deviation, harmonic sum, mission solver
 * :mod:`chipgyro.cli` — the ``chipgyro`` command
+
+scipy is imported inside the function that uses it, never at module level, so
+``import chipgyro`` and a subcommand that needs no scipy stay cheap to start.
 """
 
 from .constants import (

@@ -24,7 +24,7 @@ from dataclasses import replace
 import numpy as np
 import yaml
 
-from . import __version__
+from . import __version__, noise
 from .constants import (
     ARW_DEG_SQRT_H_PER_RAD_S_SQRT_HZ,
     AtomSpecies,
@@ -42,14 +42,7 @@ from .interferometer import (
     transfer_H_abs2,
 )
 from .magnetostatics import field_modulus, geometry_from_records, design_guide_geometry
-from .noise import (
-    DEFAULT_F_MIN,
-    PowerSpectralDensity,
-    acceleration_phase_variance,
-    phase_sigma_to_rotation_sigma,
-    phase_variance,
-    rotation_phase_variance,
-)
+from .noise import DEFAULT_F_MIN, PowerSpectralDensity, phase_sigma_to_rotation_sigma
 from .stability import (
     GEODETIC_TARGET_SIGMA,
     assumptions_record,
@@ -420,13 +413,6 @@ def cmd_mission(config: dict, out_dir: str) -> dict:
     return {"outputs": [path]}
 
 
-_VARIANCE_BY_DOMAIN = {
-    "phase": phase_variance,
-    "acceleration": acceleration_phase_variance,
-    "rotation": rotation_phase_variance,
-}
-
-
 def cmd_noise(config: dict, out_dir: str) -> dict:
     ai = _interferometer_from_config(config)
     domain = config["noise.domain"]
@@ -441,7 +427,13 @@ def cmd_noise(config: dict, out_dir: str) -> dict:
     else:
         model = {key: 0.0 if value is None else value for key, value in model.items()}
         psd = PowerSpectralDensity(domain=domain, **model)
-    result = _VARIANCE_BY_DOMAIN[psd.domain](
+    # looked up on the module at call time, so a patched or traced function is the one called
+    variance = {
+        "phase": noise.phase_variance,
+        "acceleration": noise.acceleration_phase_variance,
+        "rotation": noise.rotation_phase_variance,
+    }[psd.domain]
+    result = variance(
         psd, ai, f_min=config["noise.band.f_min_hz"], f_max=config["noise.band.f_max_hz"]
     )
     sigma_phi = result.sigma

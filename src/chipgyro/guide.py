@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 
 from .constants import AtomSpecies, K_B
 from .errors import ConfigError, NoGuideMinimumError, NonSmoothPotentialError
@@ -122,6 +121,8 @@ def find_guide_minimum(geometry: GuideGeometry, full_output: bool = False) -> tu
         if not (rho_lo <= r <= rho_hi and 0 < zz <= z_hi):
             return np.inf
         return float(field_modulus(geometry, r, zz))
+
+    import scipy.optimize
 
     result = scipy.optimize.minimize(
         objective,

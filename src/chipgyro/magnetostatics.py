@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ellipe, ellipk
 
 from .constants import MU_0
 from .errors import ConfigError, SingularPointError
@@ -87,6 +86,8 @@ class FieldVector:
 
 def _loop_field_arrays(loop: WireLoop, rho, z):
     """Vectorized closed-form loop field; returns (B_rho, B_z) arrays."""
+    from scipy.special import ellipe, ellipk
+
     rho = np.asarray(rho, dtype=float)
     zp = np.asarray(z, dtype=float) - loop.height
     a = loop.radius

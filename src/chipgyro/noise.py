@@ -189,6 +189,7 @@ class VarianceResult:
     domain: str
     convention: str = ONE_SIDED_CONVENTION
     notes: str = ""
+    n_evals: int = 0        # PSD evaluations the quadrature made, one per point
 
     @property
     def sigma(self) -> float:
@@ -202,11 +203,13 @@ class VarianceResult:
             "domain": self.domain,
             "convention": self.convention,
             "notes": self.notes,
+            "n_evals": self.n_evals,
         }
 
 
 def _integrate_band(psd, config, f_min, f_max, rtol):
-    """int S K |H|^2 df over [f_min, f_max] on QUADPACK, with an error estimate.
+    """int S K |H|^2 df over [f_min, f_max] on QUADPACK; returns the value, its
+    error estimate and the number of points at which the PSD was evaluated.
 
     K is the ``phase_kernel`` of the PSD's domain; |H|^2 = 2 sinc^2(pi f tau)
     (1 - cos 2 pi D f), D = 2T - tau. A panel that spans fewer than 8 periods
@@ -218,7 +221,6 @@ def _integrate_band(psd, config, f_min, f_max, rtol):
     zeros m/D for m <= 8, the zeros n/tau of sinc, tabulated-PSD knots and one
     edge per octave; none above 8/D depends on 2T, so neither does the cost.
     """
-    # imported here: at module level it adds ~55 ms to every CLI start
     from scipy.integrate import quad
 
     tau = config.pulse_duration
@@ -235,7 +237,11 @@ def _integrate_band(psd, config, f_min, f_max, rtol):
     edges = np.unique(np.concatenate(edges))
     edges = edges[(edges >= f_min) & (edges <= f_max)]
 
+    n_evals = 0
+
     def weighted(f):
+        nonlocal n_evals
+        n_evals += np.size(f)
         return psd.evaluate(f) * phase_kernel(psd.domain, f, config.k_eff, config.guide_radius)
 
     def integrand(f):
@@ -260,7 +266,7 @@ def _integrate_band(psd, config, f_min, f_max, rtol):
             value_err += wave_err
         total += value
         err += value_err
-    return total, err
+    return total, err, n_evals
 
 
 def _variance(domain, psd, config, f_min, f_max, rtol, notes=""):
@@ -282,7 +288,7 @@ def _variance(domain, psd, config, f_min, f_max, rtol, notes=""):
     if not 1e-13 <= rtol < 1.0:
         raise ConfigError(f"rtol must lie in [1e-13, 1), got {rtol}")
 
-    value, err = _integrate_band(psd, config, f_min, f_max, rtol)
+    value, err, n_evals = _integrate_band(psd, config, f_min, f_max, rtol)
     if not math.isfinite(value):
         raise DivergentIntegralError(f"noise integral diverged on band [{f_min}, {f_max}]")
     return VarianceResult(
@@ -291,6 +297,7 @@ def _variance(domain, psd, config, f_min, f_max, rtol, notes=""):
         band=(f_min, f_max),
         domain=psd.domain,
         notes=notes,
+        n_evals=n_evals,
     )
 
 

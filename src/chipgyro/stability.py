@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .constants import (
     HBAR,
@@ -223,6 +222,8 @@ def required_interrogation_time(
     if sigma_at(lo) <= target_sigma:
         two_t = lo
     else:
+        from scipy.optimize import brentq
+
         # brentq needs xtol > 0 and rtol >= 4 eps; an xtol of one ulp leaves the stop to rtol
         two_t = brentq(lambda t: sigma_at(t) - target_sigma, lo, hi, xtol=math.ulp(lo), rtol=1e-15)
         while sigma_at(two_t) > target_sigma:

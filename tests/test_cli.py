@@ -433,12 +433,48 @@ def test_csv_floats_full_precision(tmp_path, config_path, capsys):
     assert len(sigma_str.replace("-", "").replace(".", "").split("e")[0]) >= 16
 
 
-@pytest.mark.parametrize("module", ["scipy.ndimage", "scipy.integrate"])
-def test_import_leaves_out_scipy_ndimage(module):
+def _python(code, *args):
+    """stdout of ``python -c code args`` with this checkout's chipgyro on the path."""
     src = os.path.dirname(os.path.dirname(chipgyro.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    probe = f"import sys, chipgyro.cli; print({module!r} in sys.modules)"
     proc = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
     )
-    assert proc.stdout.strip() == "False"
+    return proc.stdout
+
+
+@pytest.mark.parametrize(
+    "module", ["scipy.ndimage", "scipy.integrate", "scipy.optimize", "scipy.special", "scipy.linalg"]
+)
+def test_import_leaves_out_scipy(module):
+    probe = (
+        f"import sys, chipgyro; print({module!r} in sys.modules); "
+        f"import chipgyro.cli; print({module!r} in sys.modules)"
+    )
+    assert _python(probe).split() == ["False", "False"]
+
+
+def test_transfer_sensitivity_allan_load_no_scipy(tmp_path, config_path):
+    probe = (
+        "import sys, chipgyro.cli\n"
+        "for command in ('transfer', 'sensitivity', 'allan'):\n"
+        "    assert chipgyro.cli.main([command, '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    assert _python(probe, config_path, str(tmp_path / "out")).splitlines()[-1] == "[]"
+
+
+def test_noise_calls_the_variance_function_bound_at_call_time(tmp_path, config_path, capsys, monkeypatch):
+    results = []
+    phase_variance = chipgyro.noise.phase_variance
+
+    def recording_phase_variance(*args, **kwargs):
+        results.append(phase_variance(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(chipgyro.noise, "phase_variance", recording_phase_variance)
+    code, _ = _run(capsys, "noise", "--config", config_path, "--out", str(tmp_path / "out"))
+    assert code == 0
+    assert len(results) == 1
+    record = json.loads((tmp_path / "out" / "noise_budget.json").read_text())
+    assert record["entries"][0]["result"]["n_evals"] == results[0].n_evals > 0

@@ -277,7 +277,8 @@ def test_quadrature_cost_flat_in_interrogation_time(monkeypatch):
         counts = []
         for two_t in (1.0, 100.0):
             points[0] = 0
-            variance(psd, rb87_config(pulse_duration=20e-6, interrogation_time=two_t))
+            result = variance(psd, rb87_config(pulse_duration=20e-6, interrogation_time=two_t))
+            assert result.n_evals == points[0]
             counts.append(points[0])
         assert max(counts) < 2 * min(counts), (variance.__name__, counts)
 
