@@ -35,7 +35,6 @@ from .errors import (
     ConfigError,
     DegenerateOrientationError,
     DivergentIntegralError,
-    DomainMismatchError,
     InfeasibleTargetError,
     NoGuideMinimumError,
     NonSmoothPotentialError,
@@ -51,6 +50,7 @@ from .guide import (
     potential_hessian,
     radial_frequency_quadrupole,
     roughness_potential,
+    trap_potential,
 )
 from .interferometer import (
     FringeReadout,
@@ -84,12 +84,10 @@ from .magnetostatics import (
 from .noise import (
     PowerSpectralDensity,
     VarianceResult,
-    acceleration_phase_variance,
     convert_psd,
     phase_kernel,
     phase_sigma_to_rotation_sigma,
     phase_variance,
-    rotation_phase_variance,
 )
 from .stability import (
     AllanCurve,

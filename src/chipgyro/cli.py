@@ -32,7 +32,7 @@ from .constants import (
     species_rb87,
 )
 from .errors import ConfigError, PhysicsError
-from .guide import DEFAULT_OFFSET_B0, characterize_guide
+from .guide import DEFAULT_OFFSET_B0, characterize_guide, trap_potential
 from .interferometer import (
     InterferometerConfig,
     corner_frequencies,
@@ -41,7 +41,7 @@ from .interferometer import (
     shot_noise_sensitivity_per_sqrt_hz,
     transfer_H_abs2,
 )
-from .magnetostatics import field_modulus, geometry_from_records, design_guide_geometry
+from .magnetostatics import geometry_from_records, design_guide_geometry
 from .noise import DEFAULT_F_MIN, PowerSpectralDensity, phase_sigma_to_rotation_sigma
 from .stability import (
     GEODETIC_TARGET_SIGMA,
@@ -61,16 +61,18 @@ def _fmt(x: float) -> str:
 
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".chipgyro-")
+    tmp = None
     try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".chipgyro-")
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path}: {exc}") from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _write_csv(path: str, header_comments: dict, columns: list, rows) -> None:
@@ -99,15 +101,20 @@ def _set_dotted(config: dict, dotted: str, raw_value: str) -> None:
         node = node[key]
         if not isinstance(node, dict):
             raise ConfigError(f"override path {dotted!r} crosses a non-mapping node at {key!r}")
-    node[keys[-1]] = yaml.safe_load(raw_value)
+    try:
+        node[keys[-1]] = yaml.safe_load(raw_value)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"override {dotted}={raw_value} is not valid YAML: {exc}") from None
 
 
 def load_config(path: str, overrides=()) -> dict:
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             config = yaml.safe_load(handle) or {}
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"config file {path} is not valid YAML: {exc}") from None
     if not isinstance(config, dict):
@@ -122,6 +129,7 @@ def load_config(path: str, overrides=()) -> dict:
 
 # Kinds of config value; the names are also the error messages' wording.
 NUMBER, POSITIVE, COUNT = "finite number", "finite number > 0", "integer >= 1"
+NON_NEGATIVE = "finite number >= 0"
 STRING, LIST, POSITIVES = "string", "non-empty list", "non-empty list of numbers > 0"
 # Every config key the CLI reads: dotted path -> (kind, default). A default
 # of None means "not given": the one subcommand that reads the key derives
@@ -149,7 +157,7 @@ SCHEMA = {
     "noise.model.white": (NUMBER, None),
     "noise.model.flicker": (NUMBER, None),
     "noise.model.random_walk": (NUMBER, None),
-    "noise.band.f_min_hz": (NUMBER, DEFAULT_F_MIN),
+    "noise.band.f_min_hz": (NON_NEGATIVE, DEFAULT_F_MIN),
     "noise.band.f_max_hz": (NUMBER, None),
     "run.guide.map_n_rho": (COUNT, 101),
     "run.guide.map_n_z": (COUNT, 101),
@@ -179,13 +187,14 @@ def _check(path: str, kind: str, value):
         if kind == LIST:
             return value
         return [_check(f"{path}[{i}]", POSITIVE, item) for i, item in enumerate(value)]
-    if kind in (NUMBER, POSITIVE, COUNT) and not isinstance(value, bool):
+    if kind in (NUMBER, POSITIVE, NON_NEGATIVE, COUNT) and not isinstance(value, bool):
         try:
             # numeric strings count: YAML 1.1 reads 20e-6 (no dot) as a string
             number = float(value)
         except (TypeError, ValueError, OverflowError):
             number = math.nan
-        if math.isfinite(number) and (kind == NUMBER or number > 0):
+        in_range = kind == NUMBER or number > 0 or (kind == NON_NEGATIVE and number == 0)
+        if math.isfinite(number) and in_range:
             if kind != COUNT:
                 return number
             if number == int(number):
@@ -294,9 +303,7 @@ def cmd_guide(config: dict, out_dir: str) -> dict:
     rho = np.linspace(rho0 - span, rho0 + span, config["run.guide.map_n_rho"])
     z = np.linspace(max(z0 - span, 1e-7), z0 + span, config["run.guide.map_n_z"])
     RR, ZZ = np.meshgrid(rho, z, indexing="ij")
-    U = species.magnetic_moment * np.sqrt(
-        field_modulus(geometry, RR, ZZ) ** 2 + offset_b0 ** 2
-    )
+    U = trap_potential(geometry, species, RR, ZZ, offset_b0)
     rows = zip(RR.ravel().tolist(), ZZ.ravel().tolist(), U.ravel().tolist())
     map_path = os.path.join(out_dir, "potential_map.csv")
     _write_csv(
@@ -428,12 +435,7 @@ def cmd_noise(config: dict, out_dir: str) -> dict:
         model = {key: 0.0 if value is None else value for key, value in model.items()}
         psd = PowerSpectralDensity(domain=domain, **model)
     # looked up on the module at call time, so a patched or traced function is the one called
-    variance = {
-        "phase": noise.phase_variance,
-        "acceleration": noise.acceleration_phase_variance,
-        "rotation": noise.rotation_phase_variance,
-    }[psd.domain]
-    result = variance(
+    result = noise.phase_variance(
         psd, ai, f_min=config["noise.band.f_min_hz"], f_max=config["noise.band.f_max_hz"]
     )
     sigma_phi = result.sigma

@@ -11,11 +11,7 @@ class ChipgyroError(Exception):
 
 
 class ConfigError(ChipgyroError):
-    """Invalid input: bad field value, unknown unit tag, domain mismatch."""
-
-
-class DomainMismatchError(ConfigError):
-    """A PSD of the wrong physical domain was passed to a propagation kernel."""
+    """Invalid input: bad field value, unknown unit tag, unknown PSD domain."""
 
 
 class PhysicsError(ChipgyroError):

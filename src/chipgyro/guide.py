@@ -223,6 +223,12 @@ def _depth_field(geometry: GuideGeometry, min_pos, B_min) -> tuple:
     return depth, (float(rho[1] - rho[0]), float(z[1] - z[0])), B.points
 
 
+def trap_potential(geometry: GuideGeometry, species: AtomSpecies, rho, z, offset_B0: float):
+    """Trap potential U = mu sqrt(|B|^2 + B0^2) over point grids, with the
+    longitudinal offset field B0 added to |B| in quadrature."""
+    return species.magnetic_moment * np.sqrt(field_modulus(geometry, rho, z) ** 2 + offset_B0 ** 2)
+
+
 def characterize_guide(
     geometry: GuideGeometry,
     species: AtomSpecies,
@@ -242,7 +248,7 @@ def characterize_guide(
         )
 
     def potential(r, zz):
-        return mu * np.sqrt(field_modulus(geometry, r, zz) ** 2 + offset_B0 ** 2)
+        return trap_potential(geometry, species, r, zz, offset_B0)
 
     hessian = potential_hessian(potential, rho0, z0)
     eigvals, eigvecs = np.linalg.eigh(hessian)

@@ -162,11 +162,10 @@ def total_field_arrays(geometry: GuideGeometry, rho, z):
     return Brho, Bz
 
 
-def field_modulus(geometry: GuideGeometry, rho, z, offset_B0: float = 0.0):
-    """|B| over point grids, with an optional longitudinal offset field added
-    in quadrature."""
+def field_modulus(geometry: GuideGeometry, rho, z):
+    """|B| over point grids."""
     Brho, Bz = total_field_arrays(geometry, rho, z)
-    return np.sqrt(Brho * Brho + Bz * Bz + offset_B0 * offset_B0)
+    return np.sqrt(Brho * Brho + Bz * Bz)
 
 
 def design_guide_geometry() -> GuideGeometry:

@@ -11,7 +11,8 @@ Kernels (omega = 2 pi f):
   rotation:     sigma^2 = int ((2 k_eff R)^2 / omega^2) S_Omega(f) |H(f)|^2 df
 
 Each kernel is written once, in ``phase_kernel``, and |H|^2 once, in
-``interferometer.transfer_H_abs2``; the variances and conversions read them.
+``interferometer.transfer_H_abs2``; ``phase_variance`` picks the kernel from
+the PSD's own domain, and ``convert_psd`` reads the same kernels.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateOrientationError, DivergentIntegralError, DomainMismatchError
+from .errors import ConfigError, DegenerateOrientationError, DivergentIntegralError
 from .interferometer import InterferometerConfig, scale_factor, transfer_H_abs2
 
 DOMAINS = ("phase", "acceleration", "rotation")
@@ -129,7 +130,7 @@ class PowerSpectralDensity:
         """Load a tabulated PSD from CSV with header ``f_hz,psd_value``."""
         try:
             data = np.genfromtxt(path, delimiter=",", names=True)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read PSD file {path}: {exc}") from None
         try:
             f = np.atleast_1d(data["f_hz"]).astype(float)
@@ -269,18 +270,33 @@ def _integrate_band(psd, config, f_min, f_max, rtol):
     return total, err, n_evals
 
 
-def _variance(domain, psd, config, f_min, f_max, rtol, notes=""):
-    if psd.domain != domain:
-        raise DomainMismatchError(
-            f"the {domain} phase variance needs a {domain} PSD, got {psd.domain!r}"
-        )
-    if f_min <= 0 or not math.isfinite(f_min):
+def phase_variance(
+    psd: PowerSpectralDensity,
+    config: InterferometerConfig,
+    f_min: float = DEFAULT_F_MIN,
+    f_max: Optional[float] = None,
+    rtol: float = 1e-6,
+) -> VarianceResult:
+    """sigma_phi^2 = int K S |H|^2 df over the declared band, with K the
+    ``phase_kernel`` of the PSD's own domain.
+
+    ``rtol`` is the relative accuracy asked of each quadrature panel, in
+    [1e-13, 1); the reported ``error_estimate`` is the sum of the panels'
+    absolute error estimates. ``f_max`` defaults to 10 / pulse duration.
+
+    For an acceleration PSD the omega^-4 kernel makes the integrand grow like
+    1/f^2 towards DC for white noise; the declared infrared cutoff bounds it
+    and is echoed in the result's ``notes``.
+    """
+    if f_max is None:
+        f_max = 10.0 / config.pulse_duration
+    if not math.isfinite(f_min) or f_min < 0:
+        raise ConfigError(f"band lower edge must be finite and >= 0, got f_min = {f_min}")
+    if f_min == 0:
         raise DivergentIntegralError(
             f"infrared cutoff must be > 0 (band [{f_min}, {f_max}]): the kernel is "
             "non-integrable down to f = 0"
         )
-    if f_max is None:
-        f_max = 10.0 / config.pulse_duration
     if not math.isfinite(f_max):
         raise ConfigError(f"band upper edge must be finite, got f_max = {f_max}")
     if f_max <= f_min:
@@ -291,6 +307,9 @@ def _variance(domain, psd, config, f_min, f_max, rtol, notes=""):
     value, err, n_evals = _integrate_band(psd, config, f_min, f_max, rtol)
     if not math.isfinite(value):
         raise DivergentIntegralError(f"noise integral diverged on band [{f_min}, {f_max}]")
+    notes = ""
+    if psd.domain == "acceleration":
+        notes = f"omega^-4 kernel bounded by infrared cutoff {f_min} Hz"
     return VarianceResult(
         value=value,
         error_estimate=err,
@@ -299,50 +318,6 @@ def _variance(domain, psd, config, f_min, f_max, rtol, notes=""):
         notes=notes,
         n_evals=n_evals,
     )
-
-
-def phase_variance(
-    psd: PowerSpectralDensity,
-    config: InterferometerConfig,
-    f_min: float = DEFAULT_F_MIN,
-    f_max: Optional[float] = None,
-    rtol: float = 1e-6,
-) -> VarianceResult:
-    """sigma_phi^2 = int S_phi |H|^2 df over the declared band.
-
-    ``rtol`` is the relative accuracy asked of each quadrature panel, in
-    [1e-13, 1); the reported ``error_estimate`` is the sum of the panels'
-    absolute error estimates. The other variance functions take it alike.
-    """
-    return _variance("phase", psd, config, f_min, f_max, rtol)
-
-
-def acceleration_phase_variance(
-    psd: PowerSpectralDensity,
-    config: InterferometerConfig,
-    f_min: float = DEFAULT_F_MIN,
-    f_max: Optional[float] = None,
-    rtol: float = 1e-6,
-) -> VarianceResult:
-    """Vibration phase variance: int (k_eff^2 / omega^4) S_a |H|^2 df.
-
-    The omega^-4 weight makes the integrand grow like 1/f^2 towards DC for
-    white acceleration noise; the declared infrared cutoff bounds it and is
-    echoed in the result.
-    """
-    notes = f"omega^-4 kernel bounded by infrared cutoff {f_min} Hz"
-    return _variance("acceleration", psd, config, f_min, f_max, rtol, notes=notes)
-
-
-def rotation_phase_variance(
-    psd: PowerSpectralDensity,
-    config: InterferometerConfig,
-    f_min: float = DEFAULT_F_MIN,
-    f_max: Optional[float] = None,
-    rtol: float = 1e-6,
-) -> VarianceResult:
-    """Rotation-noise phase variance: int ((2 k_eff R)^2 / omega^2) S_Omega |H|^2 df."""
-    return _variance("rotation", psd, config, f_min, f_max, rtol)
 
 
 def phase_sigma_to_rotation_sigma(sigma_phi: float, config: InterferometerConfig) -> float:

@@ -153,6 +153,7 @@ SPECIES = ["species.wavelength_m=7.8e-7", "species.magnetic_moment_J_T=9.3e-24"]
         ("allan", ["run.allan.n_points=abc"]),
         ("mission", ["run.mission.v_over_vr=abc"]),
         ("noise", ["noise.band.f_max_hz=abc"]),
+        ("noise", ["noise.band.f_min_hz=-1"]),
         ("guide", ["geometry.loops=[abc]"]),
         ("guide", ["geometry.loops=[{radius_m: abc, current_A: 1}]"]),
         ("guide", ["geometry.loops=[{radius_m: 5.0e-4, current_A: 0.1, heigth_m: 0}]"]),
@@ -169,6 +170,33 @@ def test_bad_config_exit_1(tmp_path, config_path, capsys, command, overrides):
     assert summary["status"] == "config-error"
     assert overrides[0].split("=")[0] in summary["error"]
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "case", ["config-is-directory", "config-not-utf8", "psd-not-utf8", "override-not-yaml", "out-under-file"]
+)
+def test_unreadable_input_exit_1(tmp_path, config_path, capsys, case):
+    argv, named = ["--config", config_path], config_path
+    if case == "config-is-directory":
+        argv, named = ["--config", str(tmp_path)], str(tmp_path)
+    elif case == "config-not-utf8":
+        Path(config_path).write_bytes(b"interferometer:\n  latitude_deg: \xff\n")
+    elif case == "psd-not-utf8":
+        (tmp_path / "psd.csv").write_bytes(b"f_hz,psd_value\n0.1,1e-8\n1.0,\xff\n")
+        argv, named = [*argv, "--override", "noise.file=psd.csv", "--override", "noise.model=null"], "psd.csv"
+    elif case == "override-not-yaml":
+        argv, named = [*argv, "--override", "interferometer.contrast=["], "interferometer.contrast=["
+    else:
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        argv, named = [*argv, "--out", str(blocker / "out")], str(blocker)
+    code = main(["noise" if case == "psd-not-utf8" else "transfer", *argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    summary = json.loads(captured.out)
+    assert summary["status"] == "config-error"
+    assert named in summary["error"]
 
 
 def test_misspelled_key_suggests_the_right_one(config_path, capsys):
@@ -464,7 +492,18 @@ def test_transfer_sensitivity_allan_load_no_scipy(tmp_path, config_path):
     assert _python(probe, config_path, str(tmp_path / "out")).splitlines()[-1] == "[]"
 
 
-def test_noise_calls_the_variance_function_bound_at_call_time(tmp_path, config_path, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "domain, white, notes",
+    [
+        ("phase", 1e-8, ""),
+        ("acceleration", 1e-12, "omega^-4 kernel bounded by infrared cutoff 0.0001 Hz"),
+        ("rotation", 1e-14, ""),
+    ],
+    ids=["phase", "acceleration", "rotation"],
+)
+def test_noise_calls_the_variance_function_bound_at_call_time(
+    tmp_path, config_path, capsys, monkeypatch, domain, white, notes
+):
     results = []
     phase_variance = chipgyro.noise.phase_variance
 
@@ -473,8 +512,14 @@ def test_noise_calls_the_variance_function_bound_at_call_time(tmp_path, config_p
         return results[-1]
 
     monkeypatch.setattr(chipgyro.noise, "phase_variance", recording_phase_variance)
-    code, _ = _run(capsys, "noise", "--config", config_path, "--out", str(tmp_path / "out"))
+    code, _ = _run(
+        capsys, "noise", "--config", config_path, "--out", str(tmp_path / "out"),
+        "--override", f"noise.domain={domain}", "--override", f"noise.model.white={white}",
+    )
     assert code == 0
     assert len(results) == 1
     record = json.loads((tmp_path / "out" / "noise_budget.json").read_text())
-    assert record["entries"][0]["result"]["n_evals"] == results[0].n_evals > 0
+    entry = record["entries"][0]
+    assert entry["domain"] == results[0].domain == domain
+    assert entry["result"]["n_evals"] == results[0].n_evals > 0
+    assert entry["result"]["notes"] == notes

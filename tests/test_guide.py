@@ -21,6 +21,7 @@ from chipgyro.guide import (
     potential_hessian,
     radial_frequency_quadrupole,
     roughness_potential,
+    trap_potential,
 )
 from chipgyro.magnetostatics import (
     GuideGeometry,
@@ -98,6 +99,14 @@ def test_radial_frequency_against_quadrupole_oracle(characterization):
     assert f_numeric == pytest.approx(f_analytic, rel=1e-4)
     # and the real guide is quadrupole-like near its zero line
     assert characterization.radial_frequency == pytest.approx(f_analytic, rel=0.02)
+
+
+def test_trap_potential_offset_in_quadrature():
+    geometry, species = design_guide_geometry(), species_rb87()
+    b = float(field_modulus(geometry, 520e-6, 25e-6))
+    b0 = 1e-4
+    u = float(trap_potential(geometry, species, 520e-6, 25e-6, b0))
+    assert u == pytest.approx(species.magnetic_moment * math.hypot(b, b0), rel=1e-12)
 
 
 def test_hessian_symmetric():

@@ -155,14 +155,6 @@ def test_singular_point_raises():
         total_field(design_guide_geometry(), 500e-6, 0.0)
 
 
-def test_field_modulus_offset_in_quadrature():
-    geometry = design_guide_geometry()
-    b = float(field_modulus(geometry, 520e-6, 25e-6))
-    b0 = 1e-4
-    combined = float(field_modulus(geometry, 520e-6, 25e-6, offset_B0=b0))
-    assert combined == pytest.approx(math.hypot(b, b0), rel=1e-12)
-
-
 def test_geometry_validation():
     with pytest.raises(ConfigError):
         WireLoop(radius=-1e-6, current=0.1, height=0.0)

@@ -4,17 +4,15 @@ import numpy as np
 import pytest
 from scipy.special import sici
 
-from chipgyro.errors import ConfigError, DivergentIntegralError, DomainMismatchError
+from chipgyro.errors import ConfigError, DivergentIntegralError
 from chipgyro.interferometer import rb87_config, scale_factor, transfer_H_abs2
 from chipgyro.noise import (
     DEFAULT_F_MIN,
     PowerSpectralDensity,
-    acceleration_phase_variance,
     convert_psd,
     phase_kernel,
     phase_sigma_to_rotation_sigma,
     phase_variance,
-    rotation_phase_variance,
 )
 
 
@@ -65,7 +63,7 @@ def test_acceleration_kernel_against_direct_quadrature():
     f = np.linspace(f_min, f_max, 2_000_001)
     kernel = cfg.k_eff ** 2 / (2 * np.pi * f) ** 4
     oracle = np.trapezoid(psd.evaluate(f) * kernel * transfer_H_abs2(f, cfg), f)
-    result = acceleration_phase_variance(psd, cfg, f_min=f_min, f_max=f_max)
+    result = phase_variance(psd, cfg, f_min=f_min, f_max=f_max)
     assert result.value == pytest.approx(oracle, rel=1e-3)
     assert "cutoff" in result.notes
 
@@ -77,7 +75,7 @@ def test_rotation_kernel_against_direct_quadrature():
     f = np.linspace(f_min, f_max, 2_000_001)
     kernel = (2 * cfg.k_eff * cfg.guide_radius) ** 2 / (2 * np.pi * f) ** 2
     oracle = np.trapezoid(psd.evaluate(f) * kernel * transfer_H_abs2(f, cfg), f)
-    result = rotation_phase_variance(psd, cfg, f_min=f_min, f_max=f_max)
+    result = phase_variance(psd, cfg, f_min=f_min, f_max=f_max)
     assert result.value == pytest.approx(oracle, rel=1e-3)
 
 
@@ -102,7 +100,7 @@ def test_variance_invariant_under_domain_conversion():
     f_min, f_max = 0.05, 20.0
     grid = np.geomspace(f_min / 2, f_max * 2, 101)
     as_phase = convert_psd(acc, "phase", cfg.k_eff, cfg.guide_radius, grid=grid)
-    v1 = acceleration_phase_variance(acc, cfg, f_min=f_min, f_max=f_max).value
+    v1 = phase_variance(acc, cfg, f_min=f_min, f_max=f_max).value
     v2 = phase_variance(as_phase, cfg, f_min=f_min, f_max=f_max).value
     assert v2 == pytest.approx(v1, rel=1e-3)
 
@@ -192,7 +190,7 @@ def test_acceleration_kernel_down_to_default_cutoff():
     f = np.geomspace(DEFAULT_F_MIN, f_max, 2_000_001)
     kernel = cfg.k_eff ** 2 / (2 * np.pi * f) ** 4
     oracle = np.trapezoid(psd.evaluate(f) * kernel * transfer_H_abs2(f, cfg), f)
-    result = acceleration_phase_variance(psd, cfg, f_max=f_max, rtol=1e-6)
+    result = phase_variance(psd, cfg, f_max=f_max, rtol=1e-6)
     assert result.value == pytest.approx(oracle, rel=1e-6)
     assert result.error_estimate <= 1e-6 * result.value
 
@@ -219,6 +217,9 @@ def test_band_edge_and_rtol_validation():
     for f_max in (math.inf, math.nan):
         with pytest.raises(ConfigError):
             phase_variance(psd, cfg, f_max=f_max)
+    for f_min in (-1.0, math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            phase_variance(psd, cfg, f_min=f_min)
     for rtol in (1e-15, 0.0, 1.0, math.nan):
         with pytest.raises(ConfigError):
             phase_variance(psd, cfg, rtol=rtol)
@@ -269,29 +270,18 @@ def test_quadrature_cost_flat_in_interrogation_time(monkeypatch):
         return evaluate(self, f)
 
     monkeypatch.setattr(PowerSpectralDensity, "evaluate", counting_evaluate)
-    cases = (
-        (phase_variance, PowerSpectralDensity(domain="phase", white=1e-8)),
-        (acceleration_phase_variance, PowerSpectralDensity(domain="acceleration", white=1e-12)),
+    psds = (
+        PowerSpectralDensity(domain="phase", white=1e-8),
+        PowerSpectralDensity(domain="acceleration", white=1e-12),
     )
-    for variance, psd in cases:
+    for psd in psds:
         counts = []
         for two_t in (1.0, 100.0):
             points[0] = 0
-            result = variance(psd, rb87_config(pulse_duration=20e-6, interrogation_time=two_t))
+            result = phase_variance(psd, rb87_config(pulse_duration=20e-6, interrogation_time=two_t))
             assert result.n_evals == points[0]
             counts.append(points[0])
-        assert max(counts) < 2 * min(counts), (variance.__name__, counts)
-
-
-def test_domain_mismatch_raises():
-    cfg = _small_config()
-    psd = PowerSpectralDensity(domain="rotation", white=1e-14)
-    with pytest.raises(DomainMismatchError):
-        phase_variance(psd, cfg)
-    with pytest.raises(DomainMismatchError):
-        acceleration_phase_variance(psd, cfg)
-    with pytest.raises(DomainMismatchError):
-        rotation_phase_variance(PowerSpectralDensity(domain="phase", white=1e-9), cfg)
+        assert max(counts) < 2 * min(counts), (psd.domain, counts)
 
 
 def test_phase_kernel_rejects_unknown_domain():
