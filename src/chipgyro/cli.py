@@ -356,11 +356,14 @@ def cmd_transfer(config: dict, out_dir: str) -> dict:
 
 def cmd_sensitivity(config: dict, out_dir: str) -> dict:
     ai = _interferometer_from_config(config)
-    two_t_grid = np.geomspace(
-        config["run.sensitivity.two_t_min_s"],
-        config["run.sensitivity.two_t_max_s"],
-        config["run.sensitivity.n_points"],
-    )
+    two_t_min = config["run.sensitivity.two_t_min_s"]
+    two_t_max = config["run.sensitivity.two_t_max_s"]
+    if two_t_max <= two_t_min:
+        raise ConfigError(
+            "run.sensitivity.two_t_max_s must be > run.sensitivity.two_t_min_s, "
+            f"got {two_t_max} <= {two_t_min}"
+        )
+    two_t_grid = np.geomspace(two_t_min, two_t_max, config["run.sensitivity.n_points"])
     rows = []
     for n_atoms in config["run.sensitivity.atom_numbers"]:
         for two_t in two_t_grid:

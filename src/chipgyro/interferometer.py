@@ -217,11 +217,20 @@ def transfer_h(t, config: InterferometerConfig):
     return float(h) if h.ndim == 0 else h
 
 
+def _sinc(x: float) -> float:
+    """sin(x) / x for a float, with the limit 1 at x = 0."""
+    return math.sin(x) / x if x else 1.0
+
+
 def transfer_H_abs2(f, config: InterferometerConfig):
     """|H(f)|^2 of the transfer function H(f) = -(2i / (pi f tau)) sin(pi f tau)
-    sin(pi f (2T - tau)); vectorized, with the analytic limit |H(0)|^2 = 0."""
+    sin(pi f (2T - tau)); vectorized, with the analytic limit |H(0)|^2 = 0.
+    A float ``f``, as QUADPACK passes one point at a time, gives a float
+    computed with ``math`` in the same order as the array route."""
     tau = config.pulse_duration
     D = config.interrogation_time - tau
+    if isinstance(f, float):
+        return (2.0 * _sinc(math.pi * f * tau) * math.sin(math.pi * f * D)) ** 2
     f = np.asarray(f, dtype=float)
     x = np.pi * f * tau
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import bisect
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateOrientationError, DivergentIntegralError
-from .interferometer import InterferometerConfig, scale_factor, transfer_H_abs2
+from .interferometer import InterferometerConfig, _sinc, scale_factor, transfer_H_abs2
 
 DOMAINS = ("phase", "acceleration", "rotation")
 
@@ -81,19 +82,22 @@ class PowerSpectralDensity:
         return self.frequencies is not None
 
     def evaluate(self, f):
-        """S(f) for f > 0 (vectorized). A float argument to a tabulated PSD,
-        as QUADPACK passes one point at a time, takes a scalar route over the
-        same tables that skips numpy's per-call overhead."""
-        if self.is_tabulated and isinstance(f, float):
+        """S(f) for f > 0 (vectorized). A float argument, as QUADPACK passes
+        one point at a time, gives a float without numpy's per-call overhead:
+        an analytic PSD takes the same expression on floats, a tabulated one
+        a scalar route over the same tables."""
+        if isinstance(f, float):
             if not f > 0:
                 raise ConfigError("PSDs are one-sided: evaluation needs f > 0")
-            return self._interpolate_scalar(f)
-        f = np.asarray(f, dtype=float)
-        if np.any(f <= 0):
-            raise ConfigError("PSDs are one-sided: evaluation needs f > 0")
-        if not self.is_tabulated:
-            return self.white + self.flicker / f + self.random_walk / f ** 2
-        return self._interpolate(f)
+            if self.is_tabulated:
+                return self._interpolate_scalar(f)
+        else:
+            f = np.asarray(f, dtype=float)
+            if np.any(f <= 0):
+                raise ConfigError("PSDs are one-sided: evaluation needs f > 0")
+            if self.is_tabulated:
+                return self._interpolate(f)
+        return self.white + self.flicker / f + self.random_walk / (f * f)
 
     def _interpolate(self, f):
         grid, vals, log_grid, log_vals = self.frequencies, self.values, self._log_f, self._log_s
@@ -143,14 +147,19 @@ class PowerSpectralDensity:
 def phase_kernel(domain: str, f, k_eff: float, guide_radius: float):
     """Factor K(f) taking a ``domain`` PSD to the phase PSD it induces,
     S_phi = K S: 1 (phase), k_eff^2 / omega^4 (acceleration) or
-    (2 k_eff R)^2 / omega^2 (rotation), with omega = 2 pi f."""
-    omega = 2.0 * np.pi * np.asarray(f, dtype=float)
+    (2 k_eff R)^2 / omega^2 (rotation), with omega = 2 pi f. A float ``f``
+    gives a float, without numpy; an array gives an array."""
+    scalar = isinstance(f, float)
+    omega = 2.0 * math.pi * (f if scalar else np.asarray(f, dtype=float))
     if domain == "phase":
-        return np.ones_like(omega)
+        return 1.0 if scalar else np.ones_like(omega)
     if domain == "acceleration":
-        return k_eff ** 2 / omega ** 4
+        try:
+            return k_eff ** 2 / omega ** 4
+        except OverflowError:  # a float omega^4 past the float range
+            return 0.0
     if domain == "rotation":
-        return (2.0 * k_eff * guide_radius) ** 2 / omega ** 2
+        return (2.0 * k_eff * guide_radius) ** 2 / (omega * omega)
     raise ConfigError(f"unknown PSD domain {domain!r}; expected one of {DOMAINS}")
 
 
@@ -191,6 +200,7 @@ class VarianceResult:
     convention: str = ONE_SIDED_CONVENTION
     notes: str = ""
     n_evals: int = 0        # PSD evaluations the quadrature made, one per point
+    converged: bool = True  # no QUADPACK warning and error_estimate <= rtol |value|
 
     @property
     def sigma(self) -> float:
@@ -205,12 +215,15 @@ class VarianceResult:
             "convention": self.convention,
             "notes": self.notes,
             "n_evals": self.n_evals,
+            "converged": self.converged,
         }
 
 
 def _integrate_band(psd, config, f_min, f_max, rtol):
     """int S K |H|^2 df over [f_min, f_max] on QUADPACK; returns the value, its
-    error estimate and the number of points at which the PSD was evaluated.
+    error estimate, the number of points at which the PSD was evaluated and
+    the (lo, hi) panels on which QUADPACK warned. The warnings are caught, so
+    none escapes to the caller.
 
     K is the ``phase_kernel`` of the PSD's domain; |H|^2 = 2 sinc^2(pi f tau)
     (1 - cos 2 pi D f), D = 2T - tau. A panel that spans fewer than 8 periods
@@ -221,8 +234,12 @@ def _integrate_band(psd, config, f_min, f_max, rtol):
     completely for a line on a zero of H). Panel edges are the band ends, the
     zeros m/D for m <= 8, the zeros n/tau of sinc, tabulated-PSD knots and one
     edge per octave; none above 8/D depends on 2T, so neither does the cost.
+
+    QUADPACK calls the integrand with one float at a time, so the PSD, K and
+    |H|^2 take their float routes, and the envelope g reads sinc from where
+    |H|^2 does; config and PSD attributes are read once, outside the callbacks.
     """
-    from scipy.integrate import quad
+    from scipy.integrate import IntegrationWarning, quad
 
     tau = config.pulse_duration
     d = config.interrogation_time - tau
@@ -238,36 +255,49 @@ def _integrate_band(psd, config, f_min, f_max, rtol):
     edges = np.unique(np.concatenate(edges))
     edges = edges[(edges >= f_min) & (edges <= f_max)]
 
+    domain, k_eff, radius = psd.domain, config.k_eff, config.guide_radius
     n_evals = 0
+    warned = []
+
+    def panel_quad(fn, lo, hi, **kwargs):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", IntegrationWarning)
+            result = quad(fn, lo, hi, **kwargs)
+        for w in caught:
+            if not issubclass(w.category, IntegrationWarning):
+                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+            elif (lo, hi) not in warned:
+                warned.append((lo, hi))
+        return result
 
     def weighted(f):
         nonlocal n_evals
-        n_evals += np.size(f)
-        return psd.evaluate(f) * phase_kernel(psd.domain, f, config.k_eff, config.guide_radius)
+        n_evals += 1
+        return psd.evaluate(f) * phase_kernel(domain, f, k_eff, radius)
 
     def integrand(f):
-        return float(weighted(f) * transfer_H_abs2(f, config))
+        return weighted(f) * transfer_H_abs2(f, config)
 
     def smooth(f):
-        return float(2.0 * weighted(f) * np.sinc(f * tau) ** 2)
+        return 2.0 * weighted(f) * _sinc(math.pi * f * tau) ** 2
 
     total = err = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
         if (hi - lo) * d < 8.0:
-            value, value_err = quad(integrand, lo, hi, epsabs=0.0, epsrel=rtol)
+            value, value_err = panel_quad(integrand, lo, hi, epsabs=0.0, epsrel=rtol)
         else:
-            value, value_err = quad(smooth, lo, hi, epsabs=0.0, epsrel=rtol)
+            value, value_err = panel_quad(smooth, lo, hi, epsabs=0.0, epsrel=rtol)
             if value == 0.0:
                 # g >= 0 vanishes on the panel; quad rejects a zero tolerance
                 continue
             # an epsrel on this small part only chases roundoff
-            wave, wave_err = quad(smooth, lo, hi, weight="cos", wvar=2.0 * math.pi * d,
-                                  epsabs=rtol * abs(value), epsrel=0.0)
+            wave, wave_err = panel_quad(smooth, lo, hi, weight="cos", wvar=2.0 * math.pi * d,
+                                        epsabs=rtol * abs(value), epsrel=0.0)
             value -= wave
             value_err += wave_err
         total += value
         err += value_err
-    return total, err, n_evals
+    return total, err, n_evals, warned
 
 
 def phase_variance(
@@ -283,6 +313,8 @@ def phase_variance(
     ``rtol`` is the relative accuracy asked of each quadrature panel, in
     [1e-13, 1); the reported ``error_estimate`` is the sum of the panels'
     absolute error estimates. ``f_max`` defaults to 10 / pulse duration.
+    ``converged`` is false when QUADPACK warned on a panel, which ``notes``
+    names, or when ``error_estimate`` exceeds rtol |value|.
 
     For an acceleration PSD the omega^-4 kernel makes the integrand grow like
     1/f^2 towards DC for white noise; the declared infrared cutoff bounds it
@@ -304,19 +336,20 @@ def phase_variance(
     if not 1e-13 <= rtol < 1.0:
         raise ConfigError(f"rtol must lie in [1e-13, 1), got {rtol}")
 
-    value, err, n_evals = _integrate_band(psd, config, f_min, f_max, rtol)
+    value, err, n_evals, warned = _integrate_band(psd, config, f_min, f_max, rtol)
     if not math.isfinite(value):
         raise DivergentIntegralError(f"noise integral diverged on band [{f_min}, {f_max}]")
-    notes = ""
+    notes = [f"QUADPACK warning on panel [{lo}, {hi}] Hz" for lo, hi in warned]
     if psd.domain == "acceleration":
-        notes = f"omega^-4 kernel bounded by infrared cutoff {f_min} Hz"
+        notes.insert(0, f"omega^-4 kernel bounded by infrared cutoff {f_min} Hz")
     return VarianceResult(
         value=value,
         error_estimate=err,
         band=(f_min, f_max),
         domain=psd.domain,
-        notes=notes,
+        notes="; ".join(notes),
         n_evals=n_evals,
+        converged=not warned and err <= rtol * abs(value),
     )
 
 

@@ -147,6 +147,8 @@ SPECIES = ["species.wavelength_m=7.8e-7", "species.magnetic_moment_J_T=9.3e-24"]
         ("transfer", ["species.mass_kg=-1.4e-25", *SPECIES]),
         ("transfer", ["species.mass_kg=1.4e-25"]),
         ("sensitivity", ["run.sensitivity.n_points=0"]),
+        ("sensitivity", ["run.sensitivity.two_t_min_s=20"]),
+        ("sensitivity", ["run.sensitivity.two_t_max_s=0.1"]),
         ("transfer", ["run.transfer.points_per_decade=0"]),
         ("transfer", ["run.transfer.f_min_hz=-1"]),
         ("transfer", ["run.transfer.f_max_hz=1e-4"]),
@@ -523,3 +525,4 @@ def test_noise_calls_the_variance_function_bound_at_call_time(
     assert entry["domain"] == results[0].domain == domain
     assert entry["result"]["n_evals"] == results[0].n_evals > 0
     assert entry["result"]["notes"] == notes
+    assert entry["result"]["converged"] is True

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.integrate
 from scipy.special import sici
 
 from chipgyro.errors import ConfigError, DivergentIntegralError
@@ -144,6 +146,113 @@ def test_scalar_route_matches_array_route():
         assert steep.evaluate(np.array([8.0]))[0] == steep.evaluate(8.0) == math.inf
 
 
+def test_float_routes_match_array_routes():
+    """QUADPACK's one-float-at-a-time calls take float routes through |H|^2,
+    K and S; on 1e5 log-spaced points of the default band and on the zeros
+    n/tau and m/D of H they agree with the array routes within a few ulp and
+    return builtin floats, not numpy scalars."""
+    cfg = rb87_config(pulse_duration=20e-6, interrogation_time=1.0)
+    tau = cfg.pulse_duration
+    d = cfg.interrogation_time - tau
+    f = np.concatenate(
+        [
+            np.geomspace(DEFAULT_F_MIN, 10.0 / tau, 100_000),
+            np.arange(1, 11) / tau,
+            np.arange(1, 10_001) / d,
+        ]
+    )
+    knots = np.geomspace(1e-5, 1e6, 221)
+    table = 1e-20 * (1.0 + 1.0 / knots) * np.exp(0.3 * np.random.default_rng(9).standard_normal(221))
+    table[100:103] = 0.0  # zero-valued segments, and half-zero ones next to them
+    tabulated = PowerSpectralDensity(domain="rotation", frequencies=knots, values=table)
+    analytic = PowerSpectralDensity(domain="acceleration", white=1e-12, flicker=3e-13, random_walk=2e-14)
+    routes = {
+        "transfer_H_abs2": lambda x: transfer_H_abs2(x, cfg),
+        "analytic": analytic.evaluate,
+        "tabulated": tabulated.evaluate,
+    }
+    for domain in ("phase", "acceleration", "rotation"):
+        routes[domain] = lambda x, domain=domain: phase_kernel(domain, x, cfg.k_eff, cfg.guide_radius)
+    for name, route in routes.items():
+        array = route(f)
+        scalar = [route(x) for x in f.tolist()]
+        assert all(type(value) is float for value in scalar), name
+        scalar = np.array(scalar)
+        bound = np.full(f.shape, 4e-16)
+        if name == "tabulated":
+            # the log-log route exponentiates log S, whose last bit can differ
+            # where math.log and numpy's log do; one ulp of log S is up to
+            # 2.2e-16 |log S| of S
+            bound += 2.3e-16 * np.abs(np.log(np.where(array > 0, array, 1.0)))
+        positive = array > 0
+        assert np.all(scalar[~positive] == array[~positive]), name
+        rel = np.abs(scalar[positive] - array[positive]) / array[positive]
+        assert np.all(rel <= bound[positive]), (name, rel.max())
+    assert transfer_H_abs2(0.0, cfg) == 0.0
+    assert type(transfer_H_abs2(0.0, cfg)) is float
+    # past the float range the float routes read the array routes' limits, not OverflowError
+    assert phase_kernel("acceleration", 1e200, cfg.k_eff, cfg.guide_radius) == 0.0
+    assert phase_kernel("rotation", 1e200, cfg.k_eff, cfg.guide_radius) == 0.0
+    assert analytic.evaluate(1e200) == analytic.white
+
+
+def _quad_patched(monkeypatch, alter):
+    """Route scipy.integrate.quad through ``alter(calls, result)``, which sees
+    each call's (lo, hi) panel and its result."""
+    calls = []
+    quad = scipy.integrate.quad
+
+    def patched(fn, lo, hi, **kwargs):
+        calls.append((lo, hi))
+        return alter(calls, quad(fn, lo, hi, **kwargs))
+
+    monkeypatch.setattr(scipy.integrate, "quad", patched)
+    return calls
+
+
+def test_quadpack_warning_marks_result_unconverged(monkeypatch):
+    """One IntegrationWarning: converged is false, the note names the panel,
+    and the warning does not reach the caller."""
+    cfg = _small_config()
+    psd = PowerSpectralDensity(domain="phase", white=1e-9)
+    assert phase_variance(psd, cfg).converged
+
+    def warn_once(calls, result):
+        if len(calls) == 3:
+            warnings.warn("roundoff error is detected", scipy.integrate.IntegrationWarning)
+        return result
+
+    calls = _quad_patched(monkeypatch, warn_once)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = phase_variance(psd, cfg)
+    lo, hi = calls[2]
+    assert not result.converged
+    assert result.notes == f"QUADPACK warning on panel [{lo}, {hi}] Hz"
+    assert result.as_record()["converged"] is False
+
+
+def test_error_estimate_above_rtol_marks_result_unconverged(monkeypatch):
+    cfg = _small_config()
+    psd = PowerSpectralDensity(domain="acceleration", white=1e-12)
+    _quad_patched(monkeypatch, lambda calls, result: (result[0], 1e3 * abs(result[0])))
+    result = phase_variance(psd, cfg, rtol=1e-6)
+    assert result.error_estimate > 1e-6 * result.value
+    assert not result.converged
+    assert result.notes == "omega^-4 kernel bounded by infrared cutoff 0.0001 Hz"
+
+
+@pytest.mark.parametrize("domain, white", [("phase", 1e-8), ("acceleration", 1e-12), ("rotation", 1e-14)])
+@pytest.mark.parametrize("rtol", [1e-6, 1e-13])
+def test_converged_at_requested_tolerance(domain, white, rtol):
+    """The design pulse at 2T = 4 s over the default band meets every rtol
+    the API accepts, from the default to the tightest."""
+    cfg = rb87_config(pulse_duration=20e-6, interrogation_time=4.0)
+    result = phase_variance(PowerSpectralDensity(domain=domain, white=white), cfg, rtol=rtol)
+    assert result.converged
+    assert result.error_estimate <= rtol * result.value
+
+
 def test_line_at_transfer_zero_is_suppressed():
     """A narrow spectral line sitting on a zero of H contributes >= 1e6 times
     less than the same line at a transmission maximum."""
@@ -245,7 +354,6 @@ def _white_phase_variance(s0, tau, two_t, f_lo, f_hi):
     return s0 * (antiderivative(f_hi) - antiderivative(f_lo)) / (math.pi * tau) ** 2
 
 
-@pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
 @pytest.mark.parametrize("two_t", [4.0, 100.0])
 def test_white_phase_long_interrogation_against_closed_form(two_t):
     """Design pulse, default band (f_max = 10/tau), 2T up to 100 s: about
@@ -258,6 +366,7 @@ def test_white_phase_long_interrogation_against_closed_form(two_t):
     exact = _white_phase_variance(s0, cfg.pulse_duration, two_t, *result.band)
     assert result.value == pytest.approx(exact, rel=1e-9)
     assert result.error_estimate <= rtol * result.value
+    assert result.converged
 
 
 def test_quadrature_cost_flat_in_interrogation_time(monkeypatch):
