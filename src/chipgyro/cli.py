@@ -14,6 +14,8 @@ error (no guide minimum, infeasible target).
 from __future__ import annotations
 
 import argparse
+import gc
+import itertools
 import json
 import math
 import os
@@ -59,14 +61,16 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, chunks) -> None:
+    """Write the strings of ``chunks`` to ``path`` through a temporary file
+    in the same directory, renamed over ``path`` once all are written."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
         os.makedirs(directory, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".chipgyro-")
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except OSError as exc:
         raise ConfigError(f"cannot write output file {path}: {exc}") from None
@@ -76,15 +80,18 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _write_csv(path: str, header_comments: dict, columns: list, rows) -> None:
-    lines = [f"# {key}: {value}" for key, value in header_comments.items()]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    """Comment lines, the column names, then one line per row, streamed to
+    the file. Cells must be numbers: each is printed by "%.17g", the routine
+    behind ``format(x, ".17g")``; an int of magnitude up to 2**53 prints as
+    ``str`` prints it."""
+    head = [f"# {key}: {value}\n" for key, value in header_comments.items()]
+    head.append(",".join(columns) + "\n")
+    template = ",".join(["%.17g"] * len(columns)) + "\n"
+    _atomic_write(path, itertools.chain(head, (template % tuple(row) for row in rows)))
 
 
 def _write_json(path: str, record: dict) -> None:
-    _atomic_write(path, json.dumps(record, indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, [json.dumps(record, indent=2, sort_keys=True) + "\n"])
 
 
 # ---------------------------------------------------------------------------
@@ -393,11 +400,14 @@ def cmd_sensitivity(config: dict, out_dir: str) -> dict:
 def cmd_allan(config: dict, out_dir: str) -> dict:
     ai = _interferometer_from_config(config)
     tau_min = config["run.allan.tau_min_s"]
-    taus = np.geomspace(
-        ai.cycle_time if tau_min is None else tau_min,
-        config["run.allan.tau_max_s"],
-        config["run.allan.n_points"],
-    )
+    tau_lo = ai.cycle_time if tau_min is None else tau_min
+    tau_max = config["run.allan.tau_max_s"]
+    if tau_max <= tau_lo:
+        raise ConfigError(
+            "run.allan.tau_max_s must be > run.allan.tau_min_s (default: one cycle, "
+            f"{ai.cycle_time} s), got {tau_max} <= {tau_lo}"
+        )
+    taus = np.geomspace(tau_lo, tau_max, config["run.allan.n_points"])
     curve = projection_allan_curve(ai, taus)
     csv_path = os.path.join(out_dir, "allan.csv")
     _write_csv(csv_path, {"model": curve.model_tag}, ["tau_s", "sigma_rad_s"], curve.points)
@@ -513,5 +523,16 @@ def main(argv=None) -> int:
     return 0
 
 
+def run() -> int:
+    """Process entry of ``python -m chipgyro.cli`` and the ``chipgyro``
+    script: ``main()``, then ``gc.freeze()``, which moves every live object
+    to the permanent generation. The interpreter's final collection then has
+    no numpy or scipy objects to walk (about 0.1 s of a child's exit), while
+    atexit handlers, stream flushes and module teardown still run."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -50,6 +50,7 @@ class GuideCharacterization:
     depth_field: float         # T
     depth_temperature: float   # K
     minimizer_iterations: int  # Nelder-Mead iterations of the minimum refinement
+    minimizer_simplex_size_m: float  # m, final simplex extent, the quantity held to xatol
     depth_grid_step: tuple     # (d_rho, d_z) in m, resolution bound on depth_field
     depth_map_points: int      # depth-map cells at which |B| was evaluated
 
@@ -64,6 +65,7 @@ class GuideCharacterization:
             "depth_field_T": self.depth_field,
             "depth_temperature_K": self.depth_temperature,
             "minimizer_iterations": self.minimizer_iterations,
+            "minimizer_simplex_size_m": self.minimizer_simplex_size_m,
             "depth_grid_step_m": list(self.depth_grid_step),
             "depth_map_points": self.depth_map_points,
         }
@@ -86,9 +88,11 @@ def find_guide_minimum(geometry: GuideGeometry, full_output: bool = False) -> tu
     """Locate the minimum of |B| above the chip, to 1e-9 m in position.
 
     Coarse grid scan followed by Nelder-Mead refinement; deterministic for a
-    fixed geometry. Returns (rho0, z0), or (rho0, z0, iterations) with
-    ``full_output``. Raises NoGuideMinimumError when the box contains no
-    interior minimum (e.g. all currents zero or non-trapping signs).
+    fixed geometry. Returns (rho0, z0), or (rho0, z0, iterations, simplex
+    size) with ``full_output``; the size is max |vertex - best vertex| over
+    the final simplex, the quantity Nelder-Mead holds to ``xatol``. Raises
+    NoGuideMinimumError when the box contains no interior minimum (e.g. all
+    currents zero or non-trapping signs).
     """
     (rho_lo, rho_hi), (z_lo, z_hi) = _search_box(geometry)
     if all(loop.current == 0.0 for loop in geometry.loops):
@@ -147,7 +151,8 @@ def find_guide_minimum(geometry: GuideGeometry, full_output: bool = False) -> tu
     if not (z_lo < z0 <= z_hi):
         raise NoGuideMinimumError("refined minimum escaped the search box")
     if full_output:
-        return rho0, z0, int(result.nit)
+        simplex = result.final_simplex[0]
+        return rho0, z0, int(result.nit), float(np.max(np.abs(simplex[1:] - simplex[0])))
     return rho0, z0
 
 
@@ -237,7 +242,7 @@ def characterize_guide(
     """Full characterization of the guide minimum for the given species."""
     if offset_B0 < 0:
         raise ConfigError(f"offset_B0 must be >= 0, got {offset_B0!r}")
-    rho0, z0, iterations = find_guide_minimum(geometry, full_output=True)
+    rho0, z0, iterations, simplex_size = find_guide_minimum(geometry, full_output=True)
     B_min = float(field_modulus(geometry, rho0, z0))
 
     mu = species.magnetic_moment
@@ -275,6 +280,7 @@ def characterize_guide(
         depth_field=depth_field,
         depth_temperature=depth_temperature,
         minimizer_iterations=iterations,
+        minimizer_simplex_size_m=simplex_size,
         depth_grid_step=depth_step,
         depth_map_points=depth_points,
     )

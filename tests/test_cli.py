@@ -1,3 +1,5 @@
+import gc
+import importlib
 import json
 import math
 import os
@@ -10,7 +12,8 @@ import pytest
 import yaml
 
 import chipgyro
-from chipgyro.cli import SCHEMA, load_config, main, resolve_config
+from chipgyro.cli import SCHEMA, _write_csv, load_config, main, resolve_config
+from chipgyro.guide import POSITION_TOLERANCE
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -153,6 +156,8 @@ SPECIES = ["species.wavelength_m=7.8e-7", "species.magnetic_moment_J_T=9.3e-24"]
         ("transfer", ["run.transfer.f_min_hz=-1"]),
         ("transfer", ["run.transfer.f_max_hz=1e-4"]),
         ("allan", ["run.allan.n_points=abc"]),
+        ("allan", ["run.allan.tau_min_s=1e8"]),
+        ("allan", ["run.allan.tau_max_s=1e-3"]),
         ("mission", ["run.mission.v_over_vr=abc"]),
         ("noise", ["noise.band.f_max_hz=abc"]),
         ("noise", ["noise.band.f_min_hz=-1"]),
@@ -255,13 +260,22 @@ def test_relative_psd_file_is_read_from_config_dir(tmp_path, capsys, monkeypatch
     assert (elsewhere / "out" / "noise_budget.json").exists()
 
 
+RING_LOOPS = (
+    "[{radius_m: 974e-6, current_A: -0.123}, {radius_m: 1000e-6, current_A: 0.121},"
+    " {radius_m: 1026e-6, current_A: -0.123}]"
+)
+
+
 def test_guide_work_counters(tmp_path, config_path, capsys):
-    code, _ = _run(capsys, "guide", "--config", config_path, "--out", str(tmp_path))
-    assert code == 0
-    record = json.loads((tmp_path / "guide_characterization.json").read_text())
-    assert 0 < record["minimizer_iterations"] < 4000
-    assert len(record["depth_grid_step_m"]) == 2
-    assert 0 < record["depth_map_points"] <= 0.05 * 1001 ** 2
+    for name, overrides in (("design", []), ("ring", ["--override", f"geometry.loops={RING_LOOPS}"])):
+        out = tmp_path / name
+        code, _ = _run(capsys, "guide", "--config", config_path, "--out", str(out), *overrides)
+        assert code == 0, name
+        record = json.loads((out / "guide_characterization.json").read_text())
+        assert 0 < record["minimizer_iterations"] < 4000
+        assert 0 < record["minimizer_simplex_size_m"] <= POSITION_TOLERANCE / 10
+        assert len(record["depth_grid_step_m"]) == 2
+        assert 0 < record["depth_map_points"] <= 0.05 * 1001 ** 2
 
 
 def test_bad_override_exit_1(config_path, capsys):
@@ -463,13 +477,41 @@ def test_csv_floats_full_precision(tmp_path, config_path, capsys):
     assert len(sigma_str.replace("-", "").replace(".", "").split("e")[0]) >= 16
 
 
-def _python(code, *args):
-    """stdout of ``python -c code args`` with this checkout's chipgyro on the path."""
+def test_csv_text_matches_per_cell_rule(tmp_path):
+    """The row template prints every cell as the per-cell rule it replaced:
+    format(v, ".17g") for a float, str(v) for an int. Ints are exact up to
+    2**53, the largest range in which every int is a double."""
+    rows = [
+        (1.0, np.float64(0.1), 3),
+        (-0.0, math.inf, -math.inf),
+        (0.12345678901234567, 1.2345678901234567e-300, 2 ** 53),
+        (np.float64(2.0) / 3.0, 5e-324, -7),
+        (1e16, 1.7976931348623157e308, 0),
+        (math.pi * 1e22, np.float64(-1e-5), -(2 ** 53) + 1),
+    ]
+    rows += [(float(x), np.float64(x) * 3.0, int(x * 1e15)) for x in np.linspace(-1.0, 1.0, 101)]
+    path = tmp_path / "rows.csv"
+    _write_csv(str(path), {"offset_B0_T": "0.015", "species": "rb87"}, ["a", "b", "c"], iter(rows))
+
+    def cell(v):
+        return format(v, ".17g") if isinstance(v, float) else str(v)
+
+    expected = "# offset_B0_T: 0.015\n# species: rb87\na,b,c\n"
+    expected += "".join(",".join(cell(v) for v in row) + "\n" for row in rows)
+    assert path.read_bytes() == expected.encode()
+
+
+def _child(*argv):
+    """``python argv`` with this checkout's chipgyro on the path, run to exit."""
     src = os.path.dirname(os.path.dirname(chipgyro.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
-    )
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+
+
+def _python(code, *args):
+    """stdout of ``python -c code args``, which must exit 0."""
+    proc = _child("-c", code, *args)
+    proc.check_returncode()
     return proc.stdout
 
 
@@ -526,3 +568,50 @@ def test_noise_calls_the_variance_function_bound_at_call_time(
     assert entry["result"]["n_evals"] == results[0].n_evals > 0
     assert entry["result"]["notes"] == notes
     assert entry["result"]["converged"] is True
+
+
+def _cli(*argv):
+    """(exit code, last stdout line as JSON) of ``python -m chipgyro.cli argv``."""
+    proc = _child("-m", "chipgyro.cli", *argv)
+    assert proc.stderr == ""
+    return proc.returncode, json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_process_entry_exit_codes(tmp_path, config_path):
+    out = tmp_path / "out"
+    code, summary = _cli("transfer", "--config", config_path, "--out", str(out))
+    assert (code, summary["status"]) == (0, "ok")
+    assert summary["outputs"] and all(os.path.exists(path) for path in summary["outputs"])
+    code, summary = _cli("transfer", "--config", str(tmp_path / "nope.yaml"))
+    assert (code, summary["status"]) == (1, "config-error")
+    loops = "[{radius_m: 487e-6, current_A: 0}, {radius_m: 500e-6, current_A: 0}]"
+    code, summary = _cli(
+        "guide", "--config", config_path, "--out", str(out), "--override", f"geometry.loops={loops}"
+    )
+    assert (code, summary["status"]) == (2, "physics-error")
+
+
+def test_run_freezes_the_collector_and_main_does_not(config_path, capsys):
+    assert main(["transfer", "--config", config_path + ".missing"]) == 1
+    assert gc.get_freeze_count() == 0
+    # the module run as __main__, as python -m runs it; atexit handlers still run
+    probe = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+        "sys.argv = ['chipgyro', 'transfer', '--config', sys.argv[1]]\n"
+        "runpy.run_module('chipgyro.cli', run_name='__main__')"
+    )
+    proc = _child("-c", probe, config_path + ".missing")
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout.splitlines()[0])["status"] == "config-error"
+    assert proc.stdout.splitlines()[1] == "frozen True"
+
+
+def test_console_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    with open(REPO / "pyproject.toml", "rb") as handle:
+        target = tomllib.load(handle)["project"]["scripts"]["chipgyro"]
+    assert target == "chipgyro.cli:run"
+    module, name = target.split(":")
+    entry = getattr(importlib.import_module(module), name)
+    assert callable(entry) and entry is chipgyro.cli.run

@@ -248,6 +248,7 @@ def test_work_counters(characterization):
     assert 0 < characterization.minimizer_iterations < 4000
     record = characterization.as_record()
     assert record["minimizer_iterations"] == characterization.minimizer_iterations
+    assert record["minimizer_simplex_size_m"] == characterization.minimizer_simplex_size_m
     assert record["depth_grid_step_m"] == list(characterization.depth_grid_step)
     assert record["depth_map_points"] == characterization.depth_map_points
     assert characterize_guide(design_guide_geometry(), species_rb87()) == characterization
