@@ -6,7 +6,7 @@ Layers, bottom up:
 * :mod:`chipgyro.constants` — physical constants, species data, rotation units
 * :mod:`chipgyro.magnetostatics` — circular-loop fields (closed form + oracle)
 * :mod:`chipgyro.guide` — guide minimum, trap frequency, depth, corrugation
-* :mod:`chipgyro.interferometer` — phases, fringe, sensitivity, g/h/|H(f)|²
+* :mod:`chipgyro.interferometer` — scale factor, sensitivity, g/h/|H(f)|²
 * :mod:`chipgyro.noise` — PSD models and phase-variance quadrature
 * :mod:`chipgyro.stability` — Allan deviation, harmonic sum, mission solver
 * :mod:`chipgyro.cli` — the ``chipgyro`` command
@@ -25,7 +25,6 @@ from .constants import (
     OMEGA_EARTH,
     SECONDS_PER_YEAR,
     AtomSpecies,
-    RotationRate,
     convert_rotation,
     rotation_from,
     species_rb87,
@@ -53,15 +52,10 @@ from .guide import (
     trap_potential,
 )
 from .interferometer import (
-    FringeReadout,
     InterferometerConfig,
-    acceleration_phase,
     corner_frequencies,
-    fringe_population,
     guide_radius_for,
     rb87_config,
-    rotation_phase_free,
-    sagnac_phase,
     scale_factor,
     sensitivity_function_g,
     shot_noise_sensitivity,

@@ -48,8 +48,8 @@ from .noise import DEFAULT_F_MIN, PowerSpectralDensity, phase_sigma_to_rotation_
 from .stability import (
     GEODETIC_TARGET_SIGMA,
     assumptions_record,
+    feasibility_boundary,
     projection_allan_curve,
-    required_interrogation_time,
 )
 
 CONFIG_DIR_ENV = "CHIPGYRO_CONFIG_DIR"
@@ -420,11 +420,10 @@ def cmd_mission(config: dict, out_dir: str) -> dict:
     ai = _interferometer_from_config(config)
     target = config["run.mission.target_sigma_rad_s"]
     integration = config["run.mission.integration_time_s"]
+    ratios = config["run.mission.v_over_vr"]
     v_r = ai.species.recoil_velocity
-    rows = []
-    for ratio in config["run.mission.v_over_vr"]:
-        two_t, radius = required_interrogation_time(target, integration, ratio * v_r, ai)
-        rows.append((ratio, two_t, radius))
+    boundary = feasibility_boundary([ratio * v_r for ratio in ratios], target, integration, ai)
+    rows = zip(ratios, (two_t for _, two_t in boundary.points), boundary.radii)
     path = os.path.join(out_dir, "mission.csv")
     meta = {f"assumption_{k}": v for k, v in assumptions_record(ai).items()}
     meta["target_sigma_rad_s"] = _fmt(target)

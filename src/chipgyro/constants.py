@@ -106,23 +106,3 @@ def rotation_from(value: float, source: str) -> float:
     """Inverse of :func:`convert_rotation`: presentation unit back to rad/s."""
     return value / _rotation_factor(value, source)
 
-
-@dataclass(frozen=True)
-class RotationRate:
-    """A rotation rate stored in rad/s with presentation-unit views."""
-
-    value: float  # rad/s
-
-    @property
-    def deg_per_hour(self) -> float:
-        return convert_rotation(self.value, "deg_h")
-
-    @property
-    def arw_deg_sqrt_h(self) -> float:
-        """ARW view: interprets ``value`` as rad s^-1 Hz^-1/2."""
-        return convert_rotation(self.value, "arw_deg_sqrt_h")
-
-    @classmethod
-    def from_deg_per_hour(cls, value: float) -> "RotationRate":
-        return cls(rotation_from(value, "deg_h"))
-

@@ -28,7 +28,7 @@ from .magnetostatics import GuideGeometry, field_modulus
 DEFAULT_OFFSET_B0 = 1.5e-2
 
 HESSIAN_STEP = 1e-8          # m, central-difference step at the minimum
-POSITION_TOLERANCE = 1e-9    # m, refinement tolerance of the minimizer
+POSITION_TOLERANCE = 1e-9    # m, xatol is a tenth of it; fatol binds (find_guide_minimum)
 # T, spread of |B| over the final simplex. At a quadrupole zero line no two
 # vertices give bit-equal values, so fatol = 0 never stops the minimizer.
 MODULUS_TOLERANCE = 1e-16
@@ -50,7 +50,7 @@ class GuideCharacterization:
     depth_field: float         # T
     depth_temperature: float   # K
     minimizer_iterations: int  # Nelder-Mead iterations of the minimum refinement
-    minimizer_simplex_size_m: float  # m, final simplex extent, the quantity held to xatol
+    minimizer_simplex_size_m: float  # m, final simplex extent, the precision reached
     depth_grid_step: tuple     # (d_rho, d_z) in m, resolution bound on depth_field
     depth_map_points: int      # depth-map cells at which |B| was evaluated
 
@@ -85,14 +85,16 @@ def _search_box(geometry: GuideGeometry):
 
 
 def find_guide_minimum(geometry: GuideGeometry, full_output: bool = False) -> tuple:
-    """Locate the minimum of |B| above the chip, to 1e-9 m in position.
+    """Locate the minimum of |B| above the chip.
 
     Coarse grid scan followed by Nelder-Mead refinement; deterministic for a
-    fixed geometry. Returns (rho0, z0), or (rho0, z0, iterations, simplex
-    size) with ``full_output``; the size is max |vertex - best vertex| over
-    the final simplex, the quantity Nelder-Mead holds to ``xatol``. Raises
-    NoGuideMinimumError when the box contains no interior minimum (e.g. all
-    currents zero or non-trapping signs).
+    fixed geometry. Nelder-Mead stops only when both ``xatol`` (1e-10 m) and
+    ``fatol`` (MODULUS_TOLERANCE) hold, and ``fatol`` binds. Returns (rho0,
+    z0), or (rho0, z0, iterations, simplex size) with ``full_output``; the
+    size, max |vertex - best vertex| over the final simplex, is the precision
+    reached (1.2e-18 m on the design guide). Raises NoGuideMinimumError when
+    the box contains no interior minimum (e.g. all currents zero or
+    non-trapping signs).
     """
     (rho_lo, rho_hi), (z_lo, z_hi) = _search_box(geometry)
     if all(loop.current == 0.0 for loop in geometry.loops):

@@ -1,8 +1,8 @@
 """Two-pulse guided Sagnac interferometer.
 
-Inertial phases, fringe model, scale factor, shot-noise-limited rotation
-sensitivity, and the sensitivity/transfer functions g(t), h(t), |H(f)|^2 of the
-two-beam-splitter sequence (the circular guide itself acts as the mirror).
+Scale factor, shot-noise-limited rotation sensitivity, and the
+sensitivity/transfer functions g(t), h(t), |H(f)|^2 of the two-beam-splitter
+sequence (the circular guide itself acts as the mirror).
 
 Conventions (reported in every CLI output):
   * the wave packets are launched azimuthally at ``launch_velocity``
@@ -125,31 +125,6 @@ def rb87_config(**kwargs) -> InterferometerConfig:
     return InterferometerConfig(species=species, **kwargs)
 
 
-@dataclass(frozen=True)
-class FringeReadout:
-    expected_population: float     # atoms at the |p=0> output port
-    operating_phase_offset: float  # rad; pi/2 at mid-fringe
-
-
-def acceleration_phase(k_eff, a, T: float) -> float:
-    """Inertial phase k_eff . a T^2.
-
-    Scalar k_eff and a give the collinear case; passing two 3-vectors uses the
-    full dot product.
-    """
-    k_eff = np.asarray(k_eff, dtype=float)
-    a = np.asarray(a, dtype=float)
-    if k_eff.ndim == 0 and a.ndim == 0:
-        return float(k_eff * a * T * T)
-    return float(np.dot(np.atleast_1d(k_eff), np.atleast_1d(a)) * T * T)
-
-
-def rotation_phase_free(k_eff: float, omega: float, v: float, T: float) -> float:
-    """Phase 2 k_eff Omega v T^2 of a free-space sequence under rotation
-    (orthogonal-vector case)."""
-    return 2.0 * k_eff * omega * v * T * T
-
-
 def scale_factor(config: InterferometerConfig) -> float:
     """dPhi/dOmega of the guided Sagnac interferometer (rad per rad/s)."""
     species = config.species
@@ -161,20 +136,6 @@ def scale_factor(config: InterferometerConfig) -> float:
         * config.interrogation_time ** 2
         * math.sin(config.latitude)
     )
-
-
-def sagnac_phase(config: InterferometerConfig, omega: float) -> float:
-    """Rotation phase of the guided interferometer: scale factor times the
-    projected rotation rate."""
-    return scale_factor(config) * omega
-
-
-def fringe_population(config: InterferometerConfig, phase: float) -> FringeReadout:
-    """Expected atom number at the |p=0> port at mid-fringe operation:
-    P = (N/2) [1 - eta cos(Phi + pi/2)]."""
-    n = config.atom_number
-    population = 0.5 * n * (1.0 - config.contrast * math.cos(phase + math.pi / 2.0))
-    return FringeReadout(expected_population=population, operating_phase_offset=math.pi / 2.0)
 
 
 def shot_noise_sensitivity(config: InterferometerConfig) -> float:

@@ -192,6 +192,8 @@ def geometry_from_records(records: Sequence[dict], label: str = "") -> GuideGeom
         if unknown:
             raise ConfigError(f"geometry.loops[{i}]: unknown field(s) {unknown}")
         try:
+            if any(isinstance(value, bool) for value in rec.values()):
+                raise TypeError  # float(True) is 1.0, but a YAML boolean is not a number
             loops.append(
                 WireLoop(
                     radius=float(rec["radius_m"]),

@@ -67,14 +67,19 @@ class AllanCurve:
 
 @dataclass(frozen=True)
 class FeasibilityBoundary:
-    points: tuple        # ((v_launch, min_2T), ...)
+    points: tuple        # ((v_launch, min_2T), ...) in the order the speeds were given
+    radii: tuple         # (R, ...) in m, the guide radius of each point
     target_sigma: float  # rad/s
     integration_time: float  # s
 
     def __post_init__(self):
-        twots = [p[1] for p in self.points]
-        if any(b >= a for a, b in zip(twots, twots[1:])):
-            raise ConfigError("feasibility boundary must be strictly decreasing in launch speed")
+        # sorted by speed, a faster speed needs a strictly shorter 2T; speeds that
+        # meet the target at the bracket floor tie there; equal speeds are skipped
+        floor = INTERROGATION_BRACKET[0]
+        ordered = sorted(self.points)
+        for (va, a), (vb, b) in zip(ordered, ordered[1:]):
+            if vb > va and not (b < a or b == a == floor):
+                raise ConfigError("feasibility boundary must be strictly decreasing in launch speed")
 
 
 @dataclass(frozen=True)
@@ -237,12 +242,18 @@ def feasibility_boundary(
     integration_time: float,
     config_template: InterferometerConfig,
 ) -> FeasibilityBoundary:
-    points = tuple(
-        (float(v), required_interrogation_time(target_sigma, integration_time, float(v), config_template)[0])
-        for v in np.asarray(launch_velocities, dtype=float)
-    )
+    """Minimum 2T and guide radius of :func:`required_interrogation_time` at
+    each launch speed, kept in the order given."""
+    speeds = np.asarray(launch_velocities, dtype=float).tolist()
+    solved = [
+        required_interrogation_time(target_sigma, integration_time, v, config_template)
+        for v in speeds
+    ]
     return FeasibilityBoundary(
-        points=points, target_sigma=target_sigma, integration_time=integration_time
+        points=tuple((v, two_t) for v, (two_t, _) in zip(speeds, solved)),
+        radii=tuple(radius for _, radius in solved),
+        target_sigma=target_sigma,
+        integration_time=integration_time,
     )
 
 

@@ -164,6 +164,7 @@ SPECIES = ["species.wavelength_m=7.8e-7", "species.magnetic_moment_J_T=9.3e-24"]
         ("guide", ["geometry.loops=[abc]"]),
         ("guide", ["geometry.loops=[{radius_m: abc, current_A: 1}]"]),
         ("guide", ["geometry.loops=[{radius_m: 5.0e-4, current_A: 0.1, heigth_m: 0}]"]),
+        ("guide", ["geometry.loops=[{radius_m: 5.0e-4, current_A: true}]"]),
     ],
     ids=lambda param: param if isinstance(param, str) else param[0],
 )
@@ -384,6 +385,29 @@ def test_mission_output(tmp_path, config_path, capsys):
         data["v_over_vr"] * 5.8845e-3 * data["min_2T_s"] / (2 * math.pi),
         rtol=1e-4,
     )
+
+
+def test_mission_floor_ties_in_config_order(tmp_path, config_path, capsys):
+    """Every speed meets the target at the 2T bracket floor, and the speeds
+    are not in increasing order: a valid input, written in config order."""
+    code, _ = _run(
+        capsys,
+        "mission",
+        "--config",
+        config_path,
+        "--out",
+        str(tmp_path / "out"),
+        "--override",
+        "run.mission.v_over_vr=[4,2,1]",
+        "--override",
+        "run.mission.target_sigma_rad_s=1e-6",
+    )
+    assert code == 0
+    data = np.genfromtxt(
+        tmp_path / "out" / "mission.csv", delimiter=",", names=True, skip_header=12
+    )
+    assert list(data["v_over_vr"]) == [4.0, 2.0, 1.0]
+    assert np.all(data["min_2T_s"] == 0.01)
 
 
 def test_noise_budget_zero_psd_is_exactly_zero(tmp_path, config_path, capsys):

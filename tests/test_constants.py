@@ -6,7 +6,6 @@ from chipgyro.constants import (
     ARW_DEG_SQRT_H_PER_RAD_S_SQRT_HZ,
     DEG_H_PER_RAD_S,
     HBAR,
-    RotationRate,
     convert_rotation,
     rotation_from,
     species_rb87,
@@ -34,14 +33,6 @@ def test_rotation_round_trip():
     value = 7.29e-5
     for tag in ("rad_s", "deg_h", "arw_deg_sqrt_h"):
         assert rotation_from(convert_rotation(value, tag), tag) == pytest.approx(value, rel=1e-15)
-
-
-def test_rotation_rate_views():
-    rate = RotationRate(7.29e-5)
-    assert rate.deg_per_hour == pytest.approx(15.04, rel=1e-2)
-    assert RotationRate.from_deg_per_hour(rate.deg_per_hour).value == pytest.approx(
-        rate.value, rel=1e-15
-    )
 
 
 def test_unknown_unit_tag_rejected():

@@ -7,13 +7,9 @@ from chipgyro.constants import ARW_DEG_SQRT_H_PER_RAD_S_SQRT_HZ, HBAR, species_r
 from chipgyro.errors import ConfigError, DegenerateOrientationError
 from chipgyro.interferometer import (
     InterferometerConfig,
-    acceleration_phase,
     corner_frequencies,
-    fringe_population,
     guide_radius_for,
     rb87_config,
-    rotation_phase_free,
-    sagnac_phase,
     scale_factor,
     sensitivity_function_g,
     shot_noise_sensitivity,
@@ -43,27 +39,12 @@ def _transfer_H(f, config):
     return np.where(f == 0.0, 0.0 + 0.0j, H)
 
 
-def test_acceleration_phase():
-    assert acceleration_phase(1.6e7, 9.81, 0.1) == pytest.approx(1.6e7 * 9.81 * 0.01)
-    k = [1.6e7, 0.0, 0.0]
-    a = [0.0, 9.81, 0.0]
-    assert acceleration_phase(k, a, 0.1) == 0.0
-    assert acceleration_phase(k, [9.81, 0, 0], 0.1) == pytest.approx(1.6e7 * 9.81 * 0.01)
-
-
-def test_rotation_phase_free():
-    assert rotation_phase_free(1.6e7, 7.29e-5, 0.01, 0.5) == pytest.approx(
-        2 * 1.6e7 * 7.29e-5 * 0.01 * 0.25
-    )
-
-
 def test_scale_factor_and_sagnac_phase():
     cfg = _config(latitude=math.pi / 2)
     omega = 7.29e-5
-    assert sagnac_phase(cfg, omega) == pytest.approx(scale_factor(cfg) * omega, rel=1e-15)
     rb = species_rb87()
     expected = (4 / math.pi) * (rb.mass / 1.054571817e-34) * rb.recoil_velocity ** 2 * 16 * omega
-    assert sagnac_phase(cfg, omega) == pytest.approx(expected, rel=1e-12)
+    assert scale_factor(cfg) * omega == pytest.approx(expected, rel=1e-12)
 
 
 def test_equal_interrogation_time_gives_equal_phase():
@@ -74,22 +55,7 @@ def test_equal_interrogation_time_gives_equal_phase():
     ten = InterferometerConfig.from_geometry(rb, guide_radius=5.6e-4, n_loops=10,
                                              pulse_duration=20e-6)
     assert one.interrogation_time == pytest.approx(ten.interrogation_time, rel=1e-15)
-    assert sagnac_phase(one, 7.29e-5) == pytest.approx(sagnac_phase(ten, 7.29e-5), rel=1e-15)
-
-
-def test_fringe_population_bounds_and_midpoint():
-    cfg = _config(atom_number=1e4, contrast=0.8)
-    assert fringe_population(cfg, 0.0).expected_population == pytest.approx(5e3)
-    for phase in np.linspace(-10, 10, 101):
-        p = fringe_population(cfg, phase).expected_population
-        assert 0.0 <= p <= 1e4
-    # slope is maximal at mid-fringe: small phase shifts map linearly
-    eps = 1e-6
-    slope = (
-        fringe_population(cfg, eps).expected_population
-        - fringe_population(cfg, -eps).expected_population
-    ) / (2 * eps)
-    assert slope == pytest.approx(0.5 * 1e4 * 0.8, rel=1e-6)
+    assert scale_factor(one) == pytest.approx(scale_factor(ten), rel=1e-15)
 
 
 def test_shot_noise_reference_value():

@@ -8,6 +8,8 @@ from chipgyro.errors import ConfigError, InfeasibleTargetError
 from chipgyro.interferometer import rb87_config
 from chipgyro.noise import PowerSpectralDensity
 from chipgyro.stability import (
+    INTERROGATION_BRACKET,
+    FeasibilityBoundary,
     dick_sum_allan,
     feasibility_boundary,
     phenomenon_rates,
@@ -154,6 +156,41 @@ def test_feasibility_boundary_monotone():
     # sigma ~ sqrt(2T) / (v (2T)^2) = 1 / (v (2T)^1.5), so doubling the launch
     # speed divides the required 2T by 2^(2/3)
     assert twots[0] / twots[1] == pytest.approx(2 ** (2.0 / 3.0), rel=0.02)
+
+
+@pytest.mark.parametrize(
+    "ratios, target, at_floor",
+    [
+        ([1.0, 2.0, 4.0], 1e-6, True),  # every speed meets the target at the bracket floor
+        ([4.0, 2.0, 1.0], 5.2e-14, False),  # speeds not given in increasing order
+    ],
+    ids=["floor-ties", "reversed"],
+)
+def test_feasibility_boundary_valid_inputs(ratios, target, at_floor):
+    tpl = rb87_config(pulse_duration=20e-6, interrogation_time=4.0, atom_number=1e5)
+    speeds = [ratio * RB.recoil_velocity for ratio in ratios]
+    boundary = feasibility_boundary(speeds, target, SECONDS_PER_YEAR, tpl)
+    assert [v for v, _ in boundary.points] == speeds
+    for (v, two_t), radius in zip(boundary.points, boundary.radii):
+        assert (two_t, radius) == required_interrogation_time(target, SECONDS_PER_YEAR, v, tpl)
+        assert (two_t == INTERROGATION_BRACKET[0]) == at_floor
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        ((1.0, 1.0), (2.0, 2.0)),
+        ((2.0, 2.0), (1.0, 1.0)),
+        ((1.0, INTERROGATION_BRACKET[0]), (2.0, 1.0)),
+        ((1.0, 1.0), (2.0, 1.0)),
+    ],
+    ids=["rising", "rising-unsorted", "rising-from-floor", "tie-above-floor"],
+)
+def test_feasibility_boundary_rejects_non_decreasing_2t(points):
+    with pytest.raises(ConfigError):
+        FeasibilityBoundary(
+            points=points, radii=(0.1, 0.2), target_sigma=1e-14, integration_time=1.0
+        )
 
 
 def test_phenomenon_rates():
