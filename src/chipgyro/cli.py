@@ -47,6 +47,7 @@ from .magnetostatics import geometry_from_records, design_guide_geometry
 from .noise import DEFAULT_F_MIN, PowerSpectralDensity, phase_sigma_to_rotation_sigma
 from .stability import (
     GEODETIC_TARGET_SIGMA,
+    INTERROGATION_BRACKET,
     assumptions_record,
     feasibility_boundary,
     projection_allan_curve,
@@ -423,13 +424,16 @@ def cmd_mission(config: dict, out_dir: str) -> dict:
     ratios = config["run.mission.v_over_vr"]
     v_r = ai.species.recoil_velocity
     boundary = feasibility_boundary([ratio * v_r for ratio in ratios], target, integration, ai)
-    rows = zip(ratios, (two_t for _, two_t in boundary.points), boundary.radii)
+    two_ts = [two_t for _, two_t in boundary.points]
+    # met at the bracket floor: the true minimum 2T is below the printed one
+    at_floor = [ratio for ratio, two_t in zip(ratios, two_ts) if two_t == INTERROGATION_BRACKET[0]]
     path = os.path.join(out_dir, "mission.csv")
     meta = {f"assumption_{k}": v for k, v in assumptions_record(ai).items()}
     meta["target_sigma_rad_s"] = _fmt(target)
     meta["integration_time_s"] = _fmt(integration)
-    _write_csv(path, meta, ["v_over_vr", "min_2T_s", "R_m"], rows)
-    return {"outputs": [path]}
+    meta["at_bracket_floor_v_over_vr"] = json.dumps(at_floor)
+    _write_csv(path, meta, ["v_over_vr", "min_2T_s", "R_m"], zip(ratios, two_ts, boundary.radii))
+    return {"outputs": [path], "at_bracket_floor_v_over_vr": at_floor}
 
 
 def cmd_noise(config: dict, out_dir: str) -> dict:

@@ -1,7 +1,8 @@
 """Characterization of the circular magnetic guide.
 
-Locates the modulus minimum of the wire field, derives confinement (radial
-frequency from the Hessian of the regularized potential), transverse gradient
+Locates the modulus minimum of the wire field, which above a quadrupole
+guide is the zero of (B_rho, B_z), derives confinement (radial frequency
+from the Hessian of the regularized potential), transverse gradient
 and trap depth, and provides a first-order model of wire-corrugation roughness
 with its suppression under zero-mean current modulation.
 
@@ -21,17 +22,15 @@ import numpy as np
 
 from .constants import AtomSpecies, K_B
 from .errors import ConfigError, NoGuideMinimumError, NonSmoothPotentialError
-from .magnetostatics import GuideGeometry, field_modulus
+from .magnetostatics import GuideGeometry, field_modulus, total_field_arrays
 
 # Offset field (T) that reproduces the design case's quoted radial frequency;
 # see characterize_guide. Exposed in the CLI config as geometry.offset_B0.
 DEFAULT_OFFSET_B0 = 1.5e-2
 
 HESSIAN_STEP = 1e-8          # m, central-difference step at the minimum
-POSITION_TOLERANCE = 1e-9    # m, xatol is a tenth of it; fatol binds (find_guide_minimum)
-# T, spread of |B| over the final simplex. At a quadrupole zero line no two
-# vertices give bit-equal values, so fatol = 0 never stops the minimizer.
-MODULUS_TOLERANCE = 1e-16
+POSITION_TOLERANCE = 1e-9    # m, Newton stops at a step of at most a tenth of it
+NEWTON_MAX_ITERATIONS = 10   # cap of the minimum refinement
 COARSE_GRID = 201            # coarse scan resolution per axis
 DEPTH_GRID = 1001            # priority-flood barrier grid resolution per axis
 DEPTH_TILE = 32              # cells per side of a lazily evaluated depth-map tile
@@ -49,8 +48,8 @@ class GuideCharacterization:
     radial_frequency: float    # Hz
     depth_field: float         # T
     depth_temperature: float   # K
-    minimizer_iterations: int  # Nelder-Mead iterations of the minimum refinement
-    minimizer_simplex_size_m: float  # m, final simplex extent, the precision reached
+    minimizer_iterations: int  # Newton iterations of the minimum refinement
+    minimizer_step_m: float    # m, last Newton step, a bound on the position error
     depth_grid_step: tuple     # (d_rho, d_z) in m, resolution bound on depth_field
     depth_map_points: int      # depth-map cells at which |B| was evaluated
 
@@ -65,7 +64,7 @@ class GuideCharacterization:
             "depth_field_T": self.depth_field,
             "depth_temperature_K": self.depth_temperature,
             "minimizer_iterations": self.minimizer_iterations,
-            "minimizer_simplex_size_m": self.minimizer_simplex_size_m,
+            "minimizer_step_m": self.minimizer_step_m,
             "depth_grid_step_m": list(self.depth_grid_step),
             "depth_map_points": self.depth_map_points,
         }
@@ -87,14 +86,16 @@ def _search_box(geometry: GuideGeometry):
 def find_guide_minimum(geometry: GuideGeometry, full_output: bool = False) -> tuple:
     """Locate the minimum of |B| above the chip.
 
-    Coarse grid scan followed by Nelder-Mead refinement; deterministic for a
-    fixed geometry. Nelder-Mead stops only when both ``xatol`` (1e-10 m) and
-    ``fatol`` (MODULUS_TOLERANCE) hold, and ``fatol`` binds. Returns (rho0,
-    z0), or (rho0, z0, iterations, simplex size) with ``full_output``; the
-    size, max |vertex - best vertex| over the final simplex, is the precision
-    reached (1.2e-18 m on the design guide). Raises NoGuideMinimumError when
-    the box contains no interior minimum (e.g. all currents zero or
-    non-trapping signs).
+    Coarse grid scan, then Newton's method on the field vector from the
+    lowest interior local minimum of the scan: the minimum is the zero of
+    (B_rho, B_z). Deterministic for a fixed geometry. Newton stops once a
+    step is at most POSITION_TOLERANCE / 10; near the zero it converges
+    quadratically, so that last step bounds the position error. Returns
+    (rho0, z0), or (rho0, z0, iterations, last step size) with
+    ``full_output``. Raises NoGuideMinimumError when the box contains no
+    interior minimum (e.g. all currents zero or non-trapping signs), or when
+    Newton leaves the search box or does not converge within
+    NEWTON_MAX_ITERATIONS.
     """
     (rho_lo, rho_hi), (z_lo, z_hi) = _search_box(geometry)
     if all(loop.current == 0.0 for loop in geometry.loops):
@@ -122,39 +123,28 @@ def find_guide_minimum(geometry: GuideGeometry, full_output: bool = False) -> tu
     i, j = np.unravel_index(np.argmin(masked), masked.shape)
     i, j = i + 1, j + 1
 
-    def objective(x):
-        r, zz = x
-        if not (rho_lo <= r <= rho_hi and 0 < zz <= z_hi):
-            return np.inf
-        return float(field_modulus(geometry, r, zz))
-
-    import scipy.optimize
-
-    result = scipy.optimize.minimize(
-        objective,
-        x0=[rho[i], z[j]],
-        method="Nelder-Mead",
-        options={
-            "xatol": POSITION_TOLERANCE / 10.0,
-            "fatol": MODULUS_TOLERANCE,
-            "maxiter": 4000,
-            "initial_simplex": np.array(
-                [
-                    [rho[i], z[j]],
-                    [rho[i] + (rho[1] - rho[0]), z[j]],
-                    [rho[i], z[j] + (z[1] - z[0])],
-                ]
-            ),
-        },
-    )
-    if not result.success:
-        raise NoGuideMinimumError(f"minimum refinement did not converge: {result.message}")
-    rho0, z0 = float(result.x[0]), float(result.x[1])
-    if not (z_lo < z0 <= z_hi):
-        raise NoGuideMinimumError("refined minimum escaped the search box")
+    # Newton on (B_rho, B_z): each iteration evaluates x, x +- h e_rho and
+    # x +- h e_z in one call for the value and the central-difference Jacobian
+    h = HESSIAN_STEP
+    offsets = np.array([[0.0, 0.0], [h, 0.0], [-h, 0.0], [0.0, h], [0.0, -h]])
+    x = np.array([rho[i], z[j]])
+    for iterations in range(1, NEWTON_MAX_ITERATIONS + 1):
+        B = np.array(total_field_arrays(geometry, *(x + offsets).T))
+        jacobian = (B[:, 1::2] - B[:, 2::2]) / (2.0 * h)
+        step = np.linalg.solve(jacobian, -B[:, 0])
+        x = x + step
+        if not (rho_lo <= x[0] <= rho_hi and z_lo < x[1] <= z_hi):
+            raise NoGuideMinimumError("refined minimum escaped the search box")
+        step_size = math.hypot(*step)
+        if step_size <= POSITION_TOLERANCE / 10.0:
+            break
+    else:
+        raise NoGuideMinimumError(
+            f"minimum refinement did not converge in {NEWTON_MAX_ITERATIONS} Newton iterations"
+        )
+    rho0, z0 = float(x[0]), float(x[1])
     if full_output:
-        simplex = result.final_simplex[0]
-        return rho0, z0, int(result.nit), float(np.max(np.abs(simplex[1:] - simplex[0])))
+        return rho0, z0, iterations, step_size
     return rho0, z0
 
 
@@ -244,7 +234,7 @@ def characterize_guide(
     """Full characterization of the guide minimum for the given species."""
     if offset_B0 < 0:
         raise ConfigError(f"offset_B0 must be >= 0, got {offset_B0!r}")
-    rho0, z0, iterations, simplex_size = find_guide_minimum(geometry, full_output=True)
+    rho0, z0, iterations, step_size = find_guide_minimum(geometry, full_output=True)
     B_min = float(field_modulus(geometry, rho0, z0))
 
     mu = species.magnetic_moment
@@ -282,7 +272,7 @@ def characterize_guide(
         depth_field=depth_field,
         depth_temperature=depth_temperature,
         minimizer_iterations=iterations,
-        minimizer_simplex_size_m=simplex_size,
+        minimizer_step_m=step_size,
         depth_grid_step=depth_step,
         depth_map_points=depth_points,
     )

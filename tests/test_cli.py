@@ -274,7 +274,7 @@ def test_guide_work_counters(tmp_path, config_path, capsys):
         assert code == 0, name
         record = json.loads((out / "guide_characterization.json").read_text())
         assert 0 < record["minimizer_iterations"] < 4000
-        assert 0 < record["minimizer_simplex_size_m"] <= POSITION_TOLERANCE / 10
+        assert 0 < record["minimizer_step_m"] <= POSITION_TOLERANCE / 10
         assert len(record["depth_grid_step_m"]) == 2
         assert 0 < record["depth_map_points"] <= 0.05 * 1001 ** 2
 
@@ -374,11 +374,20 @@ def test_allan_outputs(tmp_path, config_path, capsys):
     assert record["assumptions"]["sin_latitude"] == pytest.approx(math.sin(math.radians(48.85)))
 
 
+def _csv_header(path):
+    """{key: value} of the ``# key: value`` lines of a CLI CSV file."""
+    lines = Path(path).read_text().splitlines()
+    return dict(line[2:].split(": ", 1) for line in lines if line.startswith("# "))
+
+
 def test_mission_output(tmp_path, config_path, capsys):
-    _run(capsys, "mission", "--config", config_path, "--out", str(tmp_path / "out"))
+    _, summary = _run(capsys, "mission", "--config", config_path, "--out", str(tmp_path / "out"))
     data = np.genfromtxt(
-        tmp_path / "out" / "mission.csv", delimiter=",", names=True, skip_header=12
+        tmp_path / "out" / "mission.csv", delimiter=",", names=True, skip_header=13
     )
+    header = _csv_header(tmp_path / "out" / "mission.csv")
+    assert json.loads(header["at_bracket_floor_v_over_vr"]) == []
+    assert summary["at_bracket_floor_v_over_vr"] == []
     assert np.all(np.diff(data["min_2T_s"]) < 0)
     assert np.allclose(
         data["R_m"],
@@ -390,7 +399,7 @@ def test_mission_output(tmp_path, config_path, capsys):
 def test_mission_floor_ties_in_config_order(tmp_path, config_path, capsys):
     """Every speed meets the target at the 2T bracket floor, and the speeds
     are not in increasing order: a valid input, written in config order."""
-    code, _ = _run(
+    code, summary = _run(
         capsys,
         "mission",
         "--config",
@@ -404,10 +413,13 @@ def test_mission_floor_ties_in_config_order(tmp_path, config_path, capsys):
     )
     assert code == 0
     data = np.genfromtxt(
-        tmp_path / "out" / "mission.csv", delimiter=",", names=True, skip_header=12
+        tmp_path / "out" / "mission.csv", delimiter=",", names=True, skip_header=13
     )
     assert list(data["v_over_vr"]) == [4.0, 2.0, 1.0]
     assert np.all(data["min_2T_s"] == 0.01)
+    header = _csv_header(tmp_path / "out" / "mission.csv")
+    assert json.loads(header["at_bracket_floor_v_over_vr"]) == [4, 2, 1]
+    assert summary["at_bracket_floor_v_over_vr"] == [4, 2, 1]
 
 
 def test_noise_budget_zero_psd_is_exactly_zero(tmp_path, config_path, capsys):
@@ -558,6 +570,15 @@ def test_transfer_sensitivity_allan_load_no_scipy(tmp_path, config_path):
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
     assert _python(probe, config_path, str(tmp_path / "out")).splitlines()[-1] == "[]"
+
+
+def test_guide_loads_scipy_special_not_optimize(tmp_path, config_path):
+    probe = (
+        "import sys, chipgyro.cli\n"
+        "assert chipgyro.cli.main(['guide', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+        "print('scipy.special' in sys.modules, 'scipy.optimize' in sys.modules)"
+    )
+    assert _python(probe, config_path, str(tmp_path / "out")).splitlines()[-1] == "True False"
 
 
 @pytest.mark.parametrize(
