@@ -13,6 +13,8 @@ Layers, bottom up:
 
 scipy is imported inside the function that uses it, never at module level, so
 ``import chipgyro`` and a subcommand that needs no scipy stay cheap to start.
+The noise quadrature loads only scipy's compiled QUADPACK module, never the
+``scipy.integrate`` package.
 """
 
 from .constants import (

@@ -18,8 +18,10 @@ the PSD's own domain, and ``convert_psd`` reads the same kernels.
 from __future__ import annotations
 
 import bisect
+import functools
+import importlib.machinery
+import importlib.util
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -85,19 +87,29 @@ class PowerSpectralDensity:
         """S(f) for f > 0 (vectorized). A float argument, as QUADPACK passes
         one point at a time, gives a float without numpy's per-call overhead:
         an analytic PSD takes the same expression on floats, a tabulated one
-        a scalar route over the same tables."""
+        a scalar route over the same tables. On both routes a zero component
+        adds exactly 0, and a power of f that underflows to 0 gives inf."""
         if isinstance(f, float):
             if not f > 0:
                 raise ConfigError("PSDs are one-sided: evaluation needs f > 0")
             if self.is_tabulated:
                 return self._interpolate_scalar(f)
+            s = self.white
         else:
             f = np.asarray(f, dtype=float)
             if np.any(f <= 0):
                 raise ConfigError("PSDs are one-sided: evaluation needs f > 0")
             if self.is_tabulated:
                 return self._interpolate(f)
-        return self.white + self.flicker / f + self.random_walk / (f * f)
+            s = np.full(f.shape, self.white)
+        if self.flicker:
+            s = s + self.flicker / f
+        if self.random_walk:
+            try:
+                s = s + self.random_walk / (f * f)
+            except ZeroDivisionError:  # a float f * f that underflowed to 0
+                return math.inf
+        return s
 
     def _interpolate(self, f):
         grid, vals, log_grid, log_vals = self.frequencies, self.values, self._log_f, self._log_s
@@ -153,13 +165,15 @@ def phase_kernel(domain: str, f, k_eff: float, guide_radius: float):
     omega = 2.0 * math.pi * (f if scalar else np.asarray(f, dtype=float))
     if domain == "phase":
         return 1.0 if scalar else np.ones_like(omega)
-    if domain == "acceleration":
-        try:
+    try:
+        if domain == "acceleration":
             return k_eff ** 2 / omega ** 4
-        except OverflowError:  # a float omega^4 past the float range
-            return 0.0
-    if domain == "rotation":
-        return (2.0 * k_eff * guide_radius) ** 2 / (omega * omega)
+        if domain == "rotation":
+            return (2.0 * k_eff * guide_radius) ** 2 / (omega * omega)
+    except OverflowError:  # a float omega^4 past the float range
+        return 0.0
+    except ZeroDivisionError:  # a float power of omega that underflowed to 0
+        return math.inf
     raise ConfigError(f"unknown PSD domain {domain!r}; expected one of {DOMAINS}")
 
 
@@ -200,7 +214,7 @@ class VarianceResult:
     convention: str = ONE_SIDED_CONVENTION
     notes: str = ""
     n_evals: int = 0        # PSD evaluations the quadrature made, one per point
-    converged: bool = True  # no QUADPACK warning and error_estimate <= rtol |value|
+    converged: bool = True  # QUADPACK's ier = 0 on every panel and error_estimate <= rtol |value|
 
     @property
     def sigma(self) -> float:
@@ -219,11 +233,21 @@ class VarianceResult:
         }
 
 
+@functools.cache
+def _quadpack():
+    """scipy's compiled QUADPACK module, found by importlib's spec machinery and
+    loaded once, without running the ``scipy.integrate`` package's imports."""
+    where = importlib.util.find_spec("scipy.integrate").submodule_search_locations
+    spec = importlib.machinery.PathFinder.find_spec("scipy.integrate._quadpack", where)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _integrate_band(psd, config, f_min, f_max, rtol):
     """int S K |H|^2 df over [f_min, f_max] on QUADPACK; returns the value, its
     error estimate, the number of points at which the PSD was evaluated and
-    the (lo, hi) panels on which QUADPACK warned. The warnings are caught, so
-    none escapes to the caller.
+    the (lo, hi) panels on which QUADPACK's status ``ier`` was non-zero.
 
     K is the ``phase_kernel`` of the PSD's domain; |H|^2 = 2 sinc^2(pi f tau)
     (1 - cos 2 pi D f), D = 2T - tau. A panel that spans fewer than 8 periods
@@ -238,8 +262,9 @@ def _integrate_band(psd, config, f_min, f_max, rtol):
     QUADPACK calls the integrand with one float at a time, so the PSD, K and
     |H|^2 take their float routes, and the envelope g reads sinc from where
     |H|^2 does; config and PSD attributes are read once, outside the callbacks.
+    QAGS and QAWO get the arguments ``scipy.integrate.quad`` passes them.
     """
-    from scipy.integrate import IntegrationWarning, quad
+    quadpack = _quadpack()
 
     tau = config.pulse_duration
     d = config.interrogation_time - tau
@@ -259,16 +284,17 @@ def _integrate_band(psd, config, f_min, f_max, rtol):
     n_evals = 0
     warned = []
 
-    def panel_quad(fn, lo, hi, **kwargs):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", IntegrationWarning)
-            result = quad(fn, lo, hi, **kwargs)
-        for w in caught:
-            if not issubclass(w.category, IntegrationWarning):
-                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-            elif (lo, hi) not in warned:
-                warned.append((lo, hi))
-        return result
+    def panel_quad(fn, lo, hi, epsabs, epsrel, omega=None):
+        """QAGS, or QAWO with weight cos(omega f) when ``omega`` is given."""
+        if omega is None:
+            value, value_err, ier = quadpack._qagse(fn, lo, hi, (), 0, epsabs, epsrel, 50)
+        else:
+            value, value_err, ier = quadpack._qawoe(fn, lo, hi, omega, 1, (), 0, epsabs, epsrel, 50, 50, 1)
+        if ier == 6:
+            raise ValueError(f"QUADPACK rejected its input on panel [{lo}, {hi}] Hz")
+        if ier and (lo, hi) not in warned:
+            warned.append((lo, hi))
+        return value, value_err
 
     def weighted(f):
         nonlocal n_evals
@@ -284,15 +310,15 @@ def _integrate_band(psd, config, f_min, f_max, rtol):
     total = err = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
         if (hi - lo) * d < 8.0:
-            value, value_err = panel_quad(integrand, lo, hi, epsabs=0.0, epsrel=rtol)
+            value, value_err = panel_quad(integrand, lo, hi, 0.0, rtol)
         else:
-            value, value_err = panel_quad(smooth, lo, hi, epsabs=0.0, epsrel=rtol)
+            value, value_err = panel_quad(smooth, lo, hi, 0.0, rtol)
             if value == 0.0:
-                # g >= 0 vanishes on the panel; quad rejects a zero tolerance
+                # g >= 0 vanishes on the panel; QAWO returns ier = 6 for
+                # epsabs = epsrel = 0
                 continue
             # an epsrel on this small part only chases roundoff
-            wave, wave_err = panel_quad(smooth, lo, hi, weight="cos", wvar=2.0 * math.pi * d,
-                                        epsabs=rtol * abs(value), epsrel=0.0)
+            wave, wave_err = panel_quad(smooth, lo, hi, rtol * abs(value), 0.0, 2.0 * math.pi * d)
             value -= wave
             value_err += wave_err
         total += value
@@ -313,8 +339,8 @@ def phase_variance(
     ``rtol`` is the relative accuracy asked of each quadrature panel, in
     [1e-13, 1); the reported ``error_estimate`` is the sum of the panels'
     absolute error estimates. ``f_max`` defaults to 10 / pulse duration.
-    ``converged`` is false when QUADPACK warned on a panel, which ``notes``
-    names, or when ``error_estimate`` exceeds rtol |value|.
+    ``converged`` is false when QUADPACK's ``ier`` was non-zero on a panel,
+    which ``notes`` names, or when ``error_estimate`` exceeds rtol |value|.
 
     For an acceleration PSD the omega^-4 kernel makes the integrand grow like
     1/f^2 towards DC for white noise; the declared infrared cutoff bounds it
@@ -338,7 +364,7 @@ def phase_variance(
 
     value, err, n_evals, warned = _integrate_band(psd, config, f_min, f_max, rtol)
     if not math.isfinite(value):
-        raise DivergentIntegralError(f"noise integral diverged on band [{f_min}, {f_max}]")
+        raise DivergentIntegralError(f"noise integral is not finite on band [{f_min}, {f_max}]")
     notes = [f"QUADPACK warning on panel [{lo}, {hi}] Hz" for lo, hi in warned]
     if psd.domain == "acceleration":
         notes.insert(0, f"omega^-4 kernel bounded by infrared cutoff {f_min} Hz")

@@ -581,6 +581,48 @@ def test_guide_loads_scipy_special_not_optimize(tmp_path, config_path):
     assert _python(probe, config_path, str(tmp_path / "out")).splitlines()[-1] == "True False"
 
 
+def test_noise_loads_no_scipy_integrate_special_optimize_or_linalg(tmp_path, config_path):
+    """QUADPACK's compiled module is loaded on its own, so a noise child on a
+    phase, an acceleration and a tabulated rotation PSD imports none of the
+    scipy subpackages ``scipy.integrate`` would pull in."""
+    psd_file = tmp_path / "rotation.csv"
+    psd_file.write_text("f_hz,psd_value\n1e-4,1e-14\n1.0,2e-15\n1e3,1e-16\n")
+    probe = (
+        "import sys, chipgyro.cli\n"
+        "out, psd = sys.argv[2], sys.argv[3]\n"
+        "for overrides in (['noise.domain=phase'], ['noise.domain=acceleration', 'noise.model.white=1e-12'],\n"
+        "                  ['noise.domain=rotation', 'noise.file=' + psd, 'noise.model=null']):\n"
+        "    argv = ['noise', '--config', sys.argv[1], '--out', out]\n"
+        "    for override in overrides:\n"
+        "        argv += ['--override', override]\n"
+        "    assert chipgyro.cli.main(argv) == 0\n"
+        "print([m for m in ('scipy.integrate', 'scipy.special', 'scipy.optimize', 'scipy.linalg') if m in sys.modules])"
+    )
+    assert _python(probe, config_path, str(tmp_path / "out"), str(psd_file)).splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        ["noise.domain=acceleration", "noise.model.white=1e-12", "noise.band.f_min_hz=1e-100"],
+        ["noise.domain=rotation", "noise.model.white=1e-14", "noise.band.f_min_hz=1e-170"],
+    ],
+    ids=["acceleration-1e-100", "rotation-1e-170"],
+)
+def test_noise_tiny_infrared_cutoff_exits_2_naming_the_band(tmp_path, config_path, capsys, overrides):
+    """A cutoff so small that a power of omega underflows gives a JSON
+    physics error naming the band, not a ZeroDivisionError traceback."""
+    argv = ["noise", "--config", config_path, "--out", str(tmp_path / "out")]
+    for override in overrides:
+        argv += ["--override", override]
+    code, summary = _run(capsys, *argv)
+    assert code == 2
+    assert summary["status"] == "physics-error"
+    f_min = overrides[-1].split("=")[1]
+    assert f"band [{f_min}, 1000.0]" in summary["error"]
+    assert not (tmp_path / "out" / "noise_budget.json").exists()
+
+
 @pytest.mark.parametrize(
     "domain, white, notes",
     [

@@ -1,4 +1,5 @@
 import math
+import types
 import warnings
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 import scipy.integrate
 from scipy.special import sici
 
+import chipgyro.noise
 from chipgyro.errors import ConfigError, DivergentIntegralError
 from chipgyro.interferometer import rb87_config, scale_factor, transfer_H_abs2
 from chipgyro.noise import (
@@ -150,7 +152,9 @@ def test_float_routes_match_array_routes():
     """QUADPACK's one-float-at-a-time calls take float routes through |H|^2,
     K and S; on 1e5 log-spaced points of the default band and on the zeros
     n/tau and m/D of H they agree with the array routes within a few ulp and
-    return builtin floats, not numpy scalars."""
+    return builtin floats, not numpy scalars. At 1e-100 Hz and below, where a
+    power of f or omega underflows to 0, both routes give inf for that term
+    (no ZeroDivisionError), and a zero PSD component adds exactly 0 (no nan)."""
     cfg = rb87_config(pulse_duration=20e-6, interrogation_time=1.0)
     tau = cfg.pulse_duration
     d = cfg.interrogation_time - tau
@@ -159,6 +163,7 @@ def test_float_routes_match_array_routes():
             np.geomspace(DEFAULT_F_MIN, 10.0 / tau, 100_000),
             np.arange(1, 11) / tau,
             np.arange(1, 10_001) / d,
+            [1e-100, 1e-170, 1e-300],
         ]
     )
     knots = np.geomspace(1e-5, 1e6, 221)
@@ -171,10 +176,14 @@ def test_float_routes_match_array_routes():
         "analytic": analytic.evaluate,
         "tabulated": tabulated.evaluate,
     }
+    white_only = PowerSpectralDensity(domain="rotation", white=1e-14)
+    routes["white_only"] = white_only.evaluate
     for domain in ("phase", "acceleration", "rotation"):
         routes[domain] = lambda x, domain=domain: phase_kernel(domain, x, cfg.k_eff, cfg.guide_radius)
     for name, route in routes.items():
-        array = route(f)
+        with np.errstate(divide="ignore"):
+            array = route(f)
+        assert not np.any(np.isnan(array)), name
         scalar = [route(x) for x in f.tolist()]
         assert all(type(value) is float for value in scalar), name
         scalar = np.array(scalar)
@@ -184,7 +193,7 @@ def test_float_routes_match_array_routes():
             # where math.log and numpy's log do; one ulp of log S is up to
             # 2.2e-16 |log S| of S
             bound += 2.3e-16 * np.abs(np.log(np.where(array > 0, array, 1.0)))
-        positive = array > 0
+        positive = (array > 0) & np.isfinite(array)
         assert np.all(scalar[~positive] == array[~positive]), name
         rel = np.abs(scalar[positive] - array[positive]) / array[positive]
         assert np.all(rel <= bound[positive]), (name, rel.max())
@@ -194,35 +203,43 @@ def test_float_routes_match_array_routes():
     assert phase_kernel("acceleration", 1e200, cfg.k_eff, cfg.guide_radius) == 0.0
     assert phase_kernel("rotation", 1e200, cfg.k_eff, cfg.guide_radius) == 0.0
     assert analytic.evaluate(1e200) == analytic.white
+    # and below it, the array routes' inf, not ZeroDivisionError
+    assert phase_kernel("acceleration", 1e-100, cfg.k_eff, cfg.guide_radius) == math.inf
+    assert phase_kernel("rotation", 1e-170, cfg.k_eff, cfg.guide_radius) == math.inf
+    assert analytic.evaluate(1e-170) == math.inf
+    assert white_only.evaluate(1e-300) == white_only.white
 
 
 def _quad_patched(monkeypatch, alter):
-    """Route scipy.integrate.quad through ``alter(calls, result)``, which sees
-    each call's (lo, hi) panel and its result."""
+    """Route the QUADPACK routines ``_integrate_band`` calls through
+    ``alter(calls, result)``, which sees each call's (lo, hi) panel and its
+    (value, abserr, ier) result."""
     calls = []
-    quad = scipy.integrate.quad
+    quadpack = chipgyro.noise._quadpack()
 
-    def patched(fn, lo, hi, **kwargs):
-        calls.append((lo, hi))
-        return alter(calls, quad(fn, lo, hi, **kwargs))
+    def patched(routine):
+        def call(fn, lo, hi, *args):
+            calls.append((lo, hi))
+            return alter(calls, routine(fn, lo, hi, *args))
 
-    monkeypatch.setattr(scipy.integrate, "quad", patched)
+        return call
+
+    seam = types.SimpleNamespace(_qagse=patched(quadpack._qagse), _qawoe=patched(quadpack._qawoe))
+    monkeypatch.setattr(chipgyro.noise, "_quadpack", lambda: seam)
     return calls
 
 
 def test_quadpack_warning_marks_result_unconverged(monkeypatch):
-    """One IntegrationWarning: converged is false, the note names the panel,
-    and the warning does not reach the caller."""
+    """One panel with ier = 2 (roundoff): converged is false, the note names
+    the panel, and no warning reaches the caller."""
     cfg = _small_config()
     psd = PowerSpectralDensity(domain="phase", white=1e-9)
     assert phase_variance(psd, cfg).converged
 
-    def warn_once(calls, result):
-        if len(calls) == 3:
-            warnings.warn("roundoff error is detected", scipy.integrate.IntegrationWarning)
-        return result
+    def roundoff_once(calls, result):
+        return (*result[:2], 2) if len(calls) == 3 else result
 
-    calls = _quad_patched(monkeypatch, warn_once)
+    calls = _quad_patched(monkeypatch, roundoff_once)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         result = phase_variance(psd, cfg)
@@ -232,10 +249,54 @@ def test_quadpack_warning_marks_result_unconverged(monkeypatch):
     assert result.as_record()["converged"] is False
 
 
+def test_quadpack_invalid_input_raises(monkeypatch):
+    """ier = 6 (invalid input) raises, as scipy.integrate.quad does, and names
+    the panel."""
+    _quad_patched(monkeypatch, lambda calls, result: (*result[:2], 6))
+    with pytest.raises(ValueError, match=r"QUADPACK rejected its input on panel \[0.0001, "):
+        phase_variance(PowerSpectralDensity(domain="phase", white=1e-9), _small_config())
+
+
+def test_direct_quadpack_calls_match_scipy_quad(monkeypatch):
+    """Every QAGS and QAWO call ``_integrate_band`` makes returns the (value,
+    abserr) that scipy.integrate.quad returns for the same panel, bit for bit,
+    and where quad warns the direct call reports ier != 0. This guards the
+    private signatures of scipy's compiled QUADPACK module."""
+    quadpack = chipgyro.noise._quadpack()
+    recorded = {"_qagse": [], "_qawoe": []}
+
+    def recording(name):
+        def call(*args):
+            result = getattr(quadpack, name)(*args)
+            recorded[name].append((args, result))
+            return result
+
+        return call
+
+    seam = types.SimpleNamespace(_qagse=recording("_qagse"), _qawoe=recording("_qawoe"))
+    monkeypatch.setattr(chipgyro.noise, "_quadpack", lambda: seam)
+    cfg = rb87_config(pulse_duration=20e-6, interrogation_time=1.0)
+    phase_variance(PowerSpectralDensity(domain="acceleration", white=1e-12, flicker=3e-13), cfg)
+    assert recorded["_qagse"] and recorded["_qawoe"]
+    for (fn, lo, hi, args, full, epsabs, epsrel, limit), result in recorded["_qagse"]:
+        assert (args, full) == ((), 0)
+        assert limit == 50  # quad's default subdivision limit
+        assert scipy.integrate.quad(fn, lo, hi, epsabs=epsabs, epsrel=epsrel) == result[:2]
+    for (fn, lo, hi, omega, cos, args, full, epsabs, epsrel, limit, maxp1, momcom), result in recorded["_qawoe"]:
+        assert (cos, args, full, limit, maxp1, momcom) == (1, (), 0, 50, 50, 1)
+        assert scipy.integrate.quad(fn, lo, hi, weight="cos", wvar=omega, epsabs=epsabs, epsrel=epsrel) == result[:2]
+    # |H|^2 over a thousand of its periods in one panel exhausts QAGS's 50 subintervals
+    hard = (lambda x: transfer_H_abs2(x, cfg), 1.0, 1e3)
+    value, abserr, ier = quadpack._qagse(*hard, (), 0, 0.0, 1e-6, 50)
+    assert ier != 0
+    with pytest.warns(scipy.integrate.IntegrationWarning):
+        assert scipy.integrate.quad(*hard, epsabs=0.0, epsrel=1e-6) == (value, abserr)
+
+
 def test_error_estimate_above_rtol_marks_result_unconverged(monkeypatch):
     cfg = _small_config()
     psd = PowerSpectralDensity(domain="acceleration", white=1e-12)
-    _quad_patched(monkeypatch, lambda calls, result: (result[0], 1e3 * abs(result[0])))
+    _quad_patched(monkeypatch, lambda calls, result: (result[0], 1e3 * abs(result[0]), result[2]))
     result = phase_variance(psd, cfg, rtol=1e-6)
     assert result.error_estimate > 1e-6 * result.value
     assert not result.converged
