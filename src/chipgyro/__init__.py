@@ -11,10 +11,11 @@ Layers, bottom up:
 * :mod:`chipgyro.stability` — Allan deviation, harmonic sum, mission solver
 * :mod:`chipgyro.cli` — the ``chipgyro`` command
 
-scipy is imported inside the function that uses it, never at module level, so
+scipy is loaded inside the function that uses it, never at module level, so
 ``import chipgyro`` and a subcommand that needs no scipy stay cheap to start.
-The noise quadrature loads only scipy's compiled QUADPACK module, never the
-``scipy.integrate`` package.
+No subcommand imports a scipy subpackage: the elliptic integrals, the noise
+quadrature and the mission's root finder load only the compiled modules they
+call (``chipgyro._scipy``).
 """
 
 from .constants import (

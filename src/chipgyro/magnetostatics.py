@@ -5,9 +5,11 @@ is z = 0 and the loop plane sits at ``height``. Azimuthal symmetry makes the
 problem two-dimensional in (rho, z); the azimuthal field component is
 identically zero.
 
-The closed form uses the complete elliptic integrals K(m) and E(m) of
-``scipy.special``. A straight-segment Biot-Savart sum (``loop_field_oracle``)
-provides an independent slow route for validation.
+The closed form uses the complete elliptic integrals K(m) and E(m): the
+``ellipk``/``ellipe`` ufuncs of scipy's compiled ``_special_ufuncs`` module,
+loaded without importing the ``scipy.special`` package. A straight-segment
+Biot-Savart sum (``loop_field_oracle``) provides an independent slow route
+for validation.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._scipy import compiled_module
 from .constants import MU_0
 from .errors import ConfigError, SingularPointError
 
@@ -86,8 +89,7 @@ class FieldVector:
 
 def _loop_field_arrays(loop: WireLoop, rho, z):
     """Vectorized closed-form loop field; returns (B_rho, B_z) arrays."""
-    from scipy.special import ellipe, ellipk
-
+    special = compiled_module("scipy.special._special_ufuncs")
     rho = np.asarray(rho, dtype=float)
     zp = np.asarray(z, dtype=float) - loop.height
     a = loop.radius
@@ -100,7 +102,7 @@ def _loop_field_arrays(loop: WireLoop, rho, z):
 
     denom_plus = (a + rho) ** 2 + zp ** 2
     m = 4.0 * a * rho / denom_plus
-    K, E = ellipk(m), ellipe(m)
+    K, E = special.ellipk(m), special.ellipe(m)
 
     pref = MU_0 * loop.current / (2.0 * np.pi)
     root = np.sqrt(denom_plus)

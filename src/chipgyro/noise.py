@@ -18,15 +18,13 @@ the PSD's own domain, and ``convert_psd`` reads the same kernels.
 from __future__ import annotations
 
 import bisect
-import functools
-import importlib.machinery
-import importlib.util
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
+from ._scipy import compiled_module
 from .errors import ConfigError, DegenerateOrientationError, DivergentIntegralError
 from .interferometer import InterferometerConfig, _sinc, scale_factor, transfer_H_abs2
 
@@ -233,17 +231,6 @@ class VarianceResult:
         }
 
 
-@functools.cache
-def _quadpack():
-    """scipy's compiled QUADPACK module, found by importlib's spec machinery and
-    loaded once, without running the ``scipy.integrate`` package's imports."""
-    where = importlib.util.find_spec("scipy.integrate").submodule_search_locations
-    spec = importlib.machinery.PathFinder.find_spec("scipy.integrate._quadpack", where)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _integrate_band(psd, config, f_min, f_max, rtol):
     """int S K |H|^2 df over [f_min, f_max] on QUADPACK; returns the value, its
     error estimate, the number of points at which the PSD was evaluated and
@@ -264,7 +251,7 @@ def _integrate_band(psd, config, f_min, f_max, rtol):
     |H|^2 does; config and PSD attributes are read once, outside the callbacks.
     QAGS and QAWO get the arguments ``scipy.integrate.quad`` passes them.
     """
-    quadpack = _quadpack()
+    quadpack = compiled_module("scipy.integrate._quadpack")
 
     tau = config.pulse_duration
     d = config.interrogation_time - tau

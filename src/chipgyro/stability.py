@@ -23,7 +23,8 @@ from .constants import (
     RAD_PER_ARCSEC,
     SECONDS_PER_YEAR,
 )
-from .errors import ConfigError, InfeasibleTargetError
+from ._scipy import compiled_module
+from .errors import ConfigError, InfeasibleTargetError, PhysicsError
 from .interferometer import (
     InterferometerConfig,
     shot_noise_sensitivity,
@@ -215,7 +216,10 @@ def required_interrogation_time(
             guide_radius=launch_velocity * two_t / (2.0 * math.pi),
             launch_velocity=launch_velocity,
         )
-        return projection_allan(config, integration_time, extrapolate=True)
+        sigma = projection_allan(config, integration_time, extrapolate=True)
+        if math.isnan(sigma):  # Brent's method would take it for a number
+            raise PhysicsError(f"projection Allan deviation is NaN at 2T = {two_t} s")
+        return sigma
 
     lo, hi = INTERROGATION_BRACKET
     if sigma_at(hi) > target_sigma:
@@ -227,10 +231,12 @@ def required_interrogation_time(
     if sigma_at(lo) <= target_sigma:
         two_t = lo
     else:
-        from scipy.optimize import brentq
-
-        # brentq needs xtol > 0 and rtol >= 4 eps; an xtol of one ulp leaves the stop to rtol
-        two_t = brentq(lambda t: sigma_at(t) - target_sigma, lo, hi, xtol=math.ulp(lo), rtol=1e-15)
+        # brentq's arguments: maxiter 100, raise on non-convergence, and an
+        # xtol of one ulp (it must be > 0), which leaves the stop to rtol
+        brentq = compiled_module("scipy.optimize._zeros")._brentq
+        two_t = brentq(
+            lambda t: sigma_at(t) - target_sigma, lo, hi, math.ulp(lo), 1e-15, 100, (), False, True
+        )
         while sigma_at(two_t) > target_sigma:
             two_t = math.nextafter(two_t, hi)
     return two_t, launch_velocity * two_t / (2.0 * math.pi)

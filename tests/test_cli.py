@@ -572,13 +572,23 @@ def test_transfer_sensitivity_allan_load_no_scipy(tmp_path, config_path):
     assert _python(probe, config_path, str(tmp_path / "out")).splitlines()[-1] == "[]"
 
 
-def test_guide_loads_scipy_special_not_optimize(tmp_path, config_path):
+def test_guide_and_mission_load_no_scipy_special_optimize_or_linalg(tmp_path, config_path):
+    """The elliptic ufuncs and Brent's solver are loaded from their compiled
+    modules on their own, so guide (design and 1 mm ring) and mission children
+    import neither the scipy subpackages nor what their packages pull in."""
+    ring = (
+        "geometry.loops=[{radius_m: 974e-6, current_A: -0.123}, {radius_m: 1000e-6, current_A: 0.121},"
+        " {radius_m: 1026e-6, current_A: -0.123}]"
+    )
     probe = (
         "import sys, chipgyro.cli\n"
-        "assert chipgyro.cli.main(['guide', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
-        "print('scipy.special' in sys.modules, 'scipy.optimize' in sys.modules)"
+        "base = ['--config', sys.argv[1], '--out', sys.argv[2]]\n"
+        "for argv in (['guide'], ['guide', '--override', sys.argv[3]], ['mission']):\n"
+        "    assert chipgyro.cli.main(argv + base) == 0\n"
+        "names = ('scipy.special', 'scipy.optimize', 'scipy.linalg', 'scipy._lib._array_api', 'numpy.f2py')\n"
+        "print([m for m in names if m in sys.modules])"
     )
-    assert _python(probe, config_path, str(tmp_path / "out")).splitlines()[-1] == "True False"
+    assert _python(probe, config_path, str(tmp_path / "out"), ring).splitlines()[-1] == "[]"
 
 
 def test_noise_loads_no_scipy_integrate_special_optimize_or_linalg(tmp_path, config_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.special
 
+from chipgyro._scipy import compiled_module
 from chipgyro.constants import MU_0
 from chipgyro.errors import ConfigError, SingularPointError
 from chipgyro.magnetostatics import (
@@ -60,6 +61,19 @@ def test_elliptic_agm_against_scipy():
     K, E = _agm_ke(m)
     assert np.allclose(K, scipy.special.ellipk(m), rtol=1e-12, atol=0)
     assert np.allclose(E, scipy.special.ellipe(m), rtol=1e-12, atol=0)
+
+
+def test_direct_elliptic_ufuncs_match_scipy_special():
+    """The ellipk/ellipe the field kernel loads from scipy's compiled module
+    give scipy.special's values bit for bit, at the singular end m -> 1, on
+    m <= 0 and m > 1, and at nan. This guards the private module's name."""
+    direct = compiled_module("scipy.special._special_ufuncs")
+    near_one = 1.0 - 10.0 ** -np.arange(17.0)
+    m = np.concatenate([RNG.uniform(-2.0, 1.0, 1_000_000), near_one, [0.0, 1.0, -1.0, 2.0, np.nan]])
+    for name in ("ellipk", "ellipe"):
+        ours, theirs = getattr(direct, name), getattr(scipy.special, name)
+        assert np.array_equal(ours(m), theirs(m), equal_nan=True)
+        assert type(ours(0.5)) is type(theirs(0.5))
 
 
 def test_on_axis_closed_form():

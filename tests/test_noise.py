@@ -210,12 +210,15 @@ def test_float_routes_match_array_routes():
     assert white_only.evaluate(1e-300) == white_only.white
 
 
+QUADPACK = "scipy.integrate._quadpack"
+
+
 def _quad_patched(monkeypatch, alter):
     """Route the QUADPACK routines ``_integrate_band`` calls through
     ``alter(calls, result)``, which sees each call's (lo, hi) panel and its
     (value, abserr, ier) result."""
     calls = []
-    quadpack = chipgyro.noise._quadpack()
+    quadpack = chipgyro.noise.compiled_module(QUADPACK)
 
     def patched(routine):
         def call(fn, lo, hi, *args):
@@ -225,7 +228,7 @@ def _quad_patched(monkeypatch, alter):
         return call
 
     seam = types.SimpleNamespace(_qagse=patched(quadpack._qagse), _qawoe=patched(quadpack._qawoe))
-    monkeypatch.setattr(chipgyro.noise, "_quadpack", lambda: seam)
+    monkeypatch.setattr(chipgyro.noise, "compiled_module", {QUADPACK: seam}.__getitem__)
     return calls
 
 
@@ -262,7 +265,7 @@ def test_direct_quadpack_calls_match_scipy_quad(monkeypatch):
     abserr) that scipy.integrate.quad returns for the same panel, bit for bit,
     and where quad warns the direct call reports ier != 0. This guards the
     private signatures of scipy's compiled QUADPACK module."""
-    quadpack = chipgyro.noise._quadpack()
+    quadpack = chipgyro.noise.compiled_module(QUADPACK)
     recorded = {"_qagse": [], "_qawoe": []}
 
     def recording(name):
@@ -274,7 +277,7 @@ def test_direct_quadpack_calls_match_scipy_quad(monkeypatch):
         return call
 
     seam = types.SimpleNamespace(_qagse=recording("_qagse"), _qawoe=recording("_qawoe"))
-    monkeypatch.setattr(chipgyro.noise, "_quadpack", lambda: seam)
+    monkeypatch.setattr(chipgyro.noise, "compiled_module", {QUADPACK: seam}.__getitem__)
     cfg = rb87_config(pulse_duration=20e-6, interrogation_time=1.0)
     phase_variance(PowerSpectralDensity(domain="acceleration", white=1e-12, flicker=3e-13), cfg)
     assert recorded["_qagse"] and recorded["_qawoe"]

@@ -1,10 +1,15 @@
 import math
+import types
 
 import numpy as np
 import pytest
+import scipy.optimize
 
+import chipgyro.stability as stability
+from chipgyro._scipy import compiled_module
+from chipgyro.cli import SCHEMA
 from chipgyro.constants import OMEGA_EARTH, RAD_PER_ARCSEC, SECONDS_PER_YEAR, species_rb87
-from chipgyro.errors import ConfigError, InfeasibleTargetError
+from chipgyro.errors import ConfigError, InfeasibleTargetError, PhysicsError
 from chipgyro.interferometer import rb87_config
 from chipgyro.noise import PowerSpectralDensity
 from chipgyro.stability import (
@@ -174,6 +179,50 @@ def test_feasibility_boundary_valid_inputs(ratios, target, at_floor):
     for (v, two_t), radius in zip(boundary.points, boundary.radii):
         assert (two_t, radius) == required_interrogation_time(target, SECONDS_PER_YEAR, v, tpl)
         assert (two_t == INTERROGATION_BRACKET[0]) == at_floor
+
+
+def test_direct_brentq_matches_scipy_optimize(monkeypatch):
+    """Each call the mission solver makes to the compiled Brent routine returns
+    scipy.optimize.brentq's root bit for bit, at every default launch speed.
+    This guards the private module's name and the routine's signature."""
+    brentq = compiled_module("scipy.optimize._zeros")._brentq
+    calls = []
+
+    def recording(f, lo, hi, *args):
+        root = brentq(f, lo, hi, *args)
+        calls.append((f, lo, hi, args, root))
+        return root
+
+    zeros = types.SimpleNamespace(_brentq=recording)
+    monkeypatch.setattr(stability, "compiled_module", {"scipy.optimize._zeros": zeros}.__getitem__)
+    tpl = rb87_config(pulse_duration=20e-6, interrogation_time=4.0, atom_number=1e5)
+    ratios = SCHEMA["run.mission.v_over_vr"][1]
+    for ratio in ratios:
+        required_interrogation_time(5.2e-14, SECONDS_PER_YEAR, ratio * RB.recoil_velocity, tpl)
+    assert len(calls) == len(ratios)
+    for f, lo, hi, args, root in calls:
+        assert args == (math.ulp(lo), 1e-15, 100, (), False, True)
+        assert scipy.optimize.brentq(f, lo, hi, xtol=args[0], rtol=args[1]) == root
+    # like brentq, the routine raises when it runs out of iterations
+    with pytest.raises(RuntimeError, match="converge"):
+        brentq(lambda x: x**3 - 0.3, 0.0, 1.0, 5e-324, 1e-15, 1, (), False, True)
+
+
+def test_nan_allan_deviation_in_mission_raises(monkeypatch):
+    """Brent's method takes a NaN for a number; the solver raises a physics
+    error naming the 2T where the deviation is NaN instead of returning a root."""
+    lo, hi = INTERROGATION_BRACKET
+    original = stability.projection_allan
+
+    def nan_inside(config, *args, **kwargs):
+        if lo < config.interrogation_time < hi:
+            return math.nan
+        return original(config, *args, **kwargs)
+
+    monkeypatch.setattr(stability, "projection_allan", nan_inside)
+    tpl = rb87_config(pulse_duration=20e-6, interrogation_time=4.0, atom_number=1e5)
+    with pytest.raises(PhysicsError, match=r"NaN at 2T = \S+ s"):
+        required_interrogation_time(5.2e-14, SECONDS_PER_YEAR, 4.0 * RB.recoil_velocity, tpl)
 
 
 @pytest.mark.parametrize(
