@@ -11,94 +11,113 @@ Layers, bottom up:
 * :mod:`chipgyro.stability` — Allan deviation, harmonic sum, mission solver
 * :mod:`chipgyro.cli` — the ``chipgyro`` command
 
-scipy is loaded inside the function that uses it, never at module level, so
-``import chipgyro`` and a subcommand that needs no scipy stay cheap to start.
-No subcommand imports a scipy subpackage: the elliptic integrals, the noise
-quadrature and the mission's root finder load only the compiled modules they
-call (``chipgyro._scipy``).
+``import chipgyro`` loads no layer module: each public name below is looked
+up in its layer the first time it is read (PEP 562), and each subcommand
+imports only the layers it runs. scipy is loaded inside the function that
+uses it, never at module level, and no subcommand imports a scipy subpackage:
+the elliptic integrals, the noise quadrature and the mission's root finder
+load only the compiled modules they call (``chipgyro._scipy``).
 """
 
-from .constants import (
-    ARW_DEG_SQRT_H_PER_RAD_S_SQRT_HZ,
-    DEG_H_PER_RAD_S,
-    HBAR,
-    K_B,
-    MU_0,
-    MU_B,
-    OMEGA_EARTH,
-    SECONDS_PER_YEAR,
-    AtomSpecies,
-    convert_rotation,
-    rotation_from,
-    species_rb87,
-)
-from .errors import (
-    ChipgyroError,
-    ConfigError,
-    DegenerateOrientationError,
-    DivergentIntegralError,
-    InfeasibleTargetError,
-    NoGuideMinimumError,
-    NonSmoothPotentialError,
-    PhysicsError,
-    SingularPointError,
-)
-from .guide import (
-    CorrugationModel,
-    GuideCharacterization,
-    characterize_guide,
-    find_guide_minimum,
-    modulated_roughness_average,
-    potential_hessian,
-    radial_frequency_quadrupole,
-    roughness_potential,
-    trap_potential,
-)
-from .interferometer import (
-    InterferometerConfig,
-    corner_frequencies,
-    guide_radius_for,
-    rb87_config,
-    scale_factor,
-    sensitivity_function_g,
-    shot_noise_sensitivity,
-    shot_noise_sensitivity_per_sqrt_hz,
-    transfer_H_abs2,
-    transfer_h,
-    transfer_zeros,
-)
-from .magnetostatics import (
-    FieldVector,
-    GuideGeometry,
-    WireLoop,
-    field_modulus,
-    geometry_from_records,
-    loop_field,
-    loop_field_oracle,
-    design_guide_geometry,
-    total_field,
-)
-from .noise import (
-    PowerSpectralDensity,
-    VarianceResult,
-    convert_psd,
-    phase_kernel,
-    phase_sigma_to_rotation_sigma,
-    phase_variance,
-)
-from .stability import (
-    AllanCurve,
-    DickSumResult,
-    FeasibilityBoundary,
-    PhenomenonRate,
-    dick_sum_allan,
-    feasibility_boundary,
-    phenomenon_rates,
-    projection_allan,
-    projection_allan_curve,
-    required_interrogation_time,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# layer -> the public names it defines
+_LAYERS = {
+    "constants": (
+        "ARW_DEG_SQRT_H_PER_RAD_S_SQRT_HZ",
+        "DEG_H_PER_RAD_S",
+        "HBAR",
+        "K_B",
+        "MU_0",
+        "MU_B",
+        "OMEGA_EARTH",
+        "SECONDS_PER_YEAR",
+        "AtomSpecies",
+        "convert_rotation",
+        "rotation_from",
+        "species_rb87",
+    ),
+    "errors": (
+        "ChipgyroError",
+        "ConfigError",
+        "DegenerateOrientationError",
+        "DivergentIntegralError",
+        "InfeasibleTargetError",
+        "NoGuideMinimumError",
+        "NonSmoothPotentialError",
+        "PhysicsError",
+        "SingularPointError",
+    ),
+    "guide": (
+        "CorrugationModel",
+        "GuideCharacterization",
+        "characterize_guide",
+        "find_guide_minimum",
+        "modulated_roughness_average",
+        "potential_hessian",
+        "radial_frequency_quadrupole",
+        "roughness_potential",
+        "trap_potential",
+    ),
+    "interferometer": (
+        "InterferometerConfig",
+        "corner_frequencies",
+        "guide_radius_for",
+        "rb87_config",
+        "scale_factor",
+        "sensitivity_function_g",
+        "shot_noise_sensitivity",
+        "shot_noise_sensitivity_per_sqrt_hz",
+        "transfer_H_abs2",
+        "transfer_h",
+        "transfer_zeros",
+    ),
+    "magnetostatics": (
+        "FieldVector",
+        "GuideGeometry",
+        "WireLoop",
+        "field_modulus",
+        "geometry_from_records",
+        "loop_field",
+        "loop_field_oracle",
+        "design_guide_geometry",
+        "total_field",
+    ),
+    "noise": (
+        "PowerSpectralDensity",
+        "VarianceResult",
+        "convert_psd",
+        "phase_kernel",
+        "phase_sigma_to_rotation_sigma",
+        "phase_variance",
+    ),
+    "stability": (
+        "AllanCurve",
+        "DickSumResult",
+        "FeasibilityBoundary",
+        "PhenomenonRate",
+        "dick_sum_allan",
+        "feasibility_boundary",
+        "phenomenon_rates",
+        "projection_allan",
+        "projection_allan_curve",
+        "required_interrogation_time",
+    ),
+}
+_LAYER_OF = {name: layer for layer, names in _LAYERS.items() for name in names}
+
+__all__ = sorted([*_LAYERS, *_LAYER_OF])
+
+
+def __getattr__(name):
+    if name in _LAYERS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _LAYER_OF:
+        return getattr(importlib.import_module(f"{__name__}.{_LAYER_OF[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -26,32 +26,17 @@ from dataclasses import replace
 import numpy as np
 import yaml
 
-from . import __version__, noise
+from . import __version__
 from .constants import (
     ARW_DEG_SQRT_H_PER_RAD_S_SQRT_HZ,
     AtomSpecies,
+    DEFAULT_F_MIN,
+    DEFAULT_OFFSET_B0,
+    GEODETIC_TARGET_SIGMA,
     SECONDS_PER_YEAR,
     species_rb87,
 )
 from .errors import ConfigError, PhysicsError
-from .guide import DEFAULT_OFFSET_B0, characterize_guide, trap_potential
-from .interferometer import (
-    InterferometerConfig,
-    corner_frequencies,
-    guide_radius_for,
-    shot_noise_sensitivity,
-    shot_noise_sensitivity_per_sqrt_hz,
-    transfer_H_abs2,
-)
-from .magnetostatics import geometry_from_records, design_guide_geometry
-from .noise import DEFAULT_F_MIN, PowerSpectralDensity, phase_sigma_to_rotation_sigma
-from .stability import (
-    GEODETIC_TARGET_SIGMA,
-    INTERROGATION_BRACKET,
-    assumptions_record,
-    feasibility_boundary,
-    projection_allan_curve,
-)
 
 CONFIG_DIR_ENV = "CHIPGYRO_CONFIG_DIR"
 DEFAULT_CONFIG_NAME = "chipgyro.yaml"
@@ -80,15 +65,20 @@ def _atomic_write(path: str, chunks) -> None:
             os.unlink(tmp)
 
 
-def _write_csv(path: str, header_comments: dict, columns: list, rows) -> None:
-    """Comment lines, the column names, then one line per row, streamed to
-    the file. Cells must be numbers: each is printed by "%.17g", the routine
-    behind ``format(x, ".17g")``; an int of magnitude up to 2**53 prints as
-    ``str`` prints it."""
+def _write_csv_lines(path: str, header_comments: dict, columns: list, lines) -> None:
+    """Comment lines, the column names, then the formatted ``lines``, each
+    ending in a newline, streamed to the file."""
     head = [f"# {key}: {value}\n" for key, value in header_comments.items()]
     head.append(",".join(columns) + "\n")
+    _atomic_write(path, itertools.chain(head, lines))
+
+
+def _write_csv(path: str, header_comments: dict, columns: list, rows) -> None:
+    """_write_csv_lines with one line per row. Cells must be numbers: each is
+    printed by "%.17g", the routine behind ``format(x, ".17g")``; an int of
+    magnitude up to 2**53 prints as ``str`` prints it."""
     template = ",".join(["%.17g"] * len(columns)) + "\n"
-    _atomic_write(path, itertools.chain(head, (template % tuple(row) for row in rows)))
+    _write_csv_lines(path, header_comments, columns, (template % tuple(row) for row in rows))
 
 
 def _write_json(path: str, record: dict) -> None:
@@ -118,14 +108,16 @@ def _set_dotted(config: dict, dotted: str, raw_value: str) -> None:
 def load_config(path: str, overrides=()) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
-            config = yaml.safe_load(handle) or {}
+            config = yaml.safe_load(handle)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"config file {path} is not valid YAML: {exc}") from None
-    if not isinstance(config, dict):
+    if config is None:  # an empty file
+        config = {}
+    elif not isinstance(config, dict):
         raise ConfigError(f"config file {path} must contain a mapping at top level")
     for item in overrides:
         if "=" not in item:
@@ -148,7 +140,7 @@ SCHEMA = {
     "species.wavelength_m": (POSITIVE, None),
     "species.magnetic_moment_J_T": (POSITIVE, None),
     "geometry.label": (STRING, ""),
-    "geometry.offset_B0_T": (NUMBER, DEFAULT_OFFSET_B0),
+    "geometry.offset_B0_T": (NON_NEGATIVE, DEFAULT_OFFSET_B0),
     "geometry.loops": (LIST, None),
     "interferometer.pulse_duration_s": (POSITIVE, 20e-6),
     "interferometer.interrogation_time_s": (POSITIVE, None),
@@ -255,7 +247,9 @@ def _species_from_config(config: dict) -> AtomSpecies:
     )
 
 
-def _interferometer_from_config(config: dict) -> InterferometerConfig:
+def _interferometer_from_config(config: dict):
+    from .interferometer import InterferometerConfig, guide_radius_for
+
     species = _species_from_config(config)
     two_t = config["interferometer.interrogation_time_s"]
     radius = config["interferometer.guide_radius_m"]
@@ -288,6 +282,9 @@ def _interferometer_from_config(config: dict) -> InterferometerConfig:
 
 
 def cmd_guide(config: dict, out_dir: str) -> dict:
+    from .guide import characterize_guide, trap_potential
+    from .magnetostatics import design_guide_geometry, geometry_from_records
+
     records = config["geometry.loops"]
     if records is None:
         geometry = design_guide_geometry()
@@ -310,15 +307,15 @@ def cmd_guide(config: dict, out_dir: str) -> dict:
     rho0, z0 = characterization.min_position
     rho = np.linspace(rho0 - span, rho0 + span, config["run.guide.map_n_rho"])
     z = np.linspace(max(z0 - span, 1e-7), z0 + span, config["run.guide.map_n_z"])
-    RR, ZZ = np.meshgrid(rho, z, indexing="ij")
-    U = trap_potential(geometry, species, RR, ZZ, offset_b0)
-    rows = zip(RR.ravel().tolist(), ZZ.ravel().tolist(), U.ravel().tolist())
+    U = trap_potential(geometry, species, rho[:, None], z[None, :], offset_b0)
+    # rows run over rho, then z; each axis value is formatted once, not once per row
+    cells = itertools.product(["%.17g" % v for v in rho.tolist()], ["%.17g" % v for v in z.tolist()])
     map_path = os.path.join(out_dir, "potential_map.csv")
-    _write_csv(
+    _write_csv_lines(
         map_path,
         {"offset_B0_T": _fmt(offset_b0), "species": species.name},
         ["rho_m", "z_m", "potential_J"],
-        rows,
+        ("%s,%s,%.17g\n" % (r, zz, u) for (r, zz), u in zip(cells, U.ravel().tolist())),
     )
     return {
         "outputs": [json_path, map_path],
@@ -328,6 +325,8 @@ def cmd_guide(config: dict, out_dir: str) -> dict:
 
 
 def _transfer_grid(f_min: float, f_max: float, points_per_decade: int, config_ai) -> np.ndarray:
+    from .interferometer import _sorted_unique
+
     decades_lo = math.log10(f_min)
     n_points = int(round((math.log10(f_max) - decades_lo) * points_per_decade)) + 1
     exponents = decades_lo + np.arange(n_points) / points_per_decade
@@ -335,11 +334,13 @@ def _transfer_grid(f_min: float, f_max: float, points_per_decade: int, config_ai
     # pin the pulse-duration zeros onto the grid so the notch depth is exact
     tau = config_ai.pulse_duration
     n_zero = np.arange(1, int(math.floor(f_max * tau)) + 1, dtype=float)
-    grid = np.unique(np.concatenate([base, n_zero / tau]))
+    grid = _sorted_unique(np.concatenate([base, n_zero / tau]))
     return grid[(grid >= f_min) & (grid <= f_max)]
 
 
 def cmd_transfer(config: dict, out_dir: str) -> dict:
+    from .interferometer import corner_frequencies, transfer_H_abs2
+
     ai = _interferometer_from_config(config)
     f_min, f_max = config["run.transfer.f_min_hz"], config["run.transfer.f_max_hz"]
     if f_max <= f_min:
@@ -363,6 +364,9 @@ def cmd_transfer(config: dict, out_dir: str) -> dict:
 
 
 def cmd_sensitivity(config: dict, out_dir: str) -> dict:
+    from .interferometer import shot_noise_sensitivity, shot_noise_sensitivity_per_sqrt_hz
+    from .stability import assumptions_record
+
     ai = _interferometer_from_config(config)
     two_t_min = config["run.sensitivity.two_t_min_s"]
     two_t_max = config["run.sensitivity.two_t_max_s"]
@@ -399,6 +403,8 @@ def cmd_sensitivity(config: dict, out_dir: str) -> dict:
 
 
 def cmd_allan(config: dict, out_dir: str) -> dict:
+    from .stability import projection_allan_curve
+
     ai = _interferometer_from_config(config)
     tau_min = config["run.allan.tau_min_s"]
     tau_lo = ai.cycle_time if tau_min is None else tau_min
@@ -418,6 +424,8 @@ def cmd_allan(config: dict, out_dir: str) -> dict:
 
 
 def cmd_mission(config: dict, out_dir: str) -> dict:
+    from .stability import INTERROGATION_BRACKET, assumptions_record, feasibility_boundary
+
     ai = _interferometer_from_config(config)
     target = config["run.mission.target_sigma_rad_s"]
     integration = config["run.mission.integration_time_s"]
@@ -437,6 +445,9 @@ def cmd_mission(config: dict, out_dir: str) -> dict:
 
 
 def cmd_noise(config: dict, out_dir: str) -> dict:
+    from .noise import PowerSpectralDensity, phase_sigma_to_rotation_sigma, phase_variance
+    from .stability import assumptions_record
+
     ai = _interferometer_from_config(config)
     domain = config["noise.domain"]
     if domain is None:
@@ -450,8 +461,7 @@ def cmd_noise(config: dict, out_dir: str) -> dict:
     else:
         model = {key: 0.0 if value is None else value for key, value in model.items()}
         psd = PowerSpectralDensity(domain=domain, **model)
-    # looked up on the module at call time, so a patched or traced function is the one called
-    result = noise.phase_variance(
+    result = phase_variance(
         psd, ai, f_min=config["noise.band.f_min_hz"], f_max=config["noise.band.f_max_hz"]
     )
     sigma_phi = result.sigma

@@ -28,6 +28,14 @@ DEG_H_PER_RAD_S = (180.0 / math.pi) * 3600.0
 # rad s^-1 Hz^-1/2 -> deg h^-1/2 (angular random walk)
 ARW_DEG_SQRT_H_PER_RAD_S_SQRT_HZ = (180.0 / math.pi) * 60.0
 
+# Defaults shared by a layer and the CLI's config schema, kept here so that
+# reading the schema imports no layer module.
+# Offset field (T) that reproduces the design case's quoted radial frequency;
+# see guide.characterize_guide. Exposed in the CLI config as geometry.offset_B0_T.
+DEFAULT_OFFSET_B0 = 1.5e-2
+DEFAULT_F_MIN = 1e-4  # Hz, infrared cutoff of the noise band
+GEODETIC_TARGET_SIGMA = 5.2e-14  # rad/s, 5 % of the geodetic rate over a year
+
 
 @dataclass(frozen=True)
 class AtomSpecies:

@@ -216,4 +216,11 @@ def transfer_zeros(config: InterferometerConfig, f_max: float) -> np.ndarray:
             zeros.append(np.arange(1, n_max + 1, dtype=float) / period)
     if not zeros:
         return np.empty(0)
-    return np.unique(np.concatenate(zeros))
+    return _sorted_unique(np.concatenate(zeros))
+
+
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a NaN-free 1D array, sorted: ``np.unique``'s
+    result, without the ``numpy.ma`` import that ``np.unique`` makes."""
+    values = np.sort(values)
+    return np.concatenate((values[:1], values[1:][values[1:] != values[:-1]]))

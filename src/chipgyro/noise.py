@@ -25,12 +25,18 @@ from typing import Optional
 import numpy as np
 
 from ._scipy import compiled_module
+from .constants import DEFAULT_F_MIN
 from .errors import ConfigError, DegenerateOrientationError, DivergentIntegralError
-from .interferometer import InterferometerConfig, _sinc, scale_factor, transfer_H_abs2
+from .interferometer import (
+    InterferometerConfig,
+    _sinc,
+    _sorted_unique,
+    scale_factor,
+    transfer_H_abs2,
+)
 
 DOMAINS = ("phase", "acceleration", "rotation")
 
-DEFAULT_F_MIN = 1e-4  # Hz, infrared cutoff
 ONE_SIDED_CONVENTION = "one-sided, ordinary frequency"
 
 
@@ -264,7 +270,7 @@ def _integrate_band(psd, config, f_min, f_max, rtol):
     ]
     if psd.is_tabulated:
         edges.append(psd.frequencies)
-    edges = np.unique(np.concatenate(edges))
+    edges = _sorted_unique(np.concatenate(edges))
     edges = edges[(edges >= f_min) & (edges <= f_max)]
 
     domain, k_eff, radius = psd.domain, config.k_eff, config.guide_radius

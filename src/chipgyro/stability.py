@@ -34,7 +34,6 @@ from .noise import PowerSpectralDensity
 
 GEODETIC_RATE_ARCSEC_PER_YEAR = 6.6
 LENSE_THIRRING_RATE_ARCSEC_PER_YEAR = 33e-3
-GEODETIC_TARGET_SIGMA = 5.2e-14  # rad/s, 5 % of the geodetic rate over a year
 
 INTERROGATION_BRACKET = (1e-2, 1e3)  # s, search bracket for the 2T solver
 

@@ -13,7 +13,9 @@ import yaml
 
 import chipgyro
 from chipgyro.cli import SCHEMA, _write_csv, load_config, main, resolve_config
-from chipgyro.guide import POSITION_TOLERANCE
+from chipgyro.constants import species_rb87
+from chipgyro.guide import POSITION_TOLERANCE, trap_potential
+from chipgyro.magnetostatics import design_guide_geometry
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -123,6 +125,7 @@ def test_zero_current_guide_exit_2(tmp_path, config_path, capsys):
         "run.guide.map_span_m=abc",
         "run.guide.map_n_z=abc",
         "geometry.offset_B0_T=abc",
+        "geometry.offset_B0_T=-1e-3",
     ],
 )
 def test_bad_guide_config_exit_1(tmp_path, config_path, capsys, override):
@@ -178,6 +181,18 @@ def test_bad_config_exit_1(tmp_path, config_path, capsys, command, overrides):
     assert summary["status"] == "config-error"
     assert overrides[0].split("=")[0] in summary["error"]
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("text, code", [("[]", 1), ("0", 1), ("false", 1), ('""', 1), ("", 0)])
+def test_only_an_empty_config_file_reads_as_empty(tmp_path, capsys, text, code):
+    """A top level that is not a mapping is a config error, a falsy one too;
+    only an empty file reads as a config with every default."""
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert _run(capsys, "transfer", "--config", str(path), "--out", str(out))[0] == code
+    if code:
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -277,6 +292,28 @@ def test_guide_work_counters(tmp_path, config_path, capsys):
         assert 0 < record["minimizer_step_m"] <= POSITION_TOLERANCE / 10
         assert len(record["depth_grid_step_m"]) == 2
         assert 0 < record["depth_map_points"] <= 0.05 * 1001 ** 2
+
+
+def test_potential_map_text_matches_per_cell_rule(tmp_path, config_path, capsys):
+    """On a non-square map, so that swapped axes show: rho-major rows, every
+    cell printed as format(v, ".17g"), U from the meshgrid of both axes."""
+    out = tmp_path / "out"
+    code, _ = _run(
+        capsys, "guide", "--config", config_path, "--out", str(out),
+        "--override", "run.guide.map_n_rho=7", "--override", "run.guide.map_n_z=5",
+    )
+    assert code == 0
+    record = json.loads((out / "guide_characterization.json").read_text())
+    rho0, z0, offset_b0 = record["rho0_m"], record["z0_m"], record["offset_B0_T"]
+    span = SCHEMA["run.guide.map_span_m"][1]
+    rho = np.linspace(rho0 - span, rho0 + span, 7)
+    z = np.linspace(max(z0 - span, 1e-7), z0 + span, 5)
+    RR, ZZ = np.meshgrid(rho, z, indexing="ij")
+    U = trap_potential(design_guide_geometry(), species_rb87(), RR, ZZ, offset_b0)
+    expected = f"# offset_B0_T: {format(offset_b0, '.17g')}\n# species: Rb87\nrho_m,z_m,potential_J\n"
+    for cells in zip(RR.ravel().tolist(), ZZ.ravel().tolist(), U.ravel().tolist()):
+        expected += ",".join(format(v, ".17g") for v in cells) + "\n"
+    assert (out / "potential_map.csv").read_bytes() == expected.encode()
 
 
 def test_bad_override_exit_1(config_path, capsys):
@@ -562,6 +599,51 @@ def test_import_leaves_out_scipy(module):
     assert _python(probe).split() == ["False", "False"]
 
 
+LAYERS = [f"chipgyro.{m}" for m in ("guide", "magnetostatics", "interferometer", "noise", "stability")]
+
+
+def test_import_loads_no_layer():
+    probe = (
+        f"import sys, chipgyro; print([m for m in {LAYERS!r} if m in sys.modules]); "
+        f"import chipgyro.cli; print([m for m in {LAYERS!r} if m in sys.modules])"
+    )
+    assert _python(probe).split() == ["[]", "[]"]
+
+
+def test_lazy_names_are_the_layers_own():
+    """Each public name, read first through the package and then by a star
+    import, is the object its layer defines; a layer name is the layer."""
+    probe = (
+        "import importlib, sys, chipgyro\n"
+        "star = {}\n"
+        "exec('from chipgyro import *', star)\n"
+        "assert set(chipgyro.__all__) <= set(dir(chipgyro)) & set(star)\n"
+        "for name in chipgyro.__all__:\n"
+        "    layer = chipgyro._LAYER_OF.get(name)\n"
+        "    own = importlib.import_module(f'chipgyro.{layer or name}')\n"
+        "    own = getattr(own, name) if layer else own\n"
+        "    assert getattr(chipgyro, name) is own is star[name], name\n"
+        "print(len(chipgyro.__all__))"
+    )
+    assert int(_python(probe)) == len(chipgyro.__all__) > 60
+
+
+def test_guide_loads_no_scipy_package_and_no_other_layer(tmp_path, config_path):
+    """A guide child, on the design guide and a 1 mm ring, loads the elliptic
+    ufuncs' compiled module and no other scipy module, the ``scipy`` package
+    included, and none of the noise, interferometer or stability layers."""
+    probe = (
+        "import sys, chipgyro.cli\n"
+        "base = ['--config', sys.argv[1], '--out', sys.argv[2]]\n"
+        "for argv in (['guide'], ['guide', '--override', sys.argv[3]]):\n"
+        "    assert chipgyro.cli.main(argv + base) == 0\n"
+        "names = ('chipgyro.noise', 'chipgyro.interferometer', 'chipgyro.stability')\n"
+        "print(sorted(m for m in sys.modules if m in names or m == 'scipy' or m.startswith('scipy.')))"
+    )
+    loaded = _python(probe, config_path, str(tmp_path / "out"), f"geometry.loops={RING_LOOPS}")
+    assert loaded.splitlines()[-1] == "['scipy.special._special_ufuncs']"
+
+
 def test_transfer_sensitivity_allan_load_no_scipy(tmp_path, config_path):
     probe = (
         "import sys, chipgyro.cli\n"
@@ -594,7 +676,8 @@ def test_guide_and_mission_load_no_scipy_special_optimize_or_linalg(tmp_path, co
 def test_noise_loads_no_scipy_integrate_special_optimize_or_linalg(tmp_path, config_path):
     """QUADPACK's compiled module is loaded on its own, so a noise child on a
     phase, an acceleration and a tabulated rotation PSD imports none of the
-    scipy subpackages ``scipy.integrate`` would pull in."""
+    scipy subpackages ``scipy.integrate`` would pull in; nor ``numpy.ma``,
+    which ``np.unique`` imports."""
     psd_file = tmp_path / "rotation.csv"
     psd_file.write_text("f_hz,psd_value\n1e-4,1e-14\n1.0,2e-15\n1e3,1e-16\n")
     probe = (
@@ -606,7 +689,8 @@ def test_noise_loads_no_scipy_integrate_special_optimize_or_linalg(tmp_path, con
         "    for override in overrides:\n"
         "        argv += ['--override', override]\n"
         "    assert chipgyro.cli.main(argv) == 0\n"
-        "print([m for m in ('scipy.integrate', 'scipy.special', 'scipy.optimize', 'scipy.linalg') if m in sys.modules])"
+        "names = ('scipy.integrate', 'scipy.special', 'scipy.optimize', 'scipy.linalg', 'numpy.ma')\n"
+        "print([m for m in names if m in sys.modules])"
     )
     assert _python(probe, config_path, str(tmp_path / "out"), str(psd_file)).splitlines()[-1] == "[]"
 

@@ -223,6 +223,21 @@ def test_tiled_map_partial_edge_tiles():
     assert (11, 18) in {tile.shape for tile in tiled.tiles.values()}
 
 
+def test_tiled_map_reads_builtin_floats():
+    """A cell reads as a Python float, so that the flood's heap compares
+    floats, and equals the same cell of the full map."""
+    geometry = design_guide_geometry()
+    rho, z = _depth_grid(geometry)
+    rho, z = rho[:40], z[:40]
+    full = field_modulus(geometry, rho[:, None], z[None, :])
+    tiled = _TiledFieldMap(geometry, rho, z)
+    for a in range(rho.size):
+        for b in range(z.size):
+            cell = tiled[a, b]
+            assert type(cell) is float
+            assert cell == full[a, b]
+
+
 def test_depth_field_evaluates_few_map_points(monkeypatch, characterization):
     """Guards against a silent return to the full DEPTH_GRID^2 map."""
     import chipgyro.guide as guide
