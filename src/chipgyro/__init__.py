@@ -3,10 +3,10 @@ gyroscopes.
 
 Layers, bottom up:
 
-* :mod:`chipgyro.constants` — physical constants, species data, rotation units
+* :mod:`chipgyro.constants` — physical constants, species data, the ARW unit
 * :mod:`chipgyro.magnetostatics` — circular-loop fields (closed form + oracle)
 * :mod:`chipgyro.guide` — guide minimum, trap frequency, depth, corrugation
-* :mod:`chipgyro.interferometer` — scale factor, sensitivity, g/h/|H(f)|²
+* :mod:`chipgyro.interferometer` — scale factor, sensitivity, g(t), |H(f)|²
 * :mod:`chipgyro.noise` — PSD models and phase-variance quadrature
 * :mod:`chipgyro.stability` — Allan deviation, harmonic sum, mission solver
 * :mod:`chipgyro.cli` — the ``chipgyro`` command
@@ -27,7 +27,6 @@ __version__ = "0.1.0"
 _LAYERS = {
     "constants": (
         "ARW_DEG_SQRT_H_PER_RAD_S_SQRT_HZ",
-        "DEG_H_PER_RAD_S",
         "HBAR",
         "K_B",
         "MU_0",
@@ -35,8 +34,6 @@ _LAYERS = {
         "OMEGA_EARTH",
         "SECONDS_PER_YEAR",
         "AtomSpecies",
-        "convert_rotation",
-        "rotation_from",
         "species_rb87",
     ),
     "errors": (
@@ -71,8 +68,6 @@ _LAYERS = {
         "shot_noise_sensitivity",
         "shot_noise_sensitivity_per_sqrt_hz",
         "transfer_H_abs2",
-        "transfer_h",
-        "transfer_zeros",
     ),
     "magnetostatics": (
         "FieldVector",
@@ -83,7 +78,6 @@ _LAYERS = {
         "loop_field",
         "loop_field_oracle",
         "design_guide_geometry",
-        "total_field",
     ),
     "noise": (
         "PowerSpectralDensity",
@@ -97,10 +91,8 @@ _LAYERS = {
         "AllanCurve",
         "DickSumResult",
         "FeasibilityBoundary",
-        "PhenomenonRate",
         "dick_sum_allan",
         "feasibility_boundary",
-        "phenomenon_rates",
         "projection_allan",
         "projection_allan_curve",
         "required_interrogation_time",

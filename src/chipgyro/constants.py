@@ -1,7 +1,7 @@
-"""Physical constants, atom species data and unit conversions.
+"""Physical constants, atom species data and the angular-random-walk unit.
 
-All internal computation is SI; degree-based rotation units exist only at
-presentation boundaries (CSV columns, JSON records).
+All internal computation is SI; the one degree-based rotation unit is the
+angular random walk of the sensitivity CSV.
 
 Constants are CODATA 2018 values.
 """
@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError
-
 HBAR = 1.054571817e-34      # reduced Planck constant (J s)
 MU_B = 9.2740100783e-24     # Bohr magneton (J/T)
 MU_0 = 1.25663706212e-6     # vacuum permeability (T m/A)
@@ -21,10 +19,7 @@ K_B = 1.380649e-23          # Boltzmann constant (J/K)
 OMEGA_EARTH = 7.29e-5       # Earth rotation rate (rad/s)
 
 SECONDS_PER_YEAR = 3.156e7  # Julian year, to the precision used throughout
-RAD_PER_ARCSEC = math.pi / (180.0 * 3600.0)
 
-# rad/s -> deg/h
-DEG_H_PER_RAD_S = (180.0 / math.pi) * 3600.0
 # rad s^-1 Hz^-1/2 -> deg h^-1/2 (angular random walk)
 ARW_DEG_SQRT_H_PER_RAD_S_SQRT_HZ = (180.0 / math.pi) * 60.0
 
@@ -34,7 +29,10 @@ ARW_DEG_SQRT_H_PER_RAD_S_SQRT_HZ = (180.0 / math.pi) * 60.0
 # see guide.characterize_guide. Exposed in the CLI config as geometry.offset_B0_T.
 DEFAULT_OFFSET_B0 = 1.5e-2
 DEFAULT_F_MIN = 1e-4  # Hz, infrared cutoff of the noise band
-GEODETIC_TARGET_SIGMA = 5.2e-14  # rad/s, 5 % of the geodetic rate over a year
+# rad/s, the default mission target: 5 % of the geodetic precession of 6.6
+# arcsec/yr, which over the Julian year of 3.156e7 s is 1.014e-12 rad/s
+# (5.2e-14 is 5.13 % of it)
+GEODETIC_TARGET_SIGMA = 5.2e-14
 
 
 @dataclass(frozen=True)
@@ -81,36 +79,3 @@ def species_rb87() -> AtomSpecies:
         wavelength=780.241e-9,
         magnetic_moment=MU_B,
     )
-
-
-_ROTATION_FACTORS = {
-    "rad_s": 1.0,
-    "deg_h": DEG_H_PER_RAD_S,
-    "arw_deg_sqrt_h": ARW_DEG_SQRT_H_PER_RAD_S_SQRT_HZ,
-}
-
-
-def _rotation_factor(value: float, tag: str) -> float:
-    if not math.isfinite(value):
-        raise ConfigError(f"rotation value must be finite, got {value!r}")
-    try:
-        return _ROTATION_FACTORS[tag]
-    except KeyError:
-        raise ConfigError(
-            f"unknown rotation unit tag {tag!r}; expected one of {sorted(_ROTATION_FACTORS)}"
-        ) from None
-
-
-def convert_rotation(value: float, target: str) -> float:
-    """Convert a rotation quantity expressed in rad/s (or rad/s/sqrt(Hz) for
-    the ARW tag) to the requested presentation unit.
-
-    Tags: ``rad_s``, ``deg_h``, ``arw_deg_sqrt_h``.
-    """
-    return value * _rotation_factor(value, target)
-
-
-def rotation_from(value: float, source: str) -> float:
-    """Inverse of :func:`convert_rotation`: presentation unit back to rad/s."""
-    return value / _rotation_factor(value, source)
-

@@ -79,7 +79,7 @@ def _search_box(geometry: GuideGeometry):
     return (0.5 * R, 1.5 * R), (0.0, 10.0 * spacing)
 
 
-def find_guide_minimum(geometry: GuideGeometry, full_output: bool = False) -> tuple:
+def find_guide_minimum(geometry: GuideGeometry) -> tuple:
     """Locate the minimum of |B| above the chip.
 
     Coarse grid scan, then Newton's method on the field vector from the
@@ -87,11 +87,10 @@ def find_guide_minimum(geometry: GuideGeometry, full_output: bool = False) -> tu
     (B_rho, B_z). Deterministic for a fixed geometry. Newton stops once a
     step is at most POSITION_TOLERANCE / 10; near the zero it converges
     quadratically, so that last step bounds the position error. Returns
-    (rho0, z0), or (rho0, z0, iterations, last step size) with
-    ``full_output``. Raises NoGuideMinimumError when the box contains no
-    interior minimum (e.g. all currents zero or non-trapping signs), or when
-    Newton leaves the search box or does not converge within
-    NEWTON_MAX_ITERATIONS.
+    (rho0, z0, iterations, last step size). Raises NoGuideMinimumError when
+    the box contains no interior minimum (e.g. all currents zero or
+    non-trapping signs), or when Newton leaves the search box or does not
+    converge within NEWTON_MAX_ITERATIONS.
     """
     (rho_lo, rho_hi), (z_lo, z_hi) = _search_box(geometry)
     if all(loop.current == 0.0 for loop in geometry.loops):
@@ -138,10 +137,7 @@ def find_guide_minimum(geometry: GuideGeometry, full_output: bool = False) -> tu
         raise NoGuideMinimumError(
             f"minimum refinement did not converge in {NEWTON_MAX_ITERATIONS} Newton iterations"
         )
-    rho0, z0 = float(x[0]), float(x[1])
-    if full_output:
-        return rho0, z0, iterations, step_size
-    return rho0, z0
+    return float(x[0]), float(x[1]), iterations, step_size
 
 
 class _TiledFieldMap:
@@ -231,7 +227,7 @@ def characterize_guide(
     """Full characterization of the guide minimum for the given species."""
     if offset_B0 < 0:
         raise ConfigError(f"offset_B0 must be >= 0, got {offset_B0!r}")
-    rho0, z0, iterations, step_size = find_guide_minimum(geometry, full_output=True)
+    rho0, z0, iterations, step_size = find_guide_minimum(geometry)
     B_min = float(field_modulus(geometry, rho0, z0))
 
     mu = species.magnetic_moment

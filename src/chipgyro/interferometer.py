@@ -1,7 +1,7 @@
 """Two-pulse guided Sagnac interferometer.
 
-Scale factor, shot-noise-limited rotation sensitivity, and the
-sensitivity/transfer functions g(t), h(t), |H(f)|^2 of the two-beam-splitter
+Scale factor, shot-noise-limited rotation sensitivity, the sensitivity
+function g(t) and the transfer function |H(f)|^2 of the two-beam-splitter
 sequence (the circular guide itself acts as the mirror).
 
 Conventions (reported in every CLI output):
@@ -166,18 +166,6 @@ def sensitivity_function_g(t, config: InterferometerConfig):
     return float(g) if g.ndim == 0 else g
 
 
-def transfer_h(t, config: InterferometerConfig):
-    """Time-domain transfer function: +1/tau on the first pulse window,
-    -1/tau on the last, 0 elsewhere (h = dg/dt)."""
-    tau = config.pulse_duration
-    T = config.half_time
-    t = np.asarray(t, dtype=float)
-    first = (t >= -T) & (t <= -T + tau)
-    last = (t >= T - tau) & (t <= T)
-    h = np.where(last, -1.0, first) / tau
-    return float(h) if h.ndim == 0 else h
-
-
 def _sinc(x: float) -> float:
     """sin(x) / x for a float, with the limit 1 at x = 0."""
     return math.sin(x) / x if x else 1.0
@@ -203,20 +191,6 @@ def corner_frequencies(config: InterferometerConfig) -> tuple:
     """(f_HP, f_LP) band-pass corners: 1/(pi tau) and 1/(pi (2T - tau))."""
     tau = config.pulse_duration
     return 1.0 / (math.pi * tau), 1.0 / (math.pi * (config.interrogation_time - tau))
-
-
-def transfer_zeros(config: InterferometerConfig, f_max: float) -> np.ndarray:
-    """All positive zeros of H below f_max: n/tau and n/(2T - tau), sorted."""
-    tau = config.pulse_duration
-    D = config.interrogation_time - tau
-    zeros = []
-    for period in (tau, D):
-        n_max = int(math.floor(f_max * period))
-        if n_max >= 1:
-            zeros.append(np.arange(1, n_max + 1, dtype=float) / period)
-    if not zeros:
-        return np.empty(0)
-    return _sorted_unique(np.concatenate(zeros))
 
 
 def _sorted_unique(values: np.ndarray) -> np.ndarray:

@@ -80,7 +80,6 @@ class FieldVector:
 
     B_rho: float  # T
     B_z: float    # T
-    evaluated_at: tuple  # (rho, z) in m
 
     @property
     def modulus(self) -> float:
@@ -116,7 +115,7 @@ def _loop_field_arrays(loop: WireLoop, rho, z):
 def loop_field(loop: WireLoop, rho: float, z: float) -> FieldVector:
     """Closed-form field of a single circular loop at (rho, z)."""
     Brho, Bz = _loop_field_arrays(loop, rho, z)
-    return FieldVector(B_rho=float(Brho), B_z=float(Bz), evaluated_at=(float(rho), float(z)))
+    return FieldVector(B_rho=float(Brho), B_z=float(Bz))
 
 
 def loop_field_oracle(loop: WireLoop, rho: float, z: float, n_segments: int) -> FieldVector:
@@ -139,13 +138,7 @@ def loop_field_oracle(loop: WireLoop, rho: float, z: float, n_segments: int) -> 
     dB = np.cross(dl, r) / rnorm[:, None] ** 3
     B = MU_0 * loop.current / (4.0 * np.pi) * dB.sum(axis=0)
     # at y = 0 the x component is the radial one; By ~ 0 by symmetry
-    return FieldVector(B_rho=float(B[0]), B_z=float(B[2]), evaluated_at=(float(rho), float(z)))
-
-
-def total_field(geometry: GuideGeometry, rho: float, z: float) -> FieldVector:
-    """Superposition of all loop fields of the geometry at (rho, z)."""
-    Brho, Bz = total_field_arrays(geometry, rho, z)
-    return FieldVector(B_rho=float(Brho), B_z=float(Bz), evaluated_at=(float(rho), float(z)))
+    return FieldVector(B_rho=float(B[0]), B_z=float(B[2]))
 
 
 def total_field_arrays(geometry: GuideGeometry, rho, z):

@@ -295,7 +295,15 @@ def _integrate_band(psd, config, f_min, f_max, rtol):
         return psd.evaluate(f) * phase_kernel(domain, f, k_eff, radius)
 
     def integrand(f):
-        return weighted(f) * transfer_H_abs2(f, config)
+        value = weighted(f) * transfer_H_abs2(f, config)
+        if domain == "rotation" and not math.isfinite(value):
+            # omega^2 so small that K overflowed while |H|^2 underflowed; their
+            # product tends to (2 k_eff R D)^2 as f -> 0, so take it from
+            # sin(pi f D) / omega (the acceleration product grows like 1/f^2
+            # and is left to diverge)
+            ratio = math.sin(math.pi * f * d) / (2.0 * math.pi * f)
+            value = psd.evaluate(f) * (4.0 * k_eff * radius * _sinc(math.pi * f * tau) * ratio) ** 2
+        return value
 
     def smooth(f):
         return 2.0 * weighted(f) * _sinc(math.pi * f * tau) ** 2

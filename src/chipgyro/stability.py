@@ -1,9 +1,9 @@
 """Long-term stability and mission feasibility.
 
 Projection-noise Allan deviation, the aliasing harmonic-sum Allan variance of
-a pulsed sensor sampling an external rotation-noise PSD, the interrogation
-time required to reach a stability target at a given launch speed, and the
-ladder of physical rotation rates the instrument may aim at.
+a pulsed sensor sampling an external rotation-noise PSD, and the
+interrogation time required to reach a stability target at a given launch
+speed.
 
 Every result carries its assumption set (latitude projection, launch speed,
 dead time, atom number, contrast, squeezing): none of these are stated
@@ -17,12 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .constants import (
-    HBAR,
-    OMEGA_EARTH,
-    RAD_PER_ARCSEC,
-    SECONDS_PER_YEAR,
-)
+from .constants import HBAR
 from ._scipy import compiled_module
 from .errors import ConfigError, InfeasibleTargetError, PhysicsError
 from .interferometer import (
@@ -31,9 +26,6 @@ from .interferometer import (
     transfer_H_abs2,
 )
 from .noise import PowerSpectralDensity
-
-GEODETIC_RATE_ARCSEC_PER_YEAR = 6.6
-LENSE_THIRRING_RATE_ARCSEC_PER_YEAR = 33e-3
 
 INTERROGATION_BRACKET = (1e-2, 1e3)  # s, search bracket for the 2T solver
 
@@ -80,16 +72,6 @@ class FeasibilityBoundary:
         for (va, a), (vb, b) in zip(ordered, ordered[1:]):
             if vb > va and not (b < a or b == a == floor):
                 raise ConfigError("feasibility boundary must be strictly decreasing in launch speed")
-
-
-@dataclass(frozen=True)
-class PhenomenonRate:
-    name: str
-    rate: float  # rad/s
-
-    @property
-    def rate_relative_to_earth(self) -> float:
-        return self.rate / OMEGA_EARTH
 
 
 def projection_allan(
@@ -260,16 +242,3 @@ def feasibility_boundary(
         target_sigma=target_sigma,
         integration_time=integration_time,
     )
-
-
-def phenomenon_rates() -> list:
-    """Reference rotation rates: Earth rotation, geodetic precession and
-    Lense-Thirring frame dragging for a 642-km orbit (quoted per-year angles
-    read as angles, converted with the Julian year)."""
-    geodetic = GEODETIC_RATE_ARCSEC_PER_YEAR * RAD_PER_ARCSEC / SECONDS_PER_YEAR
-    lense_thirring = LENSE_THIRRING_RATE_ARCSEC_PER_YEAR * RAD_PER_ARCSEC / SECONDS_PER_YEAR
-    return [
-        PhenomenonRate(name="earth_rotation", rate=OMEGA_EARTH),
-        PhenomenonRate(name="geodetic_effect", rate=geodetic),
-        PhenomenonRate(name="lense_thirring", rate=lense_thirring),
-    ]

@@ -3,6 +3,7 @@ import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -628,6 +629,29 @@ def test_lazy_names_are_the_layers_own():
     assert int(_python(probe)) == len(chipgyro.__all__) > 60
 
 
+def test_every_public_name_has_a_user():
+    """Each public name is referenced, other than where it is defined, in the
+    package's modules, the README, the acceptance tests or the benchmark: a
+    name that only its own tests use is deleted, not exported."""
+    exempt = {
+        "OMEGA_EARTH",  # the Earth-rate noise source (ROADMAP D13) needs it
+        "sensitivity_function_g",  # oracle: tests compare |H|^2 with its Fourier transform
+        "radial_frequency_quadrupole",  # oracle: tests compare the guide's frequency with it
+        "modulated_roughness_average",  # the roughness model, kept for ROADMAP D11
+    }
+    files = [path for path in (REPO / "src" / "chipgyro").glob("*.py") if path.name != "__init__.py"]
+    files += [REPO / "README.md", REPO / "tests" / "test_acceptance.py"]
+    files += [path for path in (REPO / "perfbench").glob("*") if path.suffix in (".py", ".md")]
+    text = "\n".join(path.read_text(encoding="utf-8") for path in files)
+    unused = set()
+    for name in chipgyro.__all__:
+        references = len(re.findall(rf"\b{name}\b", text))
+        definitions = len(re.findall(rf"^(?:(?:def|class) +{name}\b|{name} *=)", text, re.M))
+        if references == definitions:
+            unused.add(name)
+    assert unused == exempt
+
+
 def test_guide_loads_no_scipy_package_and_no_other_layer(tmp_path, config_path):
     """A guide child, on the design guide and a 1 mm ring, loads the elliptic
     ufuncs' compiled module and no other scipy module, the ``scipy`` package
@@ -699,13 +723,14 @@ def test_noise_loads_no_scipy_integrate_special_optimize_or_linalg(tmp_path, con
     "overrides",
     [
         ["noise.domain=acceleration", "noise.model.white=1e-12", "noise.band.f_min_hz=1e-100"],
-        ["noise.domain=rotation", "noise.model.white=1e-14", "noise.band.f_min_hz=1e-170"],
+        ["noise.domain=rotation", "noise.model.random_walk=1e-14", "noise.band.f_min_hz=1e-170"],
     ],
     ids=["acceleration-1e-100", "rotation-1e-170"],
 )
 def test_noise_tiny_infrared_cutoff_exits_2_naming_the_band(tmp_path, config_path, capsys, overrides):
-    """A cutoff so small that a power of omega underflows gives a JSON
-    physics error naming the band, not a ZeroDivisionError traceback."""
+    """A cutoff so small that a power of f underflows, on a PSD whose phase
+    variance diverges like 1/f_min, gives a JSON physics error naming the
+    band, not a ZeroDivisionError traceback."""
     argv = ["noise", "--config", config_path, "--out", str(tmp_path / "out")]
     for override in overrides:
         argv += ["--override", override]
@@ -715,6 +740,28 @@ def test_noise_tiny_infrared_cutoff_exits_2_naming_the_band(tmp_path, config_pat
     f_min = overrides[-1].split("=")[1]
     assert f"band [{f_min}, 1000.0]" in summary["error"]
     assert not (tmp_path / "out" / "noise_budget.json").exists()
+
+
+def test_noise_white_rotation_tiny_infrared_cutoff_converges(tmp_path, config_path, capsys):
+    """White rotation noise has a finite phase variance down to DC, since
+    K |H|^2 tends to (2 k_eff R D)^2: a cutoff at which omega^2 underflows
+    converges to the variance of a cutoff at which it does not."""
+    results = []
+    for f_min in ("1e-150", "1e-170"):
+        out = tmp_path / f_min
+        code, _ = _run(
+            capsys, "noise", "--config", config_path, "--out", str(out),
+            "--override", "interferometer.interrogation_time_s=1.0",
+            "--override", "noise.domain=rotation",
+            "--override", "noise.model=null",
+            "--override", "noise.model.white=1e-20",
+            "--override", f"noise.band.f_min_hz={f_min}",
+        )
+        assert code == 0, f_min
+        results.append(json.loads((out / "noise_budget.json").read_text())["entries"][0]["result"])
+    assert all(result["converged"] for result in results)
+    wide, tiny = results
+    assert abs(tiny["value"] - wide["value"]) <= tiny["error_estimate"] + wide["error_estimate"]
 
 
 @pytest.mark.parametrize(

@@ -1,16 +1,6 @@
-import math
-
 import pytest
 
-from chipgyro.constants import (
-    ARW_DEG_SQRT_H_PER_RAD_S_SQRT_HZ,
-    DEG_H_PER_RAD_S,
-    HBAR,
-    convert_rotation,
-    rotation_from,
-    species_rb87,
-)
-from chipgyro.errors import ConfigError
+from chipgyro.constants import ARW_DEG_SQRT_H_PER_RAD_S_SQRT_HZ, HBAR, species_rb87
 
 
 def test_rb87_derived_quantities():
@@ -24,22 +14,7 @@ def test_rb87_derived_quantities():
 
 
 def test_rotation_unit_factors():
-    assert DEG_H_PER_RAD_S == pytest.approx(2.0626e5, rel=1e-4)
     assert ARW_DEG_SQRT_H_PER_RAD_S_SQRT_HZ == pytest.approx(3437.75, rel=1e-5)
-    assert convert_rotation(1.0, "deg_h") == pytest.approx((180.0 / math.pi) * 3600.0)
-
-
-def test_rotation_round_trip():
-    value = 7.29e-5
-    for tag in ("rad_s", "deg_h", "arw_deg_sqrt_h"):
-        assert rotation_from(convert_rotation(value, tag), tag) == pytest.approx(value, rel=1e-15)
-
-
-def test_unknown_unit_tag_rejected():
-    with pytest.raises(ConfigError):
-        convert_rotation(1.0, "furlong_per_fortnight")
-    with pytest.raises(ConfigError):
-        rotation_from(float("nan"), "rad_s")
 
 
 def test_species_validation():

@@ -48,7 +48,7 @@ def test_minimum_against_fine_grid_oracle():
     """Independent check: a dense brute-force grid around the reported minimum
     finds no lower modulus, and its argmin agrees to the grid spacing."""
     geometry = design_guide_geometry()
-    rho0, z0 = find_guide_minimum(geometry)
+    rho0, z0, _, _ = find_guide_minimum(geometry)
     rho = np.linspace(rho0 - 5e-6, rho0 + 5e-6, 501)
     z = np.linspace(z0 - 5e-6, z0 + 5e-6, 501)
     RR, ZZ = np.meshgrid(rho, z, indexing="ij")
@@ -193,7 +193,7 @@ def _depth_grid(geometry):
 
 
 def _assert_tiled_map_matches_full(geometry, rho, z):
-    rho0, z0 = find_guide_minimum(geometry)
+    rho0, z0, _, _ = find_guide_minimum(geometry)
     i = int(np.argmin(np.abs(rho - rho0)))
     j = int(np.argmin(np.abs(z - z0)))
     full = field_modulus(geometry, rho[:, None], z[None, :])
@@ -216,7 +216,7 @@ def test_tiled_map_partial_edge_tiles():
     """75 x 50 = (2 * 32 + 11) x (32 + 18) cells with the minimum in the last,
     partial row of tiles: the flood reads a tile that is partial on both axes."""
     geometry = design_guide_geometry()
-    rho0, _ = find_guide_minimum(geometry)
+    rho0, _, _, _ = find_guide_minimum(geometry)
     rho = np.linspace(rho0 - 40e-6, rho0 + 6e-6, 75)
     z = np.linspace(1e-6, 60e-6, 50)
     tiled = _assert_tiled_map_matches_full(geometry, rho, z)
@@ -291,7 +291,7 @@ def test_imbalanced_ring_minimum_converges():
             WireLoop(radius=1026e-6, current=-0.123, height=0.0),
         )
     )
-    rho0, z0, iterations, _ = find_guide_minimum(ring, full_output=True)
+    rho0, z0, iterations, _ = find_guide_minimum(ring)
     assert iterations <= 8
 
     zero = _field_zero(ring, [1e-3, 2.5e-5])
@@ -311,7 +311,7 @@ def test_minimum_matches_root_oracle_on_seeded_guides():
         geometry = GuideGeometry(
             loops=tuple(WireLoop(r, i, 0.0) for r, i in zip((R - s, R, R + s), currents))
         )
-        rho0, z0, iterations, _ = find_guide_minimum(geometry, full_output=True)
+        rho0, z0, iterations, _ = find_guide_minimum(geometry)
         assert iterations <= 8
         zero = _field_zero(geometry, [R, s])
         assert abs(rho0 - zero[0]) <= 1e-12 and abs(z0 - zero[1]) <= 1e-12, (R, s, currents)
@@ -322,7 +322,7 @@ def test_unconverged_refinement_raises(monkeypatch):
     and Newton's iterates in rho, u = (rho - c) / w, follow
     u -> (u^2 - 1) / (2 u) without settling (each step is at least w)."""
     geometry = design_guide_geometry()
-    rho_c, z_c = find_guide_minimum(geometry)
+    rho_c, z_c, _, _ = find_guide_minimum(geometry)
 
     def no_zero(geometry, rho, z):
         return 1.0 + ((rho - rho_c) / 1e-6) ** 2, z - z_c

@@ -83,6 +83,19 @@ def test_rotation_kernel_against_direct_quadrature():
     assert result.value == pytest.approx(oracle, rel=1e-3)
 
 
+def test_rotation_kernel_where_omega_squared_underflows():
+    """On a band where omega^2 underflows, K |H|^2 is its DC limit
+    (2 k_eff R D)^2, so white rotation noise S gives S (2 k_eff R D)^2 times
+    the band width."""
+    cfg = _small_config()
+    psd = PowerSpectralDensity(domain="rotation", white=1e-14)
+    d = cfg.interrogation_time - cfg.pulse_duration
+    result = phase_variance(psd, cfg, f_min=1e-170, f_max=1e-160)
+    limit = 1e-14 * (2 * cfg.k_eff * cfg.guide_radius * d) ** 2 * (1e-160 - 1e-170)
+    assert result.value == pytest.approx(limit, rel=1e-12, abs=0.0)
+    assert result.converged
+
+
 def test_tabulated_round_trip_exact():
     """phase -> acceleration -> rotation -> phase on the tabulated grid is an
     identity to better than 1e-9 relative."""

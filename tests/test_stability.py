@@ -8,7 +8,7 @@ import scipy.optimize
 import chipgyro.stability as stability
 from chipgyro._scipy import compiled_module
 from chipgyro.cli import SCHEMA
-from chipgyro.constants import OMEGA_EARTH, RAD_PER_ARCSEC, SECONDS_PER_YEAR, species_rb87
+from chipgyro.constants import SECONDS_PER_YEAR, species_rb87
 from chipgyro.errors import ConfigError, InfeasibleTargetError, PhysicsError
 from chipgyro.interferometer import rb87_config
 from chipgyro.noise import PowerSpectralDensity
@@ -17,7 +17,6 @@ from chipgyro.stability import (
     FeasibilityBoundary,
     dick_sum_allan,
     feasibility_boundary,
-    phenomenon_rates,
     projection_allan,
     projection_allan_curve,
     required_interrogation_time,
@@ -240,16 +239,3 @@ def test_feasibility_boundary_rejects_non_decreasing_2t(points):
         FeasibilityBoundary(
             points=points, radii=(0.1, 0.2), target_sigma=1e-14, integration_time=1.0
         )
-
-
-def test_phenomenon_rates():
-    rates = {r.name: r for r in phenomenon_rates()}
-    assert rates["earth_rotation"].rate == OMEGA_EARTH
-    assert rates["earth_rotation"].rate_relative_to_earth == 1.0
-    geodetic = rates["geodetic_effect"].rate
-    assert geodetic == pytest.approx(6.6 * RAD_PER_ARCSEC / SECONDS_PER_YEAR, rel=1e-12)
-    assert geodetic == pytest.approx(1.014e-12, rel=1e-3)
-    lt = rates["lense_thirring"].rate
-    assert lt / geodetic == pytest.approx(5e-3, rel=1e-12)
-    # the mission target really is 5% of the geodetic rate
-    assert 5.2e-14 / geodetic == pytest.approx(0.05, rel=0.03)
