@@ -74,7 +74,6 @@ _LAYERS = {
         "GuideGeometry",
         "WireLoop",
         "field_modulus",
-        "geometry_from_records",
         "loop_field",
         "loop_field_oracle",
         "design_guide_geometry",

@@ -32,6 +32,7 @@ from .constants import (
     AtomSpecies,
     DEFAULT_F_MIN,
     DEFAULT_OFFSET_B0,
+    DOMAINS,
     GEODETIC_TARGET_SIGMA,
     SECONDS_PER_YEAR,
     species_rb87,
@@ -127,10 +128,10 @@ def load_config(path: str, overrides=()) -> dict:
     return config
 
 
-# Kinds of config value; the names are also the error messages' wording.
+# Kinds of config value, named as the error messages word them; a tuple is a choice.
 NUMBER, POSITIVE, COUNT = "finite number", "finite number > 0", "integer >= 1"
-NON_NEGATIVE = "finite number >= 0"
-STRING, LIST, POSITIVES = "string", "non-empty list", "non-empty list of numbers > 0"
+NON_NEGATIVE, FRACTION, LOOP = "finite number >= 0", "finite number in (0, 1]", "mapping"
+STRING, LOOPS, POSITIVES = "string", "non-empty list of loops", "non-empty list of numbers > 0"
 # Every config key the CLI reads: dotted path -> (kind, default). A default
 # of None means "not given": the one subcommand that reads the key derives
 # its value from other inputs or reports it missing.
@@ -141,22 +142,22 @@ SCHEMA = {
     "species.magnetic_moment_J_T": (POSITIVE, None),
     "geometry.label": (STRING, ""),
     "geometry.offset_B0_T": (NON_NEGATIVE, DEFAULT_OFFSET_B0),
-    "geometry.loops": (LIST, None),
+    "geometry.loops": (LOOPS, None),
     "interferometer.pulse_duration_s": (POSITIVE, 20e-6),
     "interferometer.interrogation_time_s": (POSITIVE, None),
     "interferometer.guide_radius_m": (POSITIVE, None),
     "interferometer.n_loops": (COUNT, 1),
     "interferometer.atom_number": (POSITIVE, 1e4),
-    "interferometer.contrast": (POSITIVE, 1.0),
+    "interferometer.contrast": (FRACTION, 1.0),
     "interferometer.latitude_deg": (NUMBER, 90.0),
-    "interferometer.squeezing": (POSITIVE, 1.0),
-    "interferometer.dead_time_s": (NUMBER, 0.0),
+    "interferometer.squeezing": (FRACTION, 1.0),
+    "interferometer.dead_time_s": (NON_NEGATIVE, 0.0),
     "interferometer.v_launch_over_vr": (POSITIVE, 1.0),
-    "noise.domain": (STRING, None),
+    "noise.domain": (DOMAINS, None),
     "noise.file": (STRING, None),
-    "noise.model.white": (NUMBER, None),
-    "noise.model.flicker": (NUMBER, None),
-    "noise.model.random_walk": (NUMBER, None),
+    "noise.model.white": (NON_NEGATIVE, None),
+    "noise.model.flicker": (NON_NEGATIVE, None),
+    "noise.model.random_walk": (NON_NEGATIVE, None),
     "noise.band.f_min_hz": (NON_NEGATIVE, DEFAULT_F_MIN),
     "noise.band.f_max_hz": (NUMBER, None),
     "run.guide.map_n_rho": (COUNT, 101),
@@ -176,25 +177,41 @@ SCHEMA = {
     "run.mission.target_sigma_rad_s": (POSITIVE, GEODETIC_TARGET_SIGMA),
     "run.mission.integration_time_s": (POSITIVE, SECONDS_PER_YEAR),
 }
-_SECTIONS = {path[:i] for path in SCHEMA for i, char in enumerate(path) if char == "."}
+# The fields of each geometry.loops item, as SCHEMA; a default of None marks
+# a required field.
+LOOP_FIELDS = {
+    "radius_m": (POSITIVE, None),
+    "current_A": (NUMBER, None),
+    "height_m": (NUMBER, 0.0),
+}
+# (lower, upper) keys that must satisfy lower < upper when both are given.
+PAIRS = (
+    ("run.transfer.f_min_hz", "run.transfer.f_max_hz"),
+    ("run.sensitivity.two_t_min_s", "run.sensitivity.two_t_max_s"),
+    ("noise.band.f_min_hz", "noise.band.f_max_hz"),
+)
 
 
-def _check(path: str, kind: str, value):
+def _check(path: str, kind, value):
     """``value`` as a ``kind``; ConfigError naming ``path`` if it is not one."""
-    if kind == STRING and isinstance(value, str):
+    if (kind == STRING and isinstance(value, str)) or (isinstance(kind, tuple) and value in kind):
         return value
-    if kind in (LIST, POSITIVES) and isinstance(value, list) and value:
-        if kind == LIST:
-            return value
-        return [_check(f"{path}[{i}]", POSITIVE, item) for i, item in enumerate(value)]
-    if kind in (NUMBER, POSITIVE, NON_NEGATIVE, COUNT) and not isinstance(value, bool):
+    if kind in (LOOPS, POSITIVES) and isinstance(value, list) and value:
+        item_kind = LOOP if kind == LOOPS else POSITIVE
+        return [_check(f"{path}[{i}]", item_kind, item) for i, item in enumerate(value)]
+    if kind == LOOP and isinstance(value, dict):
+        loop = _resolve(value, LOOP_FIELDS, f"{path}.")
+        if None not in loop.values():
+            return loop
+        raise ConfigError(f"{path}: missing {', '.join(k for k, v in loop.items() if v is None)}")
+    if kind in (NUMBER, POSITIVE, NON_NEGATIVE, FRACTION, COUNT) and not isinstance(value, bool):
         try:
             # numeric strings count: YAML 1.1 reads 20e-6 (no dot) as a string
             number = float(value)
         except (TypeError, ValueError, OverflowError):
             number = math.nan
         in_range = kind == NUMBER or number > 0 or (kind == NON_NEGATIVE and number == 0)
-        if math.isfinite(number) and in_range:
+        if math.isfinite(number) and in_range and not (kind == FRACTION and number > 1):
             if kind != COUNT:
                 return number
             if number == int(number):
@@ -202,34 +219,47 @@ def _check(path: str, kind: str, value):
     raise ConfigError(f"{path}: expected {kind}, got {value!r}")
 
 
+def _resolve(config: dict, schema: dict, prefix: str) -> dict:
+    """resolve_config's walk over ``schema``; error paths start with ``prefix``."""
+    resolved = {path: default for path, (_, default) in schema.items()}
+    sections = {path[:i] for path in schema for i, char in enumerate(path) if char == "."}
+
+    def walk(block: dict, at: str) -> None:
+        for key, value in block.items():
+            path = f"{at}{key}"
+            if path in schema:
+                if value is not None:
+                    resolved[path] = _check(prefix + path, schema[path][0], value)
+            elif isinstance(value, dict) or (value is None and path in sections):
+                walk(value or {}, f"{path}.")
+            elif path in sections:
+                raise ConfigError(f"{prefix}{path}: expected mapping, got {value!r}")
+            else:
+                import difflib  # only on the error path
+
+                hint = difflib.get_close_matches(path, [*schema, *sections], n=1)
+                suggestion = f"; did you mean {prefix + hint[0]!r}?" if hint else ""
+                raise ConfigError(f"unknown config key {prefix + path!r}{suggestion}")
+
+    walk(config, "")
+    return resolved
+
+
 def resolve_config(config: dict) -> dict:
     """Check a loaded config against SCHEMA in one walk.
 
     Returns {dotted path: checked value} for every key of the table, with
-    defaults filled in. A null value, or a null section such as ``species:``
-    with nothing under it, reads as not given. Raises ConfigError naming the
-    dotted path for an unknown key or a value of the wrong kind.
+    defaults filled in; each geometry.loops item resolves likewise against
+    LOOP_FIELDS. A null value, or a null section such as ``species:`` with
+    nothing under it, reads as not given. Raises ConfigError naming the
+    dotted path for an unknown key, a value of the wrong kind, a missing
+    loop field or a PAIRS pair out of order.
     """
-    resolved = {path: default for path, (_, default) in SCHEMA.items()}
-
-    def walk(block: dict, prefix: str) -> None:
-        for key, value in block.items():
-            path = f"{prefix}{key}"
-            if path in SCHEMA:
-                if value is not None:
-                    resolved[path] = _check(path, SCHEMA[path][0], value)
-            elif isinstance(value, dict) or (value is None and path in _SECTIONS):
-                walk(value or {}, f"{path}.")
-            elif path in _SECTIONS:
-                raise ConfigError(f"{path}: expected mapping, got {value!r}")
-            else:
-                import difflib  # only on the error path
-
-                hint = difflib.get_close_matches(path, [*SCHEMA, *_SECTIONS], n=1)
-                suggestion = f"; did you mean {hint[0]!r}?" if hint else ""
-                raise ConfigError(f"unknown config key {path!r}{suggestion}")
-
-    walk(config, "")
+    resolved = _resolve(config, SCHEMA, "")
+    for lower, upper in PAIRS:
+        low, high = resolved[lower], resolved[upper]
+        if low is not None and high is not None and high <= low:
+            raise ConfigError(f"{upper} must be > {lower}, got {high} <= {low}")
     return resolved
 
 
@@ -283,13 +313,14 @@ def _interferometer_from_config(config: dict):
 
 def cmd_guide(config: dict, out_dir: str) -> dict:
     from .guide import characterize_guide, trap_potential
-    from .magnetostatics import design_guide_geometry, geometry_from_records
+    from .magnetostatics import GuideGeometry, WireLoop, design_guide_geometry
 
     records = config["geometry.loops"]
     if records is None:
         geometry = design_guide_geometry()
     else:
-        geometry = geometry_from_records(records, label=config["geometry.label"])
+        loops = [WireLoop(r["radius_m"], r["current_A"], r["height_m"]) for r in records]
+        geometry = GuideGeometry(tuple(loops), label=config["geometry.label"])
     offset_b0 = config["geometry.offset_B0_T"]
     species = _species_from_config(config)
     span = config["run.guide.map_span_m"]
@@ -343,8 +374,6 @@ def cmd_transfer(config: dict, out_dir: str) -> dict:
 
     ai = _interferometer_from_config(config)
     f_min, f_max = config["run.transfer.f_min_hz"], config["run.transfer.f_max_hz"]
-    if f_max <= f_min:
-        raise ConfigError(f"run.transfer.f_max_hz must be > f_min_hz, got {f_max} <= {f_min}")
     grid = _transfer_grid(f_min, f_max, config["run.transfer.points_per_decade"], ai)
     abs2 = transfer_H_abs2(grid, ai)
     f_hp, f_lp = corner_frequencies(ai)
@@ -370,11 +399,6 @@ def cmd_sensitivity(config: dict, out_dir: str) -> dict:
     ai = _interferometer_from_config(config)
     two_t_min = config["run.sensitivity.two_t_min_s"]
     two_t_max = config["run.sensitivity.two_t_max_s"]
-    if two_t_max <= two_t_min:
-        raise ConfigError(
-            "run.sensitivity.two_t_max_s must be > run.sensitivity.two_t_min_s, "
-            f"got {two_t_max} <= {two_t_min}"
-        )
     two_t_grid = np.geomspace(two_t_min, two_t_max, config["run.sensitivity.n_points"])
     rows = []
     for n_atoms in config["run.sensitivity.atom_numbers"]:

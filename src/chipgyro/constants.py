@@ -29,6 +29,7 @@ ARW_DEG_SQRT_H_PER_RAD_S_SQRT_HZ = (180.0 / math.pi) * 60.0
 # see guide.characterize_guide. Exposed in the CLI config as geometry.offset_B0_T.
 DEFAULT_OFFSET_B0 = 1.5e-2
 DEFAULT_F_MIN = 1e-4  # Hz, infrared cutoff of the noise band
+DOMAINS = ("phase", "acceleration", "rotation")  # of a noise PSD
 # rad/s, the default mission target: 5 % of the geodetic precession of 6.6
 # arcsec/yr, which over the Julian year of 3.156e7 s is 1.014e-12 rad/s
 # (5.2e-14 is 5.13 % of it)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -175,29 +174,3 @@ def design_guide_geometry() -> GuideGeometry:
         label="three-wire-500um",
     )
 
-
-def geometry_from_records(records: Sequence[dict], label: str = "") -> GuideGeometry:
-    """Build a geometry from [{radius_m, current_A, height_m}, ...] records
-    (the CLI config representation)."""
-    loops = []
-    for i, rec in enumerate(records):
-        if not isinstance(rec, dict):
-            raise ConfigError(f"geometry.loops[{i}] must be a mapping, got {rec!r}")
-        unknown = sorted(str(key) for key in rec if key not in ("radius_m", "current_A", "height_m"))
-        if unknown:
-            raise ConfigError(f"geometry.loops[{i}]: unknown field(s) {unknown}")
-        try:
-            if any(isinstance(value, bool) for value in rec.values()):
-                raise TypeError  # float(True) is 1.0, but a YAML boolean is not a number
-            loops.append(
-                WireLoop(
-                    radius=float(rec["radius_m"]),
-                    current=float(rec["current_A"]),
-                    height=float(rec.get("height_m", 0.0)),
-                )
-            )
-        except KeyError as exc:
-            raise ConfigError(f"geometry.loops[{i}]: missing field {exc}") from None
-        except (TypeError, ValueError):
-            raise ConfigError(f"geometry.loops[{i}]: fields must be numbers, got {rec!r}") from None
-    return GuideGeometry(loops=tuple(loops), label=label)

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from ._scipy import compiled_module
-from .constants import DEFAULT_F_MIN
+from .constants import DEFAULT_F_MIN, DOMAINS
 from .errors import ConfigError, DegenerateOrientationError, DivergentIntegralError
 from .interferometer import (
     InterferometerConfig,
@@ -34,8 +34,6 @@ from .interferometer import (
     scale_factor,
     transfer_H_abs2,
 )
-
-DOMAINS = ("phase", "acceleration", "rotation")
 
 ONE_SIDED_CONVENTION = "one-sided, ordinary frequency"
 
@@ -261,12 +259,12 @@ def _integrate_band(psd, config, f_min, f_max, rtol):
 
     tau = config.pulse_duration
     d = config.interrogation_time - tau
-    n_octaves = int(math.ceil(math.log2(f_max / f_min)))
+    n_octaves = int(math.ceil(math.log2(f_max) - math.log2(f_min)))
     edges = [
         [f_min, f_max],
         np.arange(1, 9) / d,
         np.arange(1, math.floor(f_max * tau) + 1) / tau,
-        f_min * 2.0 ** np.arange(1, n_octaves),
+        np.ldexp(f_min, np.arange(1, n_octaves)),
     ]
     if psd.is_tabulated:
         edges.append(psd.frequencies)

@@ -13,7 +13,7 @@ import pytest
 import yaml
 
 import chipgyro
-from chipgyro.cli import SCHEMA, _write_csv, load_config, main, resolve_config
+from chipgyro.cli import LOOP_FIELDS, SCHEMA, _write_csv, load_config, main, resolve_config
 from chipgyro.constants import species_rb87
 from chipgyro.guide import POSITION_TOLERANCE, trap_potential
 from chipgyro.magnetostatics import design_guide_geometry
@@ -169,6 +169,20 @@ SPECIES = ["species.wavelength_m=7.8e-7", "species.magnetic_moment_J_T=9.3e-24"]
         ("guide", ["geometry.loops=[{radius_m: abc, current_A: 1}]"]),
         ("guide", ["geometry.loops=[{radius_m: 5.0e-4, current_A: 0.1, heigth_m: 0}]"]),
         ("guide", ["geometry.loops=[{radius_m: 5.0e-4, current_A: true}]"]),
+        ("guide", ["geometry.loops=[{radius_m: 5.0e-4}]"]),
+        ("guide", ["geometry.loops=[{radius_m: 5.0e-4, current_A: 0.1}, abc]"]),
+        ("guide", ["geometry.loops=[{radius_m: .inf, current_A: 0.1}]"]),
+        ("guide", ["geometry.loops=[{radius_m: -5e-4, current_A: 0.1}]"]),
+        ("guide", ["geometry.loops=[{radius_m: 5.0e-4, current_A: .nan}]"]),
+        ("noise", ["noise.band.f_max_hz=1e-5"]),
+        ("noise", ["run.transfer.f_max_hz=1e-4"]),
+        ("transfer", ["interferometer.contrast=2"]),
+        ("transfer", ["interferometer.squeezing=2"]),
+        ("allan", ["interferometer.dead_time_s=-1"]),
+        ("noise", ["noise.model.white=-1"]),
+        ("noise", ["noise.model.flicker=-1"]),
+        ("noise", ["noise.model.random_walk=-1"]),
+        ("noise", ["noise.domain=foo"]),
     ],
     ids=lambda param: param if isinstance(param, str) else param[0],
 )
@@ -232,6 +246,39 @@ def test_misspelled_key_suggests_the_right_one(config_path, capsys):
     assert "did you mean 'interferometer.interrogation_time_s'?" in summary["error"]
 
 
+@pytest.mark.parametrize(
+    "loops, message",
+    [
+        ("[{radius_m: 5.0e-4, current_A: 0.1}, abc]", "geometry.loops[1]: expected mapping, got 'abc'"),
+        ("[{radius_m: 5.0e-4, current_A: 0.1}, {radius_m: 6.0e-4}]", "geometry.loops[1]: missing current_A"),
+        ("[{radius_m: .inf, current_A: 0.1}]", "geometry.loops[0].radius_m: expected finite number > 0"),
+        ("[{radius_m: 5.0e-4, current_A: .nan}]", "geometry.loops[0].current_A: expected finite number,"),
+        (
+            "[{radius_m: 5.0e-4, current_A: 0.1, heigth_m: 0}]",
+            "unknown config key 'geometry.loops[0].heigth_m'; did you mean 'geometry.loops[0].height_m'?",
+        ),
+    ],
+    ids=["not-a-mapping", "missing-field", "infinite-radius", "nan-current", "misspelled-field"],
+)
+def test_loop_errors_name_the_item_and_field(tmp_path, config_path, capsys, loops, message):
+    out = tmp_path / "out"
+    code, summary = _run(
+        capsys, "guide", "--config", config_path, "--out", str(out), "--override", f"geometry.loops={loops}"
+    )
+    assert code == 1
+    assert message in summary["error"]
+    assert not out.exists()
+
+
+def test_null_loop_height_reads_as_zero():
+    loops = [{"radius_m": 5e-4, "current_A": 0.1, "height_m": None}, {"radius_m": 6e-4, "current_A": -0.1}]
+    resolved = resolve_config({"geometry": {"loops": loops}})["geometry.loops"]
+    assert resolved == [
+        {"radius_m": 5e-4, "current_A": 0.1, "height_m": 0.0},
+        {"radius_m": 6e-4, "current_A": -0.1, "height_m": 0.0},
+    ]
+
+
 def test_null_sections_and_numeric_strings(tmp_path, config_path, capsys):
     """A section with nothing under it reads as empty, and a number YAML 1.1
     reads as a string (20e-6 has no dot) is taken as that number."""
@@ -260,7 +307,8 @@ def test_benchmark_inputs_resolve(tmp_path):
 
 def test_readme_lists_every_config_key():
     readme = (REPO / "README.md").read_text()
-    assert [path for path in SCHEMA if f"`{path}`" not in readme] == []
+    paths = [*SCHEMA, *(f"geometry.loops[i].{field}" for field in LOOP_FIELDS)]
+    assert [path for path in paths if f"`{path}`" not in readme] == []
 
 
 def test_relative_psd_file_is_read_from_config_dir(tmp_path, capsys, monkeypatch):
@@ -742,26 +790,41 @@ def test_noise_tiny_infrared_cutoff_exits_2_naming_the_band(tmp_path, config_pat
     assert not (tmp_path / "out" / "noise_budget.json").exists()
 
 
-def test_noise_white_rotation_tiny_infrared_cutoff_converges(tmp_path, config_path, capsys):
-    """White rotation noise has a finite phase variance down to DC, since
-    K |H|^2 tends to (2 k_eff R D)^2: a cutoff at which omega^2 underflows
-    converges to the variance of a cutoff at which it does not."""
+def _assert_cutoff_converges_to_wide_band(tmp_path, config_path, capsys, f_min, *overrides):
+    """White noise whose phase variance stays finite down to DC: a noise run
+    at the cutoff ``f_min`` converges to the run at 1e-150."""
     results = []
-    for f_min in ("1e-150", "1e-170"):
-        out = tmp_path / f_min
-        code, _ = _run(
-            capsys, "noise", "--config", config_path, "--out", str(out),
-            "--override", "interferometer.interrogation_time_s=1.0",
-            "--override", "noise.domain=rotation",
-            "--override", "noise.model=null",
-            "--override", "noise.model.white=1e-20",
-            "--override", f"noise.band.f_min_hz={f_min}",
-        )
-        assert code == 0, f_min
+    for cutoff in ("1e-150", f_min):
+        out = tmp_path / cutoff
+        argv = ["noise", "--config", config_path, "--out", str(out)]
+        for override in (*overrides, f"noise.band.f_min_hz={cutoff}"):
+            argv += ["--override", override]
+        code, _ = _run(capsys, *argv)
+        assert code == 0, cutoff
         results.append(json.loads((out / "noise_budget.json").read_text())["entries"][0]["result"])
     assert all(result["converged"] for result in results)
     wide, tiny = results
     assert abs(tiny["value"] - wide["value"]) <= tiny["error_estimate"] + wide["error_estimate"]
+
+
+def test_noise_white_rotation_tiny_infrared_cutoff_converges(tmp_path, config_path, capsys):
+    """K |H|^2 tends to (2 k_eff R D)^2 at DC, so a cutoff at which omega^2
+    underflows converges for white rotation noise."""
+    _assert_cutoff_converges_to_wide_band(
+        tmp_path, config_path, capsys, "1e-170",
+        "interferometer.interrogation_time_s=1.0",
+        "noise.domain=rotation",
+        "noise.model=null",
+        "noise.model.white=1e-20",
+    )
+
+
+def test_noise_cutoff_whose_band_ratio_overflows_converges(tmp_path, config_path, capsys):
+    """At 1e-306 the ratio f_max / f_min overflows to inf; the octave panel
+    edges are still finite, and white phase noise converges."""
+    _assert_cutoff_converges_to_wide_band(
+        tmp_path, config_path, capsys, "1e-306", "interferometer.interrogation_time_s=1.0"
+    )
 
 
 @pytest.mark.parametrize(
