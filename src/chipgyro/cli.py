@@ -21,7 +21,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import yaml
@@ -230,7 +230,8 @@ def _resolve(config: dict, schema: dict, prefix: str) -> dict:
             if path in schema:
                 if value is not None:
                     resolved[path] = _check(prefix + path, schema[path][0], value)
-            elif isinstance(value, dict) or (value is None and path in sections):
+            elif (value is None or isinstance(value, dict)) and (path in sections or value):
+                # an unknown mapping is walked only if it has keys, for the error to name one
                 walk(value or {}, f"{path}.")
             elif path in sections:
                 raise ConfigError(f"{prefix}{path}: expected mapping, got {value!r}")
@@ -278,19 +279,22 @@ def _species_from_config(config: dict) -> AtomSpecies:
 
 
 def _interferometer_from_config(config: dict):
-    from .interferometer import InterferometerConfig, guide_radius_for
+    from .interferometer import InterferometerConfig
 
     species = _species_from_config(config)
     two_t = config["interferometer.interrogation_time_s"]
     radius = config["interferometer.guide_radius_m"]
     if two_t is not None and radius is not None:
         raise ConfigError(
-            "interferometer: give exactly one of interrogation_time_s or guide_radius_m"
+            "give exactly one of interferometer.interrogation_time_s or interferometer.guide_radius_m"
         )
-    n_loops = config["interferometer.n_loops"]
-    settings = dict(
+    if two_t is None and radius is None:
+        two_t = 4.0
+    return InterferometerConfig(
         species=species,
-        n_loops=n_loops,
+        interrogation_time=two_t,
+        guide_radius=radius,
+        n_loops=config["interferometer.n_loops"],
         pulse_duration=config["interferometer.pulse_duration_s"],
         atom_number=config["interferometer.atom_number"],
         contrast=config["interferometer.contrast"],
@@ -298,12 +302,6 @@ def _interferometer_from_config(config: dict):
         squeezing=config["interferometer.squeezing"],
         cycle_dead_time=config["interferometer.dead_time_s"],
         launch_velocity=config["interferometer.v_launch_over_vr"] * species.recoil_velocity,
-    )
-    if radius is not None:
-        return InterferometerConfig.from_geometry(guide_radius=radius, **settings)
-    two_t = 4.0 if two_t is None else two_t
-    return InterferometerConfig(
-        interrogation_time=two_t, guide_radius=guide_radius_for(species, two_t, n_loops), **settings
     )
 
 
@@ -393,8 +391,8 @@ def cmd_transfer(config: dict, out_dir: str) -> dict:
 
 
 def cmd_sensitivity(config: dict, out_dir: str) -> dict:
-    from .interferometer import shot_noise_sensitivity, shot_noise_sensitivity_per_sqrt_hz
-    from .stability import assumptions_record
+    from .interferometer import assumptions_record, shot_noise_sensitivity
+    from .interferometer import shot_noise_sensitivity_per_sqrt_hz
 
     ai = _interferometer_from_config(config)
     two_t_min = config["run.sensitivity.two_t_min_s"]
@@ -403,7 +401,7 @@ def cmd_sensitivity(config: dict, out_dir: str) -> dict:
     rows = []
     for n_atoms in config["run.sensitivity.atom_numbers"]:
         for two_t in two_t_grid:
-            cfg = replace(ai.with_interrogation_time(float(two_t)), atom_number=n_atoms)
+            cfg = replace(ai, interrogation_time=float(two_t), guide_radius=None, atom_number=n_atoms)
             per_shot = shot_noise_sensitivity(cfg)
             rows.append(
                 (
@@ -448,7 +446,8 @@ def cmd_allan(config: dict, out_dir: str) -> dict:
 
 
 def cmd_mission(config: dict, out_dir: str) -> dict:
-    from .stability import INTERROGATION_BRACKET, assumptions_record, feasibility_boundary
+    from .interferometer import assumptions_record
+    from .stability import INTERROGATION_BRACKET, feasibility_boundary
 
     ai = _interferometer_from_config(config)
     target = config["run.mission.target_sigma_rad_s"]
@@ -469,8 +468,8 @@ def cmd_mission(config: dict, out_dir: str) -> dict:
 
 
 def cmd_noise(config: dict, out_dir: str) -> dict:
+    from .interferometer import assumptions_record
     from .noise import PowerSpectralDensity, phase_sigma_to_rotation_sigma, phase_variance
-    from .stability import assumptions_record
 
     ai = _interferometer_from_config(config)
     domain = config["noise.domain"]
@@ -496,7 +495,7 @@ def cmd_noise(config: dict, out_dir: str) -> dict:
                 "variance_rad2": result.value,
                 "sigma_phi_rad": sigma_phi,
                 "sigma_omega_rad_s": phase_sigma_to_rotation_sigma(sigma_phi, ai),
-                "result": result.as_record(),
+                "result": asdict(result),
             }
         ],
         "assumptions": assumptions_record(ai),

@@ -7,7 +7,7 @@ sequence (the circular guide itself acts as the mirror).
 Conventions (reported in every CLI output):
   * the wave packets are launched azimuthally at ``launch_velocity``
     (default: one recoil velocity), and the scale-factor geometry relation is
-    2T = n_loops * pi * R / v_r;
+    2T = n_loops * pi * R / v_r, which only ``InterferometerConfig`` applies;
   * the rotation phase is expressed in the time-only form
     Phi = (4/pi) (M/hbar) v_r v_launch (2T)^2 Omega sin(latitude),
     which makes equal interrogation times equivalent regardless of how the
@@ -19,7 +19,7 @@ Conventions (reported in every CLI output):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,10 +29,14 @@ from .errors import ConfigError, DegenerateOrientationError
 
 @dataclass(frozen=True)
 class InterferometerConfig:
+    """One interferometer design. Give 2T, R or both: a missing one is
+    derived from the other by 2T = n_loops * pi * R / v_r, and a config with
+    neither raises ConfigError. Both given are taken as they are."""
+
     species: AtomSpecies
     pulse_duration: float        # tau, s
-    interrogation_time: float    # 2T, s
-    guide_radius: float          # R, m
+    interrogation_time: float = None  # 2T, s; derived from guide_radius if None
+    guide_radius: float = None   # R, m; derived from interrogation_time if None
     n_loops: int = 1
     atom_number: float = 1e4
     contrast: float = 1.0        # eta in (0, 1]
@@ -44,6 +48,14 @@ class InterferometerConfig:
     def __post_init__(self):
         if self.launch_velocity is None:
             object.__setattr__(self, "launch_velocity", self.species.recoil_velocity)
+        if self.guide_radius is None:
+            if self.interrogation_time is None:
+                raise ConfigError("give interrogation_time or guide_radius")
+            radius = guide_radius_for(self.species, self.interrogation_time, self.n_loops)
+            object.__setattr__(self, "guide_radius", radius)
+        elif self.interrogation_time is None:
+            two_t = self.n_loops * math.pi * self.guide_radius / self.species.recoil_velocity
+            object.__setattr__(self, "interrogation_time", two_t)
         checks = {
             "pulse_duration": self.pulse_duration,
             "interrogation_time": self.interrogation_time,
@@ -89,22 +101,9 @@ class InterferometerConfig:
         n_loops: int = 1,
         **kwargs,
     ) -> "InterferometerConfig":
-        """Derive the interrogation time from the guide geometry via
+        """The configuration whose interrogation time the guide geometry sets:
         2T = n_loops * pi * R / v_r."""
-        two_t = n_loops * math.pi * guide_radius / species.recoil_velocity
-        return cls(
-            species=species,
-            interrogation_time=two_t,
-            guide_radius=guide_radius,
-            n_loops=n_loops,
-            **kwargs,
-        )
-
-    def with_interrogation_time(self, two_t: float) -> "InterferometerConfig":
-        """Same configuration scaled to a new 2T, with the guide radius
-        re-derived from the geometry relation."""
-        radius = guide_radius_for(self.species, two_t, self.n_loops)
-        return replace(self, interrogation_time=two_t, guide_radius=radius)
+        return cls(species=species, guide_radius=guide_radius, n_loops=n_loops, **kwargs)
 
 
 def guide_radius_for(species: AtomSpecies, interrogation_time: float, n_loops: int = 1) -> float:
@@ -116,17 +115,36 @@ def guide_radius_for(species: AtomSpecies, interrogation_time: float, n_loops: i
 
 def rb87_config(**kwargs) -> InterferometerConfig:
     """Convenience 87Rb configuration; accepts the same overrides as
-    InterferometerConfig, deriving the radius when only 2T is given."""
+    InterferometerConfig."""
     species = kwargs.pop("species", species_rb87())
-    if "guide_radius" not in kwargs and "interrogation_time" in kwargs:
-        kwargs["guide_radius"] = guide_radius_for(
-            species, kwargs["interrogation_time"], kwargs.get("n_loops", 1)
-        )
     return InterferometerConfig(species=species, **kwargs)
 
 
+def assumptions_record(config: InterferometerConfig) -> dict:
+    """The assumptions every rotation figure of ``config`` is computed under;
+    the design case fixes none of them, so each output carries them."""
+    return {
+        "sin_latitude": math.sin(config.latitude),
+        "launch_velocity_m_s": config.launch_velocity,
+        "launch_velocity_over_vr": config.launch_velocity / config.species.recoil_velocity,
+        "cycle_dead_time_s": config.cycle_dead_time,
+        "atom_number": config.atom_number,
+        "contrast": config.contrast,
+        "squeezing": config.squeezing,
+        "interrogation_time_s": config.interrogation_time,
+        "pulse_duration_s": config.pulse_duration,
+        "species": config.species.name,
+    }
+
+
 def scale_factor(config: InterferometerConfig) -> float:
-    """dPhi/dOmega of the guided Sagnac interferometer (rad per rad/s)."""
+    """dPhi/dOmega of the guided Sagnac interferometer (rad per rad/s).
+    Raises DegenerateOrientationError at sin(latitude) = 0, where rotation
+    has no phase to read and every rotation figure would divide by zero."""
+    if math.sin(config.latitude) == 0.0:
+        raise DegenerateOrientationError(
+            "sin(latitude) = 0: rotation has no projection on the sensing axis"
+        )
     species = config.species
     return (
         (4.0 / math.pi)
@@ -145,10 +163,6 @@ def shot_noise_sensitivity(config: InterferometerConfig) -> float:
 
     i.e. sqrt(N/2) of population noise divided by the fringe slope.
     """
-    if math.sin(config.latitude) == 0.0:
-        raise DegenerateOrientationError(
-            "sin(latitude) = 0: rotation has no projection on the sensing axis"
-        )
     slope = config.contrast * math.sqrt(0.5 * config.atom_number) * scale_factor(config)
     return config.squeezing / slope
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from ._scipy import compiled_module
 from .constants import DEFAULT_F_MIN, DOMAINS
-from .errors import ConfigError, DegenerateOrientationError, DivergentIntegralError
+from .errors import ConfigError, DivergentIntegralError
 from .interferometer import (
     InterferometerConfig,
     _sinc,
@@ -222,18 +222,6 @@ class VarianceResult:
     def sigma(self) -> float:
         return math.sqrt(max(self.value, 0.0))
 
-    def as_record(self) -> dict:
-        return {
-            "value": self.value,
-            "error_estimate": self.error_estimate,
-            "band": list(self.band),
-            "domain": self.domain,
-            "convention": self.convention,
-            "notes": self.notes,
-            "n_evals": self.n_evals,
-            "converged": self.converged,
-        }
-
 
 def _integrate_band(psd, config, f_min, f_max, rtol):
     """int S K |H|^2 df over [f_min, f_max] on QUADPACK; returns the value, its
@@ -380,6 +368,4 @@ def phase_variance(
 
 def phase_sigma_to_rotation_sigma(sigma_phi: float, config: InterferometerConfig) -> float:
     """Rms output phase to rms rotation rate: sigma_phi over ``scale_factor``."""
-    if math.sin(config.latitude) == 0.0:
-        raise DegenerateOrientationError("sin(latitude) = 0: no rotation projection")
     return sigma_phi / scale_factor(config)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -22,27 +23,15 @@ from ._scipy import compiled_module
 from .errors import ConfigError, InfeasibleTargetError, PhysicsError
 from .interferometer import (
     InterferometerConfig,
+    assumptions_record,
     shot_noise_sensitivity,
     transfer_H_abs2,
 )
-from .noise import PowerSpectralDensity
+
+if TYPE_CHECKING:
+    from .noise import PowerSpectralDensity
 
 INTERROGATION_BRACKET = (1e-2, 1e3)  # s, search bracket for the 2T solver
-
-
-def assumptions_record(config: InterferometerConfig) -> dict:
-    return {
-        "sin_latitude": math.sin(config.latitude),
-        "launch_velocity_m_s": config.launch_velocity,
-        "launch_velocity_over_vr": config.launch_velocity / config.species.recoil_velocity,
-        "cycle_dead_time_s": config.cycle_dead_time,
-        "atom_number": config.atom_number,
-        "contrast": config.contrast,
-        "squeezing": config.squeezing,
-        "interrogation_time_s": config.interrogation_time,
-        "pulse_duration_s": config.pulse_duration,
-        "species": config.species.name,
-    }
 
 
 @dataclass(frozen=True)
@@ -192,10 +181,7 @@ def required_interrogation_time(
 
     def sigma_at(two_t: float) -> float:
         config = replace(
-            config_template,
-            interrogation_time=two_t,
-            guide_radius=launch_velocity * two_t / (2.0 * math.pi),
-            launch_velocity=launch_velocity,
+            config_template, interrogation_time=two_t, guide_radius=None, launch_velocity=launch_velocity
         )
         sigma = projection_allan(config, integration_time, extrapolate=True)
         if math.isnan(sigma):  # Brent's method would take it for a number

@@ -183,6 +183,12 @@ SPECIES = ["species.wavelength_m=7.8e-7", "species.magnetic_moment_J_T=9.3e-24"]
         ("noise", ["noise.model.flicker=-1"]),
         ("noise", ["noise.model.random_walk=-1"]),
         ("noise", ["noise.domain=foo"]),
+        ("noise", ["noise.domain=null"]),
+        ("transfer", ["interferometr={}"]),
+        ("guide", ["geometry.loops=[{radius_m: 5.0e-4, current_A: 0.1, heigth: {}}]"]),
+        ("transfer", ["interferometer.guide_radius_m=5.6e-3"]),
+        ("transfer", ["interferometer=5"]),
+        ("transfer", ["interferometer.latitude_deg.x=1"]),
     ],
     ids=lambda param: param if isinstance(param, str) else param[0],
 )
@@ -211,7 +217,11 @@ def test_only_an_empty_config_file_reads_as_empty(tmp_path, capsys, text, code):
 
 
 @pytest.mark.parametrize(
-    "case", ["config-is-directory", "config-not-utf8", "psd-not-utf8", "override-not-yaml", "out-under-file"]
+    "case",
+    [
+        "config-is-directory", "config-not-utf8", "config-not-yaml",
+        "psd-not-utf8", "override-not-yaml", "out-under-file",
+    ],
 )
 def test_unreadable_input_exit_1(tmp_path, config_path, capsys, case):
     argv, named = ["--config", config_path], config_path
@@ -219,6 +229,8 @@ def test_unreadable_input_exit_1(tmp_path, config_path, capsys, case):
         argv, named = ["--config", str(tmp_path)], str(tmp_path)
     elif case == "config-not-utf8":
         Path(config_path).write_bytes(b"interferometer:\n  latitude_deg: \xff\n")
+    elif case == "config-not-yaml":
+        Path(config_path).write_text("interferometer: [\n")
     elif case == "psd-not-utf8":
         (tmp_path / "psd.csv").write_bytes(b"f_hz,psd_value\n0.1,1e-8\n1.0,\xff\n")
         argv, named = [*argv, "--override", "noise.file=psd.csv", "--override", "noise.model=null"], "psd.csv"
@@ -268,6 +280,31 @@ def test_loop_errors_name_the_item_and_field(tmp_path, config_path, capsys, loop
     assert code == 1
     assert message in summary["error"]
     assert not out.exists()
+
+
+def test_guide_radius_sets_the_interrogation_time(tmp_path, config_path, capsys):
+    code, _ = _run(
+        capsys, "transfer", "--config", config_path, "--out", str(tmp_path / "out"),
+        "--override", "interferometer.interrogation_time_s=null",
+        "--override", "interferometer.guide_radius_m=5.6e-3",
+        "--override", "interferometer.n_loops=3",
+    )
+    assert code == 0
+    two_t = float(_csv_header(tmp_path / "out" / "transfer.csv")["interrogation_time_s"])
+    assert two_t == 3 * math.pi * 5.6e-3 / species_rb87().recoil_velocity
+
+
+def test_custom_species_with_all_three_fields(tmp_path, config_path, capsys):
+    rb = species_rb87()
+    code, _ = _run(
+        capsys, "sensitivity", "--config", config_path, "--out", str(tmp_path / "out"),
+        "--override", "species.name=Rb87-custom",
+        "--override", f"species.mass_kg={rb.mass!r}",
+        "--override", f"species.wavelength_m={rb.wavelength!r}",
+        "--override", f"species.magnetic_moment_J_T={rb.magnetic_moment!r}",
+    )
+    assert code == 0
+    assert _csv_header(tmp_path / "out" / "sensitivity.csv")["assumption_species"] == "Rb87-custom"
 
 
 def test_null_loop_height_reads_as_zero():
@@ -382,7 +419,7 @@ def test_override_changes_result(tmp_path, config_path, capsys):
         "--override",
         "interferometer.interrogation_time_s=8.0",
     )
-    assert s2["f_LP_hz"] == pytest.approx(s1["f_LP_hz"] / 2.0, rel=1e-3)
+    assert s2["f_LP_hz"] == pytest.approx(s1["f_LP_hz"] / 2.0, rel=1e-3, abs=0)
 
 
 def _read_transfer(path):
@@ -698,6 +735,28 @@ def test_every_public_name_has_a_user():
         if references == definitions:
             unused.add(name)
     assert unused == exempt
+
+
+@pytest.mark.parametrize(
+    "command, layers",
+    [
+        ("guide", ["guide", "magnetostatics"]),
+        ("transfer", ["interferometer"]),
+        ("sensitivity", ["interferometer"]),
+        ("allan", ["interferometer", "stability"]),
+        ("mission", ["interferometer", "stability"]),
+        ("noise", ["interferometer", "noise"]),
+    ],
+    ids=lambda param: param if isinstance(param, str) else "+".join(param),
+)
+def test_each_subcommand_loads_only_its_layers(tmp_path, config_path, command, layers):
+    probe = (
+        "import sys, chipgyro.cli\n"
+        "assert chipgyro.cli.main([sys.argv[1], '--config', sys.argv[2], '--out', sys.argv[3]]) == 0\n"
+        f"print(sorted(m for m in {LAYERS!r} if m in sys.modules))"
+    )
+    loaded = _python(probe, command, config_path, str(tmp_path / "out")).splitlines()[-1]
+    assert loaded == repr(sorted(f"chipgyro.{layer}" for layer in layers))
 
 
 def test_guide_loads_no_scipy_package_and_no_other_layer(tmp_path, config_path):

@@ -40,7 +40,7 @@ def characterization():
 def test_minimum_height(characterization):
     rho0, z0 = characterization.min_position
     assert abs(z0 - 13e-6) <= 0.2 * 13e-6
-    assert rho0 == pytest.approx(500e-6, rel=0.03)
+    assert rho0 == pytest.approx(500e-6, rel=0.03, abs=0)
     assert characterization.B_min < 1e-9  # true quadrupole zero line
 
 
@@ -70,7 +70,7 @@ def test_current_scaling_leaves_minimum_position():
 
 def test_gradient_scales_with_current(characterization):
     doubled = characterize_guide(design_guide_geometry().scaled(2.0), species_rb87())
-    assert doubled.gradient == pytest.approx(2.0 * characterization.gradient, rel=1e-3)
+    assert doubled.gradient == pytest.approx(2.0 * characterization.gradient, rel=1e-3, abs=0)
 
 
 def test_depth_band(characterization):
@@ -96,9 +96,9 @@ def test_radial_frequency_against_quadrupole_oracle(characterization):
     hessian = potential_hessian(potential, 1e-4, 2e-5)
     f_numeric = math.sqrt(max(np.linalg.eigvalsh(hessian)[-1], 0.0) / rb.mass) / (2 * math.pi)
     f_analytic = radial_frequency_quadrupole(gradient, b0, rb)
-    assert f_numeric == pytest.approx(f_analytic, rel=1e-4)
+    assert f_numeric == pytest.approx(f_analytic, rel=1e-4, abs=0)
     # and the real guide is quadrupole-like near its zero line
-    assert characterization.radial_frequency == pytest.approx(f_analytic, rel=0.02)
+    assert characterization.radial_frequency == pytest.approx(f_analytic, rel=0.02, abs=0)
 
 
 def test_trap_potential_offset_in_quadrature():
@@ -106,7 +106,7 @@ def test_trap_potential_offset_in_quadrature():
     b = float(field_modulus(geometry, 520e-6, 25e-6))
     b0 = 1e-4
     u = float(trap_potential(geometry, species, 520e-6, 25e-6, b0))
-    assert u == pytest.approx(species.magnetic_moment * math.hypot(b, b0), rel=1e-12)
+    assert u == pytest.approx(species.magnetic_moment * math.hypot(b, b0), rel=1e-12, abs=0)
 
 
 def test_hessian_symmetric():
@@ -115,9 +115,9 @@ def test_hessian_symmetric():
 
     h = potential_hessian(potential, 1e-4, 2e-5, step=1e-7)
     assert h[0, 1] == h[1, 0]
-    assert h[0, 0] == pytest.approx(2.0, rel=1e-4)
-    assert h[1, 1] == pytest.approx(6.0, rel=1e-4)
-    assert h[0, 1] == pytest.approx(0.5, rel=1e-3)
+    assert h[0, 0] == pytest.approx(2.0, rel=1e-4, abs=0)
+    assert h[1, 1] == pytest.approx(6.0, rel=1e-4, abs=0)
+    assert h[0, 1] == pytest.approx(0.5, rel=1e-3, abs=0)
 
 
 def _bisection_barrier(B, i, j):
@@ -161,8 +161,8 @@ def test_flood_barrier_double_well_saddle():
     y = np.linspace(-1.0, 1.0, 201)
     f = (x[:, None] ** 2 - 1.0) ** 2 + 2.0 * y[None, :] ** 2
     i, j = 100, 100  # (x, y) = (-1, 0)
-    assert _flood_barrier(f, i, j) == pytest.approx(1.0, rel=1e-12)
-    assert _bisection_barrier(f, i, j) == pytest.approx(1.0, rel=1e-12)
+    assert _flood_barrier(f, i, j) == pytest.approx(1.0, rel=1e-12, abs=0)
+    assert _bisection_barrier(f, i, j) == pytest.approx(1.0, rel=1e-12, abs=0)
     # a start on the edge is its own barrier
     assert _flood_barrier(f, 300, 100) == f[300, 100]
 
@@ -371,7 +371,7 @@ def test_corrugation_reproducible(corrugation):
 
 def test_corrugation_zero_mean_and_rms(corrugation):
     assert abs(corrugation.profile.mean()) < 1e-18
-    assert np.sqrt(np.mean(corrugation.profile ** 2)) == pytest.approx(1e-4, rel=1e-10)
+    assert np.sqrt(np.mean(corrugation.profile ** 2)) == pytest.approx(1e-4, rel=1e-10, abs=0)
 
 
 def test_roughness_odd_in_current(corrugation):

@@ -16,6 +16,7 @@ from chipgyro.interferometer import (
     shot_noise_sensitivity_per_sqrt_hz,
     transfer_H_abs2,
 )
+from chipgyro.noise import phase_sigma_to_rotation_sigma
 
 LAT = math.radians(48.85)
 
@@ -42,7 +43,7 @@ def test_scale_factor_and_sagnac_phase():
     omega = 7.29e-5
     rb = species_rb87()
     expected = (4 / math.pi) * (rb.mass / 1.054571817e-34) * rb.recoil_velocity ** 2 * 16 * omega
-    assert scale_factor(cfg) * omega == pytest.approx(expected, rel=1e-12)
+    assert scale_factor(cfg) * omega == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_equal_interrogation_time_gives_equal_phase():
@@ -52,36 +53,36 @@ def test_equal_interrogation_time_gives_equal_phase():
                                              pulse_duration=20e-6)
     ten = InterferometerConfig.from_geometry(rb, guide_radius=5.6e-4, n_loops=10,
                                              pulse_duration=20e-6)
-    assert one.interrogation_time == pytest.approx(ten.interrogation_time, rel=1e-15)
-    assert scale_factor(one) == pytest.approx(scale_factor(ten), rel=1e-15)
+    assert one.interrogation_time == pytest.approx(ten.interrogation_time, rel=1e-15, abs=0)
+    assert scale_factor(one) == pytest.approx(scale_factor(ten), rel=1e-15, abs=0)
 
 
 def test_shot_noise_reference_value():
     cfg = _config(interrogation_time=3.0, atom_number=1e4, latitude=LAT)
     sens = shot_noise_sensitivity(cfg)
-    assert sens == pytest.approx(3.459e-8, rel=1e-3)
+    assert sens == pytest.approx(3.459e-8, rel=1e-3, abs=0)
     arw = sens * ARW_DEG_SQRT_H_PER_RAD_S_SQRT_HZ
-    assert arw == pytest.approx(1.189e-4, rel=1e-3)
+    assert arw == pytest.approx(1.189e-4, rel=1e-3, abs=0)
 
 
 def test_shot_noise_scalings():
     base = _config(atom_number=1e4)
     assert shot_noise_sensitivity(_config(atom_number=1e6)) == pytest.approx(
-        shot_noise_sensitivity(base) / 10.0, rel=1e-12
+        shot_noise_sensitivity(base) / 10.0, rel=1e-12, abs=0
     )
     assert shot_noise_sensitivity(_config(interrogation_time=8.0)) == pytest.approx(
-        shot_noise_sensitivity(base) / 4.0, rel=1e-12
+        shot_noise_sensitivity(base) / 4.0, rel=1e-12, abs=0
     )
     assert shot_noise_sensitivity(_config(squeezing=0.1)) == pytest.approx(
-        shot_noise_sensitivity(base) * 0.1, rel=1e-12
+        shot_noise_sensitivity(base) * 0.1, rel=1e-12, abs=0
     )
     assert shot_noise_sensitivity(_config(contrast=0.5)) == pytest.approx(
-        shot_noise_sensitivity(base) * 2.0, rel=1e-12
+        shot_noise_sensitivity(base) * 2.0, rel=1e-12, abs=0
     )
     rb = species_rb87()
     assert shot_noise_sensitivity(
         _config(launch_velocity=2 * rb.recoil_velocity)
-    ) == pytest.approx(shot_noise_sensitivity(base) / 2.0, rel=1e-12)
+    ) == pytest.approx(shot_noise_sensitivity(base) / 2.0, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("v_over_vr", [1.0, 4.0])
@@ -104,20 +105,40 @@ def test_shot_noise_against_explicit_closed_form(v_over_vr, latitude_deg):
 def test_per_sqrt_hz_uses_cycle_time():
     cfg = _config(cycle_dead_time=1.0)
     assert shot_noise_sensitivity_per_sqrt_hz(cfg) == pytest.approx(
-        shot_noise_sensitivity(cfg) * math.sqrt(5.0), rel=1e-12
+        shot_noise_sensitivity(cfg) * math.sqrt(5.0), rel=1e-12, abs=0
     )
 
 
 def test_degenerate_latitude_raises():
+    """Every rotation figure divides by the scale factor, which raises at
+    sin(latitude) = 0."""
+    cfg = _config(latitude=0.0)
+    for figure in (scale_factor, shot_noise_sensitivity):
+        with pytest.raises(DegenerateOrientationError):
+            figure(cfg)
     with pytest.raises(DegenerateOrientationError):
-        shot_noise_sensitivity(_config(latitude=0.0))
+        phase_sigma_to_rotation_sigma(0.02, cfg)
 
 
 def test_geometry_relation():
     rb = species_rb87()
     r = guide_radius_for(rb, 3.0, 1)
-    assert r == pytest.approx(rb.recoil_velocity * 3.0 / math.pi, rel=1e-15)
-    assert r == pytest.approx(5.6e-3, rel=0.01)
+    assert r == pytest.approx(rb.recoil_velocity * 3.0 / math.pi, rel=1e-15, abs=0)
+    assert r == pytest.approx(5.6e-3, rel=0.01, abs=0)
+
+
+def test_config_derives_the_missing_time_or_radius():
+    rb = species_rb87()
+    from_time = InterferometerConfig(rb, 20e-6, interrogation_time=3.0, n_loops=2)
+    assert from_time.guide_radius == guide_radius_for(rb, 3.0, 2)
+    from_radius = InterferometerConfig(rb, 20e-6, guide_radius=5.6e-3, n_loops=3)
+    assert from_radius.interrogation_time == 3 * math.pi * 5.6e-3 / rb.recoil_velocity
+    assert from_radius == InterferometerConfig.from_geometry(rb, 5.6e-3, 3, pulse_duration=20e-6)
+
+
+def test_config_without_time_or_radius_raises():
+    with pytest.raises(ConfigError, match="interrogation_time or guide_radius"):
+        InterferometerConfig(species_rb87(), 20e-6)
 
 
 def test_config_validation():
@@ -153,19 +174,19 @@ def test_h_integrals():
     t = np.linspace(-0.6, 0.6, 1200001)
     g = sensitivity_function_g(t, cfg)
     assert np.trapezoid(g, t) == pytest.approx(
-        cfg.interrogation_time - cfg.pulse_duration, rel=1e-6
+        cfg.interrogation_time - cfg.pulse_duration, rel=1e-6, abs=0
     )
 
 
 def test_transfer_corners():
     cfg = _config()
     f_hp, f_lp = corner_frequencies(cfg)
-    assert f_hp == pytest.approx(1.0 / (math.pi * 20e-6), rel=1e-12)
-    assert f_lp == pytest.approx(1.0 / (math.pi * (4.0 - 20e-6)), rel=1e-12)
+    assert f_hp == pytest.approx(1.0 / (math.pi * 20e-6), rel=1e-12, abs=0)
+    assert f_lp == pytest.approx(1.0 / (math.pi * (4.0 - 20e-6)), rel=1e-12, abs=0)
     # mid-band plateau of |H| is 2 (at half-integer multiples of 1/(2T - tau))
     d = cfg.interrogation_time - cfg.pulse_duration
     f_plateau = (np.arange(10, 20) + 0.5) / d
-    assert np.sqrt(transfer_H_abs2(f_plateau, cfg)) == pytest.approx(2.0, rel=1e-6)
+    assert np.sqrt(transfer_H_abs2(f_plateau, cfg)) == pytest.approx(2.0, rel=1e-6, abs=0)
 
 
 def test_transfer_zeros_are_zero():

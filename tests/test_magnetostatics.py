@@ -155,7 +155,7 @@ def test_far_field_dipole_decay():
     loop = WireLoop(radius=500e-6, current=0.1, height=0.0)
     b1 = loop_field(loop, 0.0, 0.1).B_z
     b2 = loop_field(loop, 0.0, 0.2).B_z
-    assert b1 / b2 == pytest.approx(8.0, rel=1e-3)
+    assert b1 / b2 == pytest.approx(8.0, rel=1e-3, abs=0)
 
 
 def test_singular_point_raises():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import types
 import warnings
@@ -43,7 +44,7 @@ def test_parseval_white_phase_noise():
     f_max = 200.0 / cfg.pulse_duration  # leaves a ~0.1% spectral tail
     result = phase_variance(psd, cfg, f_min=1e-5, f_max=f_max)
     expected = s0 / cfg.pulse_duration
-    assert result.value == pytest.approx(expected, rel=1e-2)
+    assert result.value == pytest.approx(expected, rel=1e-2, abs=0)
     assert result.error_estimate < 1e-6 * result.value
 
 
@@ -57,7 +58,7 @@ def test_quadrature_against_trapezoid_oracle():
     integrand = psd.evaluate(f) * transfer_H_abs2(f, cfg)
     oracle = np.trapezoid(integrand, f)
     result = phase_variance(psd, cfg, f_min=f_min, f_max=f_max)
-    assert result.value == pytest.approx(oracle, rel=1e-3)
+    assert result.value == pytest.approx(oracle, rel=1e-3, abs=0)
 
 
 def test_acceleration_kernel_against_direct_quadrature():
@@ -68,7 +69,7 @@ def test_acceleration_kernel_against_direct_quadrature():
     kernel = cfg.k_eff ** 2 / (2 * np.pi * f) ** 4
     oracle = np.trapezoid(psd.evaluate(f) * kernel * transfer_H_abs2(f, cfg), f)
     result = phase_variance(psd, cfg, f_min=f_min, f_max=f_max)
-    assert result.value == pytest.approx(oracle, rel=1e-3)
+    assert result.value == pytest.approx(oracle, rel=1e-3, abs=0)
     assert "cutoff" in result.notes
 
 
@@ -80,7 +81,7 @@ def test_rotation_kernel_against_direct_quadrature():
     kernel = (2 * cfg.k_eff * cfg.guide_radius) ** 2 / (2 * np.pi * f) ** 2
     oracle = np.trapezoid(psd.evaluate(f) * kernel * transfer_H_abs2(f, cfg), f)
     result = phase_variance(psd, cfg, f_min=f_min, f_max=f_max)
-    assert result.value == pytest.approx(oracle, rel=1e-3)
+    assert result.value == pytest.approx(oracle, rel=1e-3, abs=0)
 
 
 def test_rotation_kernel_where_omega_squared_underflows():
@@ -119,7 +120,7 @@ def test_variance_invariant_under_domain_conversion():
     as_phase = convert_psd(acc, "phase", cfg.k_eff, cfg.guide_radius, grid=grid)
     v1 = phase_variance(acc, cfg, f_min=f_min, f_max=f_max).value
     v2 = phase_variance(as_phase, cfg, f_min=f_min, f_max=f_max).value
-    assert v2 == pytest.approx(v1, rel=1e-3)
+    assert v2 == pytest.approx(v1, rel=1e-3, abs=0)
 
 
 def test_interpolation_reproduces_grid_points():
@@ -262,7 +263,7 @@ def test_quadpack_warning_marks_result_unconverged(monkeypatch):
     lo, hi = calls[2]
     assert not result.converged
     assert result.notes == f"QUADPACK warning on panel [{lo}, {hi}] Hz"
-    assert result.as_record()["converged"] is False
+    assert dataclasses.asdict(result)["converged"] is False
 
 
 def test_quadpack_invalid_input_raises(monkeypatch):
@@ -377,7 +378,7 @@ def test_acceleration_kernel_down_to_default_cutoff():
     kernel = cfg.k_eff ** 2 / (2 * np.pi * f) ** 4
     oracle = np.trapezoid(psd.evaluate(f) * kernel * transfer_H_abs2(f, cfg), f)
     result = phase_variance(psd, cfg, f_max=f_max, rtol=1e-6)
-    assert result.value == pytest.approx(oracle, rel=1e-6)
+    assert result.value == pytest.approx(oracle, rel=1e-6, abs=0)
     assert result.error_estimate <= 1e-6 * result.value
 
 
@@ -385,7 +386,7 @@ def test_monotone_in_psd_level():
     cfg = _small_config()
     v1 = phase_variance(PowerSpectralDensity(domain="phase", white=1e-9), cfg).value
     v2 = phase_variance(PowerSpectralDensity(domain="phase", white=2e-9), cfg).value
-    assert v2 == pytest.approx(2.0 * v1, rel=1e-12)
+    assert v2 == pytest.approx(2.0 * v1, rel=1e-12, abs=0)
 
 
 def test_divergent_cutoff_raises():
@@ -441,7 +442,7 @@ def test_white_phase_long_interrogation_against_closed_form(two_t):
     result = phase_variance(PowerSpectralDensity(domain="phase", white=s0), cfg, rtol=rtol)
     assert result.band == (DEFAULT_F_MIN, 10.0 / cfg.pulse_duration)
     exact = _white_phase_variance(s0, cfg.pulse_duration, two_t, *result.band)
-    assert result.value == pytest.approx(exact, rel=1e-9)
+    assert result.value == pytest.approx(exact, rel=1e-9, abs=0)
     assert result.error_estimate <= rtol * result.value
     assert result.converged
 
@@ -507,4 +508,4 @@ def test_phase_sigma_to_rotation_sigma_inverts_scale_factor():
     cfg = _small_config()
     sigma_phi = 0.02
     omega = phase_sigma_to_rotation_sigma(sigma_phi, cfg)
-    assert omega * scale_factor(cfg) == pytest.approx(sigma_phi, rel=1e-14)
+    assert omega * scale_factor(cfg) == pytest.approx(sigma_phi, rel=1e-14, abs=0)

@@ -38,7 +38,7 @@ def _flagship_config():
 def test_projection_allan_coefficient():
     cfg = _flagship_config()
     coeff = projection_allan(cfg, 1.0, extrapolate=True)
-    assert coeff == pytest.approx(1.17e-9, rel=1e-2)
+    assert coeff == pytest.approx(1.17e-9, rel=1e-2, abs=0)
     assert 0.5 * 1.9e-9 <= coeff <= 2.0 * 1.9e-9
 
 
@@ -77,7 +77,7 @@ def test_dick_sum_white_noise_tau_scaling():
     psd = PowerSpectralDensity(domain="rotation", random_walk=1e-18)
     r1 = dick_sum_allan(psd, cfg, tau_integration=100.0, m_max=20000)
     r2 = dick_sum_allan(psd, cfg, tau_integration=400.0, m_max=20000)
-    assert r1.variance / r2.variance == pytest.approx(4.0, rel=1e-12)
+    assert r1.variance / r2.variance == pytest.approx(4.0, rel=1e-12, abs=0)
 
 
 def test_dick_sum_truncation_stable():
@@ -85,7 +85,7 @@ def test_dick_sum_truncation_stable():
     psd = PowerSpectralDensity(domain="rotation", random_walk=1e-18)
     r4 = dick_sum_allan(psd, cfg, tau_integration=100.0, m_max=10_000)
     r5 = dick_sum_allan(psd, cfg, tau_integration=100.0, m_max=100_000)
-    assert r5.variance == pytest.approx(r4.variance, rel=1e-3)
+    assert r5.variance == pytest.approx(r4.variance, rel=1e-3, abs=0)
     assert r5.converged
     assert r5.tail_bound < 1e-3 * r5.variance
     # the reported tail bound really bounds the observed remainder
@@ -140,8 +140,8 @@ def test_required_interrogation_time_closed_form():
         unit = replace(tpl, interrogation_time=1.0, guide_radius=radius, launch_velocity=v)
         c = projection_allan(unit, SECONDS_PER_YEAR, extrapolate=True)
         two_t, radius = required_interrogation_time(target, SECONDS_PER_YEAR, v, tpl)
-        assert two_t == pytest.approx((c / target) ** (2.0 / 3.0), rel=1e-12)
-        assert radius == pytest.approx(v * two_t / (2 * math.pi), rel=1e-15)
+        assert two_t == pytest.approx((c / target) ** (2.0 / 3.0), rel=1e-12, abs=0)
+        assert radius == pytest.approx(v * two_t / (2 * math.pi), rel=1e-15, abs=0)
 
 
 def test_required_interrogation_time_infeasible():
@@ -159,7 +159,7 @@ def test_feasibility_boundary_monotone():
     assert all(b < a for a, b in zip(twots, twots[1:]))
     # sigma ~ sqrt(2T) / (v (2T)^2) = 1 / (v (2T)^1.5), so doubling the launch
     # speed divides the required 2T by 2^(2/3)
-    assert twots[0] / twots[1] == pytest.approx(2 ** (2.0 / 3.0), rel=0.02)
+    assert twots[0] / twots[1] == pytest.approx(2 ** (2.0 / 3.0), rel=0.02, abs=0)
 
 
 @pytest.mark.parametrize(
