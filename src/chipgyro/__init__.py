@@ -5,7 +5,7 @@ Layers, bottom up:
 
 * :mod:`chipgyro.constants` — physical constants, species data, the ARW unit
 * :mod:`chipgyro.magnetostatics` — circular-loop fields (closed form + oracle)
-* :mod:`chipgyro.guide` — guide minimum, trap frequency, depth, corrugation
+* :mod:`chipgyro.guide` — guide minimum, trap frequency, gradient, depth
 * :mod:`chipgyro.interferometer` — scale factor, sensitivity, g(t), |H(f)|²
 * :mod:`chipgyro.noise` — PSD models and phase-variance quadrature
 * :mod:`chipgyro.stability` — Allan deviation, harmonic sum, mission solver
@@ -48,14 +48,11 @@ _LAYERS = {
         "SingularPointError",
     ),
     "guide": (
-        "CorrugationModel",
         "GuideCharacterization",
         "characterize_guide",
         "find_guide_minimum",
-        "modulated_roughness_average",
         "potential_hessian",
         "radial_frequency_quadrupole",
-        "roughness_potential",
         "trap_potential",
     ),
     "interferometer": (

@@ -3,8 +3,7 @@
 Locates the modulus minimum of the wire field, which above a quadrupole
 guide is the zero of (B_rho, B_z), derives confinement (radial frequency
 from the Hessian of the regularized potential), transverse gradient
-and trap depth, and provides a first-order model of wire-corrugation roughness
-with its suppression under zero-mean current modulation.
+and trap depth.
 
 The bare quadrupole modulus is non-smooth at its zero line, so the trapping
 potential is regularized by a longitudinal offset field B0 added in
@@ -16,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,9 +29,6 @@ NEWTON_MAX_ITERATIONS = 10   # cap of the minimum refinement
 COARSE_GRID = 201            # coarse scan resolution per axis
 DEPTH_GRID = 1001            # priority-flood barrier grid resolution per axis
 DEPTH_TILE = 32              # cells per side of a lazily evaluated depth-map tile
-
-# geometric constant of the first-order corrugation model, per unit df/ds
-CORRUGATION_FIELD_CONSTANT = 1.0  # T A^-1 m^-1
 
 
 @dataclass(frozen=True)
@@ -297,86 +293,3 @@ def radial_frequency_quadrupole(
         species.magnetic_moment / (species.mass * offset_B0)
     )
 
-
-@dataclass(frozen=True)
-class CorrugationModel:
-    """Zero-mean relative current deviation f(s) along the azimuthal arc
-    length, reproducible from ``seed``."""
-
-    amplitude: float           # rms relative current deviation
-    correlation_length: float  # m
-    seed: int
-    arc_length: float          # m, full azimuthal extent (periodic)
-    n_points: int = 4096
-    profile: np.ndarray = field(init=False, repr=False, compare=False)
-    grid: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.amplitude < 0:
-            raise ConfigError("corrugation amplitude must be >= 0")
-        if self.correlation_length <= 0 or self.arc_length <= 0:
-            raise ConfigError("correlation_length and arc_length must be > 0")
-        s = np.linspace(0.0, self.arc_length, self.n_points, endpoint=False)
-        rng = np.random.default_rng(self.seed)
-        white = rng.standard_normal(self.n_points)
-        f = _periodic_gaussian_filter(white, self.correlation_length, self.arc_length)
-        f = f - f.mean()
-        rms = float(np.sqrt(np.mean(f * f)))
-        if rms > 0 and self.amplitude > 0:
-            f = f * (self.amplitude / rms)
-        else:
-            f = np.zeros_like(f)
-        f = f - f.mean()  # keep the mean at machine zero after scaling
-        object.__setattr__(self, "profile", f)
-        object.__setattr__(self, "grid", s)
-
-
-def _periodic_gaussian_filter(values: np.ndarray, width: float, period: float) -> np.ndarray:
-    """Periodic Gaussian smoothing via FFT."""
-    n = values.size
-    freq = np.fft.rfftfreq(n, d=period / n)
-    kernel = np.exp(-2.0 * (np.pi * freq * width) ** 2)
-    return np.fft.irfft(np.fft.rfft(values) * kernel, n=n)
-
-
-def roughness_potential(
-    corrugation: CorrugationModel,
-    current: float,
-    species: AtomSpecies,
-    guide_height: float = 13e-6,
-) -> np.ndarray:
-    """First-order rough potential V(s) (J) on the corrugation grid.
-
-    V = mu * c * I * g(s) with g the arc-length derivative of the corrugation
-    profile smoothed over the guide height; odd in the sign of the current.
-    """
-    if guide_height <= 0:
-        raise ConfigError("guide_height must be > 0")
-    if not math.isfinite(current):
-        raise ConfigError("current must be finite")
-    ds = corrugation.arc_length / corrugation.n_points
-    fprime = (np.roll(corrugation.profile, -1) - np.roll(corrugation.profile, 1)) / (2.0 * ds)
-    g = _periodic_gaussian_filter(fprime, guide_height, corrugation.arc_length)
-    return species.magnetic_moment * CORRUGATION_FIELD_CONSTANT * current * g
-
-
-def modulated_roughness_average(
-    corrugation: CorrugationModel,
-    waveform_t: np.ndarray,
-    waveform_current: np.ndarray,
-    species: AtomSpecies,
-    guide_height: float = 13e-6,
-) -> np.ndarray:
-    """Time average of the rough potential over one period of the current
-    waveform. In the first-order (current-linear) model this equals the
-    waveform mean times the unit-current potential: a zero-mean modulation
-    nulls the roughness exactly; a DC offset leaves the proportional residual.
-    """
-    t = np.asarray(waveform_t, dtype=float)
-    current = np.asarray(waveform_current, dtype=float)
-    if t.ndim != 1 or t.size < 2 or t.shape != current.shape:
-        raise ConfigError("waveform must be 1D arrays of equal length >= 2")
-    if np.any(np.diff(t) <= 0):
-        raise ConfigError("waveform times must be strictly increasing")
-    mean_current = float(np.trapezoid(current, t) / (t[-1] - t[0]))
-    return roughness_potential(corrugation, mean_current, species, guide_height)

@@ -48,24 +48,21 @@ class InterferometerConfig:
     def __post_init__(self):
         if self.launch_velocity is None:
             object.__setattr__(self, "launch_velocity", self.species.recoil_velocity)
+        # the given one of 2T and R is checked before the other is derived
+        # from it, so that an error names the input
         if self.guide_radius is None:
             if self.interrogation_time is None:
                 raise ConfigError("give interrogation_time or guide_radius")
+            self._check_positive("interrogation_time")
             radius = guide_radius_for(self.species, self.interrogation_time, self.n_loops)
             object.__setattr__(self, "guide_radius", radius)
         elif self.interrogation_time is None:
+            self._check_positive("guide_radius")
             two_t = self.n_loops * math.pi * self.guide_radius / self.species.recoil_velocity
             object.__setattr__(self, "interrogation_time", two_t)
-        checks = {
-            "pulse_duration": self.pulse_duration,
-            "interrogation_time": self.interrogation_time,
-            "guide_radius": self.guide_radius,
-            "atom_number": self.atom_number,
-            "launch_velocity": self.launch_velocity,
-        }
-        for name, value in checks.items():
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigError(f"{name} must be > 0, got {value!r}")
+        self._check_positive(
+            "pulse_duration", "interrogation_time", "guide_radius", "atom_number", "launch_velocity"
+        )
         if self.pulse_duration >= self.interrogation_time:
             raise ConfigError(
                 f"pulse_duration ({self.pulse_duration}) must be < interrogation_time "
@@ -79,6 +76,12 @@ class InterferometerConfig:
             raise ConfigError(f"n_loops must be an integer >= 1, got {self.n_loops!r}")
         if self.cycle_dead_time < 0:
             raise ConfigError(f"cycle_dead_time must be >= 0, got {self.cycle_dead_time!r}")
+
+    def _check_positive(self, *names):
+        for name in names:
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be > 0, got {value!r}")
 
     @property
     def half_time(self) -> float:

@@ -24,6 +24,7 @@ from .errors import ConfigError, InfeasibleTargetError, PhysicsError
 from .interferometer import (
     InterferometerConfig,
     assumptions_record,
+    scale_factor,
     shot_noise_sensitivity,
     transfer_H_abs2,
 )
@@ -125,6 +126,7 @@ def dick_sum_allan(
             f"integration time {tau_integration} s is below one cycle ({config.cycle_time} s)"
         )
 
+    scale_factor(config)  # raises DegenerateOrientationError at sin(latitude) = 0
     species = config.species
     two_t = config.interrogation_time
     sin_lat = math.sin(config.latitude)

@@ -1,5 +1,6 @@
 import gc
 import importlib
+import importlib.metadata
 import json
 import math
 import os
@@ -13,6 +14,7 @@ import pytest
 import yaml
 
 import chipgyro
+from chipgyro._scipy import compiled_module
 from chipgyro.cli import LOOP_FIELDS, SCHEMA, _write_csv, load_config, main, resolve_config
 from chipgyro.constants import species_rb87
 from chipgyro.guide import POSITION_TOLERANCE, trap_potential
@@ -714,6 +716,40 @@ def test_lazy_names_are_the_layers_own():
     assert int(_python(probe)) == len(chipgyro.__all__) > 60
 
 
+@pytest.mark.parametrize("name", ["scipy.special._no_such_module", "scipy.nosub._x"])
+def test_missing_compiled_module_raises_import_error(name):
+    """A missing module is named, with the installed scipy version, and the
+    ``scipy`` package is not imported to find that version."""
+    probe = (
+        "import sys\n"
+        "from chipgyro._scipy import compiled_module\n"
+        "try:\n"
+        f"    compiled_module({name!r})\n"
+        "except ImportError as error:\n"
+        "    print(error)\n"
+        "print('scipy' in sys.modules)"
+    )
+    message, scipy_loaded = _python(probe).splitlines()
+    assert message == f"{name} is not in scipy {importlib.metadata.version('scipy')}"
+    assert scipy_loaded == "False"
+
+
+@pytest.mark.parametrize(
+    "module, entry",
+    [
+        ("scipy.special._special_ufuncs", "ellipk"),
+        ("scipy.special._special_ufuncs", "ellipe"),
+        ("scipy.integrate._quadpack", "_qagse"),
+        ("scipy.integrate._quadpack", "_qawoe"),
+        ("scipy.optimize._zeros", "_brentq"),
+    ],
+)
+def test_compiled_entry_points_exist(module, entry):
+    """Every private scipy entry point chipgyro calls is there, so a scipy
+    that renames one fails here by name."""
+    assert callable(getattr(compiled_module(module), entry))
+
+
 def test_every_public_name_has_a_user():
     """Each public name is referenced, other than where it is defined, in the
     package's modules, the README, the acceptance tests or the benchmark: a
@@ -722,7 +758,6 @@ def test_every_public_name_has_a_user():
         "OMEGA_EARTH",  # the Earth-rate noise source (ROADMAP D13) needs it
         "sensitivity_function_g",  # oracle: tests compare |H|^2 with its Fourier transform
         "radial_frequency_quadrupole",  # oracle: tests compare the guide's frequency with it
-        "modulated_roughness_average",  # the roughness model, kept for ROADMAP D11
     }
     files = [path for path in (REPO / "src" / "chipgyro").glob("*.py") if path.name != "__init__.py"]
     files += [REPO / "README.md", REPO / "tests" / "test_acceptance.py"]

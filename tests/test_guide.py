@@ -10,17 +10,14 @@ from chipgyro.errors import ConfigError, NoGuideMinimumError, NonSmoothPotential
 from chipgyro.guide import (
     DEPTH_GRID,
     DEPTH_TILE,
-    CorrugationModel,
     _TiledFieldMap,
     _depth_field,
     _flood_barrier,
     _search_box,
     characterize_guide,
     find_guide_minimum,
-    modulated_roughness_average,
     potential_hessian,
     radial_frequency_quadrupole,
-    roughness_potential,
     trap_potential,
 )
 from chipgyro.magnetostatics import (
@@ -346,76 +343,3 @@ def test_negative_offset_rejected():
     with pytest.raises(ConfigError):
         characterize_guide(design_guide_geometry(), species_rb87(), offset_B0=-1e-4)
 
-
-# ---------------------------------------------------------------------------
-# corrugation model
-
-
-@pytest.fixture(scope="module")
-def corrugation():
-    return CorrugationModel(
-        amplitude=1e-4, correlation_length=5e-6, seed=7, arc_length=2 * math.pi * 500e-6
-    )
-
-
-def test_corrugation_reproducible(corrugation):
-    again = CorrugationModel(
-        amplitude=1e-4, correlation_length=5e-6, seed=7, arc_length=2 * math.pi * 500e-6
-    )
-    assert np.array_equal(corrugation.profile, again.profile)
-    other = CorrugationModel(
-        amplitude=1e-4, correlation_length=5e-6, seed=8, arc_length=2 * math.pi * 500e-6
-    )
-    assert not np.array_equal(corrugation.profile, other.profile)
-
-
-def test_corrugation_zero_mean_and_rms(corrugation):
-    assert abs(corrugation.profile.mean()) < 1e-18
-    assert np.sqrt(np.mean(corrugation.profile ** 2)) == pytest.approx(1e-4, rel=1e-10, abs=0)
-
-
-def test_roughness_odd_in_current(corrugation):
-    rb = species_rb87()
-    v_pos = roughness_potential(corrugation, 0.121, rb)
-    v_neg = roughness_potential(corrugation, -0.121, rb)
-    assert np.allclose(v_pos, -v_neg, rtol=0, atol=1e-40)
-    assert np.max(np.abs(v_pos)) > 0
-
-
-def test_roughness_linear_in_current(corrugation):
-    rb = species_rb87()
-    v1 = roughness_potential(corrugation, 0.1, rb)
-    v3 = roughness_potential(corrugation, 0.3, rb)
-    assert np.allclose(v3, 3.0 * v1, rtol=1e-12, atol=0)
-
-
-def test_zero_mean_modulation_nulls_roughness(corrugation):
-    rb = species_rb87()
-    t = np.linspace(0.0, 1.0, 20001)
-    current = 0.121 * np.sin(2 * math.pi * 5 * t)
-    averaged = modulated_roughness_average(corrugation, t, current, rb)
-    static = roughness_potential(corrugation, 0.121, rb)
-    assert np.max(np.abs(averaged)) < 1e-9 * np.max(np.abs(static))
-
-
-def test_dc_offset_leaves_proportional_residual(corrugation):
-    rb = species_rb87()
-    t = np.linspace(0.0, 1.0, 20001)
-    current = 0.121 * np.sin(2 * math.pi * 5 * t) + 0.01
-    averaged = modulated_roughness_average(corrugation, t, current, rb)
-    static = roughness_potential(corrugation, 0.01, rb)
-    assert np.allclose(averaged, static, rtol=1e-6, atol=1e-9 * np.max(np.abs(static)))
-
-
-def test_corrugation_validation():
-    with pytest.raises(ConfigError):
-        CorrugationModel(amplitude=-1.0, correlation_length=1e-6, seed=0, arc_length=1e-3)
-    with pytest.raises(ConfigError):
-        CorrugationModel(amplitude=1e-4, correlation_length=0.0, seed=0, arc_length=1e-3)
-    with pytest.raises(ConfigError):
-        modulated_roughness_average(
-            CorrugationModel(amplitude=1e-4, correlation_length=1e-6, seed=0, arc_length=1e-3),
-            np.array([0.0, 1.0, 0.5]),
-            np.array([1.0, 1.0, 1.0]),
-            species_rb87(),
-        )

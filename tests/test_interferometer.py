@@ -141,6 +141,13 @@ def test_config_without_time_or_radius_raises():
         InterferometerConfig(species_rb87(), 20e-6)
 
 
+@pytest.mark.parametrize("radius", [-1e-3, math.nan])
+def test_config_error_names_the_given_radius(radius):
+    """A bad R is named as such, not through the 2T derived from it."""
+    with pytest.raises(ConfigError, match="^guide_radius must be > 0"):
+        InterferometerConfig(species_rb87(), 20e-6, guide_radius=radius)
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         _config(pulse_duration=5.0)  # tau >= 2T

@@ -9,7 +9,12 @@ import chipgyro.stability as stability
 from chipgyro._scipy import compiled_module
 from chipgyro.cli import SCHEMA
 from chipgyro.constants import SECONDS_PER_YEAR, species_rb87
-from chipgyro.errors import ConfigError, InfeasibleTargetError, PhysicsError
+from chipgyro.errors import (
+    ConfigError,
+    DegenerateOrientationError,
+    InfeasibleTargetError,
+    PhysicsError,
+)
 from chipgyro.interferometer import rb87_config
 from chipgyro.noise import PowerSpectralDensity
 from chipgyro.stability import (
@@ -101,6 +106,13 @@ def test_dick_sum_rejects_wrong_domain_and_args():
         dick_sum_allan(psd, cfg, 100.0, m_max=0)
     with pytest.raises(ConfigError):
         dick_sum_allan(psd, cfg, tau_integration=1.0)
+
+
+def test_dick_sum_rejects_zero_latitude():
+    cfg = rb87_config(pulse_duration=20e-6, interrogation_time=1.0, latitude=0.0)
+    psd = PowerSpectralDensity(domain="rotation", white=1e-20)
+    with pytest.raises(DegenerateOrientationError):
+        dick_sum_allan(psd, cfg, 10.0, m_max=10)
 
 
 def test_required_interrogation_time_flagship():
