@@ -8,7 +8,8 @@ mission feasibility boundary, and a noise budget from a PSD.
 Every output embeds the assumption set it was computed under. Outputs are
 deterministic: identical config (including seed) gives bitwise-identical
 files. Exit codes: 0 success, 1 config/validation error, 2 physics-domain
-error (no guide minimum, infeasible target).
+error (no guide minimum, infeasible target), 3 environment error (a compiled
+scipy module missing from the installed scipy).
 """
 
 from __future__ import annotations
@@ -478,9 +479,9 @@ def cmd_noise(config: dict, out_dir: str) -> dict:
     model = {key: config[f"noise.model.{key}"] for key in ("white", "flicker", "random_walk")}
     given = ", ".join(f"noise.model.{key}" for key, value in model.items() if value is not None)
     if config["noise.file"] is not None:
-        psd = PowerSpectralDensity.from_csv(config["noise.file"], domain=domain)
         if given:
             raise ConfigError(f"give noise.file or noise.model, not both; got {given} too")
+        psd = PowerSpectralDensity.from_csv(config["noise.file"], domain=domain)
     else:
         model = {key: 0.0 if value is None else value for key, value in model.items()}
         psd = PowerSpectralDensity(domain=domain, **model)
@@ -554,6 +555,9 @@ def main(argv=None) -> int:
     except PhysicsError as exc:
         print(json.dumps({"command": args.command, "status": "physics-error", "error": str(exc)}))
         return 2
+    except ImportError as exc:
+        print(json.dumps({"command": args.command, "status": "environment-error", "error": str(exc)}))
+        return 3
     summary = {"command": args.command, "status": "ok", **summary}
     print(json.dumps(summary, sort_keys=True))
     return 0

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import ConfigError
+
 HBAR = 1.054571817e-34      # reduced Planck constant (J s)
 MU_B = 9.2740100783e-24     # Bohr magneton (J/T)
 MU_0 = 1.25663706212e-6     # vacuum permeability (T m/A)
@@ -54,7 +56,7 @@ class AtomSpecies:
         for field in ("mass", "wavelength", "magnetic_moment"):
             value = getattr(self, field)
             if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"AtomSpecies.{field} must be strictly positive, got {value!r}")
+                raise ConfigError(f"AtomSpecies.{field} must be strictly positive, got {value!r}")
 
     @property
     def wavevector(self) -> float:

@@ -11,7 +11,7 @@ class ChipgyroError(Exception):
 
 
 class ConfigError(ChipgyroError):
-    """Invalid input: bad field value, unknown unit tag, unknown PSD domain."""
+    """Invalid input: bad field value, unknown PSD domain, unreadable input file."""
 
 
 class PhysicsError(ChipgyroError):

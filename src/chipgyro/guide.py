@@ -267,9 +267,9 @@ def characterize_guide(
     )
 
 
-def potential_hessian(potential, rho0: float, z0: float, step: float = HESSIAN_STEP) -> np.ndarray:
-    """2x2 central-difference Hessian of a (rho, z) potential at a point."""
-    h = step
+def potential_hessian(potential, rho0: float, z0: float) -> np.ndarray:
+    """2x2 central-difference Hessian (step HESSIAN_STEP) of a (rho, z) potential."""
+    h = HESSIAN_STEP
     u0 = potential(rho0, z0)
     uxx = (potential(rho0 + h, z0) - 2 * u0 + potential(rho0 - h, z0)) / h ** 2
     uzz = (potential(rho0, z0 + h) - 2 * u0 + potential(rho0, z0 - h)) / h ** 2

@@ -96,18 +96,6 @@ class InterferometerConfig:
     def cycle_time(self) -> float:
         return self.interrogation_time + self.cycle_dead_time
 
-    @classmethod
-    def from_geometry(
-        cls,
-        species: AtomSpecies,
-        guide_radius: float,
-        n_loops: int = 1,
-        **kwargs,
-    ) -> "InterferometerConfig":
-        """The configuration whose interrogation time the guide geometry sets:
-        2T = n_loops * pi * R / v_r."""
-        return cls(species=species, guide_radius=guide_radius, n_loops=n_loops, **kwargs)
-
 
 def guide_radius_for(species: AtomSpecies, interrogation_time: float, n_loops: int = 1) -> float:
     """Guide radius implied by 2T = n_loops * pi * R / v_r."""

@@ -66,8 +66,8 @@ class PowerSpectralDensity:
             s = np.asarray(self.values, dtype=float)
             if f.ndim != 1 or f.size < 2 or f.shape != s.shape:
                 raise ConfigError("tabulated PSD needs 1D grids of equal length >= 2")
-            if np.any(f <= 0) or np.any(np.diff(f) <= 0):
-                raise ConfigError("PSD frequency grid must be strictly increasing and > 0")
+            if not np.all(np.isfinite(f)) or np.any(f <= 0) or np.any(np.diff(f) <= 0):
+                raise ConfigError("PSD frequency grid must be finite, strictly increasing and > 0")
             if np.any(s < 0) or not np.all(np.isfinite(s)):
                 raise ConfigError("PSD values must be finite and >= 0")
             log_f = np.log(f)
@@ -145,17 +145,22 @@ class PowerSpectralDensity:
 
     @classmethod
     def from_csv(cls, path, domain: str) -> "PowerSpectralDensity":
-        """Load a tabulated PSD from CSV with header ``f_hz,psd_value``."""
+        """Load a tabulated PSD from CSV with header ``f_hz,psd_value``. Every
+        error names the file; a non-numeric cell reads as NaN."""
         try:
             data = np.genfromtxt(path, delimiter=",", names=True)
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot read PSD file {path}: {exc}") from None
+        # ValueError: bad UTF-8, or genfromtxt's row of the wrong width with its line number
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read PSD file {path}: {' '.join(str(exc).split())}") from None
         try:
             f = np.atleast_1d(data["f_hz"]).astype(float)
             s = np.atleast_1d(data["psd_value"]).astype(float)
         except (KeyError, ValueError):
             raise ConfigError(f"PSD file {path} must have header 'f_hz,psd_value'") from None
-        return cls(domain=domain, frequencies=f, values=s)
+        try:
+            return cls(domain=domain, frequencies=f, values=s)
+        except ConfigError as exc:
+            raise ConfigError(f"PSD file {path}: {exc}") from None
 
 
 def phase_kernel(domain: str, f, k_eff: float, guide_radius: float):

@@ -51,8 +51,6 @@ class AllanCurve:
 class FeasibilityBoundary:
     points: tuple        # ((v_launch, min_2T), ...) in the order the speeds were given
     radii: tuple         # (R, ...) in m, the guide radius of each point
-    target_sigma: float  # rad/s
-    integration_time: float  # s
 
     def __post_init__(self):
         # sorted by speed, a faster speed needs a strictly shorter 2T; speeds that
@@ -64,28 +62,21 @@ class FeasibilityBoundary:
                 raise ConfigError("feasibility boundary must be strictly decreasing in launch speed")
 
 
-def projection_allan(
-    config: InterferometerConfig, tau_integration: float, extrapolate: bool = False
-) -> float:
+def projection_allan(config: InterferometerConfig, tau_integration: float) -> float:
     """Allan deviation of a projection-noise-limited sensor:
     sigma(tau_I) = dOmega_per_shot * sqrt(T_c / tau_I) with T_c the cycle time.
 
-    ``extrapolate`` permits tau_I below one cycle, returning the white-noise
-    extrapolation (used for quoting the 1-s coefficient of slow sensors).
+    Below one cycle this is the white-noise extrapolation, which quotes the
+    1-s coefficient of a slow sensor. Raises ConfigError unless tau_I is
+    finite and > 0.
     """
-    cycle = config.cycle_time
-    if tau_integration < cycle and not extrapolate:
-        raise ConfigError(
-            f"integration time {tau_integration} s is below one cycle ({cycle} s); "
-            "pass extrapolate=True for the white-noise extrapolation"
-        )
-    return shot_noise_sensitivity(config) * math.sqrt(cycle / tau_integration)
+    if not (math.isfinite(tau_integration) and tau_integration > 0):
+        raise ConfigError(f"integration time tau_I must be > 0, got {tau_integration!r}")
+    return shot_noise_sensitivity(config) * math.sqrt(config.cycle_time / tau_integration)
 
 
 def projection_allan_curve(config: InterferometerConfig, taus) -> AllanCurve:
-    points = tuple(
-        (float(t), projection_allan(config, float(t), extrapolate=True)) for t in np.asarray(taus)
-    )
+    points = tuple((float(t), projection_allan(config, float(t))) for t in np.asarray(taus))
     return AllanCurve(points=points, model_tag="projection", assumptions=assumptions_record(config))
 
 
@@ -185,7 +176,7 @@ def required_interrogation_time(
         config = replace(
             config_template, interrogation_time=two_t, guide_radius=None, launch_velocity=launch_velocity
         )
-        sigma = projection_allan(config, integration_time, extrapolate=True)
+        sigma = projection_allan(config, integration_time)
         if math.isnan(sigma):  # Brent's method would take it for a number
             raise PhysicsError(f"projection Allan deviation is NaN at 2T = {two_t} s")
         return sigma
@@ -218,7 +209,8 @@ def feasibility_boundary(
     config_template: InterferometerConfig,
 ) -> FeasibilityBoundary:
     """Minimum 2T and guide radius of :func:`required_interrogation_time` at
-    each launch speed, kept in the order given."""
+    each launch speed, kept in the order given. The boundary holds only those;
+    the target and integration time stay with the caller."""
     speeds = np.asarray(launch_velocities, dtype=float).tolist()
     solved = [
         required_interrogation_time(target_sigma, integration_time, v, config_template)
@@ -227,6 +219,4 @@ def feasibility_boundary(
     return FeasibilityBoundary(
         points=tuple((v, two_t) for v, (two_t, _) in zip(speeds, solved)),
         radii=tuple(radius for _, radius in solved),
-        target_sigma=target_sigma,
-        integration_time=integration_time,
     )

@@ -45,7 +45,7 @@ def test_criterion_2_shot_noise_sensitivity():
     sens = cg.shot_noise_sensitivity(cfg)
     arw = sens * cg.ARW_DEG_SQRT_H_PER_RAD_S_SQRT_HZ
     radius = cg.guide_radius_for(cg.species_rb87(), 3.0, 1)
-    ten_loop = cg.InterferometerConfig.from_geometry(
+    ten_loop = cg.InterferometerConfig(
         cg.species_rb87(), guide_radius=600e-6, n_loops=10, pulse_duration=20e-6
     )
     ok = (
@@ -72,7 +72,7 @@ def test_criterion_3_allan_projection():
         atom_number=1e5,
         launch_velocity=2.0 * cg.species_rb87().recoil_velocity,
     )
-    coeff = cg.projection_allan(cfg, 1.0, extrapolate=True)
+    coeff = cg.projection_allan(cfg, 1.0)
     year = cg.projection_allan(cfg, cg.SECONDS_PER_YEAR)
     ratio_ok = abs(coeff / year / math.sqrt(cg.SECONDS_PER_YEAR) - 1.0) < 1e-6
     ok = 0.5 <= coeff / 1.9e-9 <= 2.0 and 0.5 <= year / 3.5e-13 <= 2.0 and ratio_ok

@@ -1,6 +1,7 @@
 import gc
 import importlib
 import importlib.metadata
+import inspect
 import json
 import math
 import os
@@ -222,7 +223,8 @@ def test_only_an_empty_config_file_reads_as_empty(tmp_path, capsys, text, code):
     "case",
     [
         "config-is-directory", "config-not-utf8", "config-not-yaml",
-        "psd-not-utf8", "override-not-yaml", "out-under-file",
+        "psd-not-utf8", "psd-nan", "psd-text", "psd-inf", "psd-one-column",
+        "override-not-yaml", "out-under-file",
     ],
 )
 def test_unreadable_input_exit_1(tmp_path, config_path, capsys, case):
@@ -233,8 +235,10 @@ def test_unreadable_input_exit_1(tmp_path, config_path, capsys, case):
         Path(config_path).write_bytes(b"interferometer:\n  latitude_deg: \xff\n")
     elif case == "config-not-yaml":
         Path(config_path).write_text("interferometer: [\n")
-    elif case == "psd-not-utf8":
-        (tmp_path / "psd.csv").write_bytes(b"f_hz,psd_value\n0.1,1e-8\n1.0,\xff\n")
+    elif case.startswith("psd-"):
+        bad_row = {"not-utf8": b"1.0,\xff", "nan": b"nan,1e-8", "text": b"abc,1e-8",
+                   "inf": b"inf,1e-8", "one-column": b"1e3"}[case[4:]]
+        (tmp_path / "psd.csv").write_bytes(b"f_hz,psd_value\n0.1,1e-8\n" + bad_row + b"\n")
         argv, named = [*argv, "--override", "noise.file=psd.csv", "--override", "noise.model=null"], "psd.csv"
     elif case == "override-not-yaml":
         argv, named = [*argv, "--override", "interferometer.contrast=["], "interferometer.contrast=["
@@ -242,13 +246,15 @@ def test_unreadable_input_exit_1(tmp_path, config_path, capsys, case):
         blocker = tmp_path / "file"
         blocker.write_text("")
         argv, named = [*argv, "--out", str(blocker / "out")], str(blocker)
-    code = main(["noise" if case == "psd-not-utf8" else "transfer", *argv])
+    code = main(["noise" if case.startswith("psd-") else "transfer", *argv])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err == ""
     summary = json.loads(captured.out)
     assert summary["status"] == "config-error"
     assert named in summary["error"]
+    if case == "psd-one-column":
+        assert "Line #3" in summary["error"]
 
 
 def test_misspelled_key_suggests_the_right_one(config_path, capsys):
@@ -571,17 +577,18 @@ def test_noise_budget_zero_psd_is_exactly_zero(tmp_path, config_path, capsys):
 
 
 def test_noise_file_and_model_together_exit_1(tmp_path, config_path, capsys):
+    """Both sources are named before the file is read, so also when it is missing."""
     psd_file = tmp_path / "psd.csv"
     psd_file.write_text("f_hz,psd_value\n1e-4,1e-8\n1e3,1e-8\n")
     out = tmp_path / "out"
-    code, summary = _run(
-        capsys, "noise", "--config", config_path, "--out", str(out),
-        "--override", f"noise.file={psd_file}",
-    )
-    assert code == 1
-    assert summary["status"] == "config-error"
-    assert "noise.file" in summary["error"] and "noise.model.white" in summary["error"]
-    assert not out.exists()
+    for path in (psd_file, tmp_path / "missing.csv"):
+        code, summary = _run(
+            capsys, "noise", "--config", config_path, "--out", str(out),
+            "--override", f"noise.file={path}",
+        )
+        assert code == 1
+        assert summary["error"] == "give noise.file or noise.model, not both; got noise.model.white too"
+        assert not out.exists()
 
 
 def test_override_into_null_section(tmp_path, capsys):
@@ -607,6 +614,8 @@ def test_missing_psd_file_exit_1(tmp_path, config_path, capsys):
         str(tmp_path / "out"),
         "--override",
         f"noise.file={tmp_path / 'nope.csv'}",
+        "--override",
+        "noise.model=null",
     )
     assert code == 1
     assert summary["status"] == "config-error"
@@ -732,6 +741,32 @@ def test_missing_compiled_module_raises_import_error(name):
     message, scipy_loaded = _python(probe).splitlines()
     assert message == f"{name} is not in scipy {importlib.metadata.version('scipy')}"
     assert scipy_loaded == "False"
+
+
+def test_missing_compiled_module_exits_3(tmp_path, config_path, capsys, monkeypatch):
+    name = "scipy.special._special_ufuncs_renamed"
+    monkeypatch.setattr("chipgyro.magnetostatics.compiled_module", lambda _: compiled_module(name))
+    code = main(["guide", "--config", config_path, "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == ""
+    assert json.loads(captured.out) == {
+        "command": "guide",
+        "status": "environment-error",
+        "error": f"{name} is not in scipy {importlib.metadata.version('scipy')}",
+    }
+
+
+def test_exit_codes_match_their_docs():
+    """The exit codes the cli docstring and README list are the ones ``main``
+    returns."""
+
+    def listed(text):
+        sentence = re.search(r"Exit\s+codes:(.*?)(?:\n\n|$)", text, re.S).group(1)
+        return {int(code) for code in re.findall(r"(?:^|,)\s+(\d+)\s", sentence)}
+
+    returned = {int(code) for code in re.findall(r"return (\d+)$", inspect.getsource(main), re.M)}
+    assert listed(chipgyro.cli.__doc__) == listed((REPO / "README.md").read_text()) == returned == {0, 1, 2, 3}
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,9 @@
+import math
+
 import pytest
 
-from chipgyro.constants import ARW_DEG_SQRT_H_PER_RAD_S_SQRT_HZ, HBAR, species_rb87
+from chipgyro.constants import ARW_DEG_SQRT_H_PER_RAD_S_SQRT_HZ, HBAR, AtomSpecies, species_rb87
+from chipgyro.errors import ConfigError
 
 
 def test_rb87_derived_quantities():
@@ -18,5 +21,8 @@ def test_rotation_unit_factors():
 
 
 def test_species_validation():
-    with pytest.raises(ValueError):
-        species_rb87().__class__(name="bad", mass=-1.0, wavelength=780e-9, magnetic_moment=1e-24)
+    good = {"mass": 1e-25, "wavelength": 780e-9, "magnetic_moment": 1e-24}
+    for field in good:
+        for bad in (-1.0, 0.0, math.nan):
+            with pytest.raises(ConfigError, match=f"AtomSpecies.{field}"):
+                AtomSpecies(name="bad", **{**good, field: bad})

@@ -110,7 +110,7 @@ def test_hessian_symmetric():
     def potential(r, z):
         return (r - 1e-4) ** 2 + 3.0 * (z - 2e-5) ** 2 + 0.5 * (r - 1e-4) * (z - 2e-5)
 
-    h = potential_hessian(potential, 1e-4, 2e-5, step=1e-7)
+    h = potential_hessian(potential, 1e-4, 2e-5)
     assert h[0, 1] == h[1, 0]
     assert h[0, 0] == pytest.approx(2.0, rel=1e-4, abs=0)
     assert h[1, 1] == pytest.approx(6.0, rel=1e-4, abs=0)

@@ -49,10 +49,8 @@ def test_scale_factor_and_sagnac_phase():
 def test_equal_interrogation_time_gives_equal_phase():
     """Loop count and radius trade off at fixed 2T without changing the phase."""
     rb = species_rb87()
-    one = InterferometerConfig.from_geometry(rb, guide_radius=5.6e-3, n_loops=1,
-                                             pulse_duration=20e-6)
-    ten = InterferometerConfig.from_geometry(rb, guide_radius=5.6e-4, n_loops=10,
-                                             pulse_duration=20e-6)
+    one = InterferometerConfig(rb, 20e-6, guide_radius=5.6e-3, n_loops=1)
+    ten = InterferometerConfig(rb, 20e-6, guide_radius=5.6e-4, n_loops=10)
     assert one.interrogation_time == pytest.approx(ten.interrogation_time, rel=1e-15, abs=0)
     assert scale_factor(one) == pytest.approx(scale_factor(ten), rel=1e-15, abs=0)
 
@@ -133,7 +131,6 @@ def test_config_derives_the_missing_time_or_radius():
     assert from_time.guide_radius == guide_radius_for(rb, 3.0, 2)
     from_radius = InterferometerConfig(rb, 20e-6, guide_radius=5.6e-3, n_loops=3)
     assert from_radius.interrogation_time == 3 * math.pi * 5.6e-3 / rb.recoil_velocity
-    assert from_radius == InterferometerConfig.from_geometry(rb, 5.6e-3, 3, pulse_duration=20e-6)
 
 
 def test_config_without_time_or_radius_raises():

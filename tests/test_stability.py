@@ -15,7 +15,7 @@ from chipgyro.errors import (
     InfeasibleTargetError,
     PhysicsError,
 )
-from chipgyro.interferometer import rb87_config
+from chipgyro.interferometer import rb87_config, shot_noise_sensitivity
 from chipgyro.noise import PowerSpectralDensity
 from chipgyro.stability import (
     INTERROGATION_BRACKET,
@@ -42,7 +42,7 @@ def _flagship_config():
 
 def test_projection_allan_coefficient():
     cfg = _flagship_config()
-    coeff = projection_allan(cfg, 1.0, extrapolate=True)
+    coeff = projection_allan(cfg, 1.0)
     assert coeff == pytest.approx(1.17e-9, rel=1e-2, abs=0)
     assert 0.5 * 1.9e-9 <= coeff <= 2.0 * 1.9e-9
 
@@ -55,17 +55,20 @@ def test_projection_allan_12_months():
 
 def test_projection_allan_exact_white_noise_ratio():
     cfg = _flagship_config()
-    ratio = projection_allan(cfg, 1.0, extrapolate=True) / projection_allan(
-        cfg, SECONDS_PER_YEAR
-    )
+    ratio = projection_allan(cfg, 1.0) / projection_allan(cfg, SECONDS_PER_YEAR)
     assert abs(ratio / math.sqrt(SECONDS_PER_YEAR) - 1.0) < 1e-6
 
 
-def test_projection_allan_below_cycle_needs_extrapolate():
+def test_projection_allan_needs_finite_positive_tau():
+    """Below one cycle is the white-noise extrapolation; a tau_I that is not
+    finite and > 0 is named, also through the 2T solver."""
     cfg = _flagship_config()
-    with pytest.raises(ConfigError):
-        projection_allan(cfg, 1.0)
-    assert projection_allan(cfg, 1.0, extrapolate=True) > 0
+    assert projection_allan(cfg, 1.0) == shot_noise_sensitivity(cfg) * math.sqrt(10.0)
+    for tau in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="integration time tau_I must be > 0"):
+            projection_allan(cfg, tau)
+    with pytest.raises(ConfigError, match="got 0.0"):
+        required_interrogation_time(5.2e-14, 0.0, RB.recoil_velocity, cfg)
 
 
 def test_projection_allan_curve_and_assumptions():
@@ -134,7 +137,7 @@ def test_required_interrogation_time_flagship():
             guide_radius=4.0 * RB.recoil_velocity * tt / (2 * math.pi),
             launch_velocity=4.0 * RB.recoil_velocity,
         )
-        return projection_allan(cfg, SECONDS_PER_YEAR, extrapolate=True)
+        return projection_allan(cfg, SECONDS_PER_YEAR)
 
     assert sigma(two_t) <= target
     assert sigma(0.99 * two_t) > target
@@ -150,7 +153,7 @@ def test_required_interrogation_time_closed_form():
         v = ratio * RB.recoil_velocity
         radius = v / (2 * math.pi)
         unit = replace(tpl, interrogation_time=1.0, guide_radius=radius, launch_velocity=v)
-        c = projection_allan(unit, SECONDS_PER_YEAR, extrapolate=True)
+        c = projection_allan(unit, SECONDS_PER_YEAR)
         two_t, radius = required_interrogation_time(target, SECONDS_PER_YEAR, v, tpl)
         assert two_t == pytest.approx((c / target) ** (2.0 / 3.0), rel=1e-12, abs=0)
         assert radius == pytest.approx(v * two_t / (2 * math.pi), rel=1e-15, abs=0)
@@ -248,6 +251,4 @@ def test_nan_allan_deviation_in_mission_raises(monkeypatch):
 )
 def test_feasibility_boundary_rejects_non_decreasing_2t(points):
     with pytest.raises(ConfigError):
-        FeasibilityBoundary(
-            points=points, radii=(0.1, 0.2), target_sigma=1e-14, integration_time=1.0
-        )
+        FeasibilityBoundary(points=points, radii=(0.1, 0.2))
