@@ -5,11 +5,18 @@ the design-case figures: guide characterization and potential map, transfer
 function, rotation-rate sensitivity vs interrogation time, Allan deviation,
 mission feasibility boundary, and a noise budget from a PSD.
 
-Every output embeds the assumption set it was computed under. Outputs are
-deterministic: identical config (including seed) gives bitwise-identical
-files. Exit codes: 0 success, 1 config/validation error, 2 physics-domain
-error (no guide minimum, infeasible target), 3 environment error (a compiled
-scipy module missing from the installed scipy).
+Each subcommand is a stage ``cmd_*(config) -> (files, summary)`` that only
+computes; ``main`` writes the files into ``--out`` once the stage has
+returned, so a stage that fails writes no file. Every output embeds the
+assumption set it was computed under, and its provenance: a JSON record
+carries a ``provenance`` block (``version``, the resolved ``config``,
+``config_sha256`` of ``json.dumps(config, sort_keys=True,
+separators=(",", ":"))`` and, when ``noise.file`` is set, ``psd_file_sha256``
+of its bytes); a CSV file starts with the version and the config hash.
+Outputs are deterministic: identical config (including seed) gives
+bitwise-identical files. Exit codes: 0 success, 1 config/validation error,
+2 physics-domain error (no guide minimum, infeasible target), 3 environment
+error (a compiled scipy module missing from the installed scipy).
 """
 
 from __future__ import annotations
@@ -49,42 +56,60 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _atomic_write(path: str, chunks) -> None:
-    """Write the strings of ``chunks`` to ``path`` through a temporary file
-    in the same directory, renamed over ``path`` once all are written."""
-    directory = os.path.dirname(os.path.abspath(path))
-    tmp = None
+def _csv(header_comments: dict, columns: list, rows) -> tuple:
+    """CSV spec of number ``rows``: header comments, column names and one
+    line per row. Each cell is printed by "%.17g", the routine behind
+    ``format(x, ".17g")``; an int of magnitude up to 2**53 prints as ``str``
+    prints it."""
+    template = ",".join(["%.17g"] * len(columns)) + "\n"
+    return header_comments, columns, (template % tuple(row) for row in rows)
+
+
+def _write_files(out_dir: str, files: dict, config: dict) -> list:
+    """Write a stage's ``files`` into ``out_dir`` and return their paths. A
+    name maps to a JSON record, which gains the ``provenance`` block of the
+    resolved ``config``, or to a CSV spec (header comments, column names, an
+    iterator of lines, streamed), which gains the version and config hash.
+    Files are renamed into place only once all are written, so an error
+    leaves none behind."""
+    import hashlib  # only on the path that writes
+
+    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    config_sha256 = hashlib.sha256(canonical.encode()).hexdigest()
+    provenance = {"version": __version__, "config": config, "config_sha256": config_sha256}
+    if config["noise.file"] is not None:
+        try:
+            with open(config["noise.file"], "rb") as handle:
+                provenance["psd_file_sha256"] = hashlib.sha256(handle.read()).hexdigest()
+        except OSError as exc:
+            raise ConfigError(f"cannot read PSD file {config['noise.file']}: {exc}") from None
+    stamp = {"chipgyro_version": __version__, "config_sha256": config_sha256}
+    paths, pending, path = [], [], out_dir
     try:
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".chipgyro-")
-        with os.fdopen(fd, "w") as handle:
-            handle.writelines(chunks)
-        os.replace(tmp, path)
+        os.makedirs(out_dir or ".", exist_ok=True)
+        for name, content in files.items():
+            path = os.path.join(out_dir, name)
+            if isinstance(content, dict):
+                content = {**content, "provenance": provenance}
+                chunks = [json.dumps(content, indent=2, sort_keys=True) + "\n"]
+            else:
+                header_comments, columns, lines = content
+                head = [f"# {key}: {value}\n" for key, value in {**stamp, **header_comments}.items()]
+                chunks = itertools.chain(head, [",".join(columns) + "\n"], lines)
+            fd, tmp = tempfile.mkstemp(dir=os.path.abspath(out_dir), prefix=".chipgyro-")
+            pending.append(tmp)
+            with os.fdopen(fd, "w") as handle:
+                handle.writelines(chunks)
+            paths.append(path)
+        for tmp, path in zip(pending, paths):
+            os.replace(tmp, path)
     except OSError as exc:
         raise ConfigError(f"cannot write output file {path}: {exc}") from None
     finally:
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
-
-
-def _write_csv_lines(path: str, header_comments: dict, columns: list, lines) -> None:
-    """Comment lines, the column names, then the formatted ``lines``, each
-    ending in a newline, streamed to the file."""
-    head = [f"# {key}: {value}\n" for key, value in header_comments.items()]
-    head.append(",".join(columns) + "\n")
-    _atomic_write(path, itertools.chain(head, lines))
-
-
-def _write_csv(path: str, header_comments: dict, columns: list, rows) -> None:
-    """_write_csv_lines with one line per row. Cells must be numbers: each is
-    printed by "%.17g", the routine behind ``format(x, ".17g")``; an int of
-    magnitude up to 2**53 prints as ``str`` prints it."""
-    template = ",".join(["%.17g"] * len(columns)) + "\n"
-    _write_csv_lines(path, header_comments, columns, (template % tuple(row) for row in rows))
-
-
-def _write_json(path: str, record: dict) -> None:
-    _atomic_write(path, [json.dumps(record, indent=2, sort_keys=True) + "\n"])
+        for tmp in pending:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    return paths
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +335,7 @@ def _interferometer_from_config(config: dict):
 # subcommands
 
 
-def cmd_guide(config: dict, out_dir: str) -> dict:
+def cmd_guide(config: dict) -> tuple:
     from .guide import characterize_guide, trap_potential
     from .magnetostatics import GuideGeometry, WireLoop, design_guide_geometry
 
@@ -331,27 +356,19 @@ def cmd_guide(config: dict, out_dir: str) -> dict:
         {"radius_m": l.radius, "current_A": l.current, "height_m": l.height}
         for l in geometry.loops
     ]
-    json_path = os.path.join(out_dir, "guide_characterization.json")
-    _write_json(json_path, record)
-
     rho0, z0 = characterization.min_position
     rho = np.linspace(rho0 - span, rho0 + span, config["run.guide.map_n_rho"])
     z = np.linspace(max(z0 - span, 1e-7), z0 + span, config["run.guide.map_n_z"])
     U = trap_potential(geometry, species, rho[:, None], z[None, :], offset_b0)
     # rows run over rho, then z; each axis value is formatted once, not once per row
     cells = itertools.product(["%.17g" % v for v in rho.tolist()], ["%.17g" % v for v in z.tolist()])
-    map_path = os.path.join(out_dir, "potential_map.csv")
-    _write_csv_lines(
-        map_path,
+    potential_map = (
         {"offset_B0_T": _fmt(offset_b0), "species": species.name},
         ["rho_m", "z_m", "potential_J"],
         ("%s,%s,%.17g\n" % (r, zz, u) for (r, zz), u in zip(cells, U.ravel().tolist())),
     )
-    return {
-        "outputs": [json_path, map_path],
-        "z0_m": characterization.min_position[1],
-        "radial_frequency_Hz": characterization.radial_frequency,
-    }
+    files = {"guide_characterization.json": record, "potential_map.csv": potential_map}
+    return files, {"z0_m": z0, "radial_frequency_Hz": characterization.radial_frequency}
 
 
 def _transfer_grid(f_min: float, f_max: float, points_per_decade: int, config_ai) -> np.ndarray:
@@ -368,7 +385,7 @@ def _transfer_grid(f_min: float, f_max: float, points_per_decade: int, config_ai
     return grid[(grid >= f_min) & (grid <= f_max)]
 
 
-def cmd_transfer(config: dict, out_dir: str) -> dict:
+def cmd_transfer(config: dict) -> tuple:
     from .interferometer import corner_frequencies, transfer_H_abs2
 
     ai = _interferometer_from_config(config)
@@ -376,9 +393,7 @@ def cmd_transfer(config: dict, out_dir: str) -> dict:
     grid = _transfer_grid(f_min, f_max, config["run.transfer.points_per_decade"], ai)
     abs2 = transfer_H_abs2(grid, ai)
     f_hp, f_lp = corner_frequencies(ai)
-    path = os.path.join(out_dir, "transfer.csv")
-    _write_csv(
-        path,
+    transfer = _csv(
         {
             "pulse_duration_s": _fmt(ai.pulse_duration),
             "interrogation_time_s": _fmt(ai.interrogation_time),
@@ -388,10 +403,10 @@ def cmd_transfer(config: dict, out_dir: str) -> dict:
         ["f_hz", "abs_H", "abs_H_sq"],
         zip(grid.tolist(), np.sqrt(abs2).tolist(), abs2.tolist()),
     )
-    return {"outputs": [path], "f_HP_hz": f_hp, "f_LP_hz": f_lp}
+    return {"transfer.csv": transfer}, {"f_HP_hz": f_hp, "f_LP_hz": f_lp}
 
 
-def cmd_sensitivity(config: dict, out_dir: str) -> dict:
+def cmd_sensitivity(config: dict) -> tuple:
     from .interferometer import assumptions_record, shot_noise_sensitivity
     from .interferometer import shot_noise_sensitivity_per_sqrt_hz
 
@@ -404,28 +419,15 @@ def cmd_sensitivity(config: dict, out_dir: str) -> dict:
         for two_t in two_t_grid:
             cfg = replace(ai, interrogation_time=float(two_t), guide_radius=None, atom_number=n_atoms)
             per_shot = shot_noise_sensitivity(cfg)
-            rows.append(
-                (
-                    float(two_t),
-                    n_atoms,
-                    per_shot,
-                    shot_noise_sensitivity_per_sqrt_hz(cfg),
-                    per_shot * ARW_DEG_SQRT_H_PER_RAD_S_SQRT_HZ,
-                )
-            )
-    path = os.path.join(out_dir, "sensitivity.csv")
+            arw = per_shot * ARW_DEG_SQRT_H_PER_RAD_S_SQRT_HZ
+            rows.append((float(two_t), n_atoms, per_shot, shot_noise_sensitivity_per_sqrt_hz(cfg), arw))
     meta = {f"assumption_{k}": v for k, v in assumptions_record(ai).items()}
     meta["convention"] = "per-shot reading; ARW converts the per-shot figure"
-    _write_csv(
-        path,
-        meta,
-        ["two_T_s", "atom_number", "delta_omega_rad_s", "delta_omega_rad_s_sqrt_hz", "arw_deg_sqrt_h"],
-        rows,
-    )
-    return {"outputs": [path]}
+    columns = ["two_T_s", "atom_number", "delta_omega_rad_s", "delta_omega_rad_s_sqrt_hz", "arw_deg_sqrt_h"]
+    return {"sensitivity.csv": _csv(meta, columns, rows)}, {}
 
 
-def cmd_allan(config: dict, out_dir: str) -> dict:
+def cmd_allan(config: dict) -> tuple:
     from .stability import projection_allan_curve
 
     ai = _interferometer_from_config(config)
@@ -439,14 +441,14 @@ def cmd_allan(config: dict, out_dir: str) -> dict:
         )
     taus = np.geomspace(tau_lo, tau_max, config["run.allan.n_points"])
     curve = projection_allan_curve(ai, taus)
-    csv_path = os.path.join(out_dir, "allan.csv")
-    _write_csv(csv_path, {"model": curve.model_tag}, ["tau_s", "sigma_rad_s"], curve.points)
-    json_path = os.path.join(out_dir, "allan_assumptions.json")
-    _write_json(json_path, {"model": curve.model_tag, "assumptions": curve.assumptions})
-    return {"outputs": [csv_path, json_path]}
+    files = {
+        "allan.csv": _csv({"model": curve.model_tag}, ["tau_s", "sigma_rad_s"], curve.points),
+        "allan_assumptions.json": {"model": curve.model_tag, "assumptions": curve.assumptions},
+    }
+    return files, {}
 
 
-def cmd_mission(config: dict, out_dir: str) -> dict:
+def cmd_mission(config: dict) -> tuple:
     from .interferometer import assumptions_record
     from .stability import INTERROGATION_BRACKET, feasibility_boundary
 
@@ -459,16 +461,15 @@ def cmd_mission(config: dict, out_dir: str) -> dict:
     two_ts = [two_t for _, two_t in boundary.points]
     # met at the bracket floor: the true minimum 2T is below the printed one
     at_floor = [ratio for ratio, two_t in zip(ratios, two_ts) if two_t == INTERROGATION_BRACKET[0]]
-    path = os.path.join(out_dir, "mission.csv")
     meta = {f"assumption_{k}": v for k, v in assumptions_record(ai).items()}
     meta["target_sigma_rad_s"] = _fmt(target)
     meta["integration_time_s"] = _fmt(integration)
     meta["at_bracket_floor_v_over_vr"] = json.dumps(at_floor)
-    _write_csv(path, meta, ["v_over_vr", "min_2T_s", "R_m"], zip(ratios, two_ts, boundary.radii))
-    return {"outputs": [path], "at_bracket_floor_v_over_vr": at_floor}
+    mission = _csv(meta, ["v_over_vr", "min_2T_s", "R_m"], zip(ratios, two_ts, boundary.radii))
+    return {"mission.csv": mission}, {"at_bracket_floor_v_over_vr": at_floor}
 
 
-def cmd_noise(config: dict, out_dir: str) -> dict:
+def cmd_noise(config: dict) -> tuple:
     from .interferometer import assumptions_record
     from .noise import PowerSpectralDensity, phase_sigma_to_rotation_sigma, phase_variance
 
@@ -501,9 +502,7 @@ def cmd_noise(config: dict, out_dir: str) -> dict:
         ],
         "assumptions": assumptions_record(ai),
     }
-    path = os.path.join(out_dir, "noise_budget.json")
-    _write_json(path, record)
-    return {"outputs": [path], "sigma_phi_rad": sigma_phi}
+    return {"noise_budget.json": record}, {"sigma_phi_rad": sigma_phi}
 
 
 COMMANDS = {
@@ -548,7 +547,8 @@ def main(argv=None) -> int:
         if config["noise.file"] is not None:
             # a relative PSD path is read from the config file's directory
             config["noise.file"] = os.path.join(os.path.dirname(config_path), config["noise.file"])
-        summary = COMMANDS[args.command](config, args.out)
+        files, summary = COMMANDS[args.command](config)
+        outputs = _write_files(args.out, files, config)
     except ConfigError as exc:
         print(json.dumps({"command": args.command, "status": "config-error", "error": str(exc)}))
         return 1
@@ -558,7 +558,7 @@ def main(argv=None) -> int:
     except ImportError as exc:
         print(json.dumps({"command": args.command, "status": "environment-error", "error": str(exc)}))
         return 3
-    summary = {"command": args.command, "status": "ok", **summary}
+    summary = {"command": args.command, "status": "ok", "outputs": outputs, **summary}
     print(json.dumps(summary, sort_keys=True))
     return 0
 

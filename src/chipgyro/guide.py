@@ -212,7 +212,8 @@ def _depth_field(geometry: GuideGeometry, min_pos, B_min) -> tuple:
 def trap_potential(geometry: GuideGeometry, species: AtomSpecies, rho, z, offset_B0: float):
     """Trap potential U = mu sqrt(|B|^2 + B0^2) over point grids, with the
     longitudinal offset field B0 added to |B| in quadrature."""
-    return species.magnetic_moment * np.sqrt(field_modulus(geometry, rho, z) ** 2 + offset_B0 ** 2)
+    modulus = field_modulus(geometry, rho, z)
+    return species.magnetic_moment * np.sqrt(modulus * modulus + offset_B0 * offset_B0)
 
 
 def characterize_guide(
@@ -268,17 +269,15 @@ def characterize_guide(
 
 
 def potential_hessian(potential, rho0: float, z0: float) -> np.ndarray:
-    """2x2 central-difference Hessian (step HESSIAN_STEP) of a (rho, z) potential."""
+    """2x2 central-difference Hessian (step HESSIAN_STEP) of a (rho, z)
+    potential, from one call of ``potential`` on the nine stencil points."""
     h = HESSIAN_STEP
-    u0 = potential(rho0, z0)
-    uxx = (potential(rho0 + h, z0) - 2 * u0 + potential(rho0 - h, z0)) / h ** 2
-    uzz = (potential(rho0, z0 + h) - 2 * u0 + potential(rho0, z0 - h)) / h ** 2
-    uxz = (
-        potential(rho0 + h, z0 + h)
-        - potential(rho0 + h, z0 - h)
-        - potential(rho0 - h, z0 + h)
-        + potential(rho0 - h, z0 - h)
-    ) / (4 * h ** 2)
+    d_rho = np.array([0.0, h, -h, 0.0, 0.0, h, h, -h, -h])
+    d_z = np.array([0.0, 0.0, 0.0, h, -h, h, -h, h, -h])
+    u0, u_e, u_w, u_n, u_s, u_ne, u_se, u_nw, u_sw = potential(rho0 + d_rho, z0 + d_z).tolist()
+    uxx = (u_e - 2 * u0 + u_w) / h ** 2
+    uzz = (u_n - 2 * u0 + u_s) / h ** 2
+    uxz = (u_ne - u_se - u_nw + u_sw) / (4 * h ** 2)
     return np.array([[uxx, uxz], [uxz, uzz]])
 
 

@@ -74,8 +74,10 @@ class InterferometerConfig:
             raise ConfigError(f"squeezing must be in (0, 1], got {self.squeezing!r}")
         if self.n_loops < 1 or int(self.n_loops) != self.n_loops:
             raise ConfigError(f"n_loops must be an integer >= 1, got {self.n_loops!r}")
-        if self.cycle_dead_time < 0:
-            raise ConfigError(f"cycle_dead_time must be >= 0, got {self.cycle_dead_time!r}")
+        if not (math.isfinite(self.cycle_dead_time) and self.cycle_dead_time >= 0):
+            raise ConfigError(f"cycle_dead_time must be finite and >= 0, got {self.cycle_dead_time!r}")
+        if not math.isfinite(self.latitude):
+            raise ConfigError(f"latitude must be finite, got {self.latitude!r}")
 
     def _check_positive(self, *names):
         for name in names:

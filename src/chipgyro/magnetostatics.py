@@ -92,13 +92,16 @@ def _loop_field_arrays(loop: WireLoop, rho, z):
     zp = np.asarray(z, dtype=float) - loop.height
     a = loop.radius
 
-    dist2 = (rho - a) ** 2 + zp ** 2
+    # x * x, not x ** 2: a numpy scalar's ** 2 calls pow, which can differ by an ulp
+    gap = rho - a
+    dist2 = gap * gap + zp * zp
     if np.any(dist2 <= FILAMENT_EXCLUSION ** 2):
         raise SingularPointError(
             f"field evaluation on the filament of loop radius {a} (distance <= {FILAMENT_EXCLUSION} m)"
         )
 
-    denom_plus = (a + rho) ** 2 + zp ** 2
+    reach = a + rho
+    denom_plus = reach * reach + zp * zp
     m = 4.0 * a * rho / denom_plus
     K, E = special.ellipk(m), special.ellipe(m)
 

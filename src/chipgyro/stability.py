@@ -169,8 +169,8 @@ def required_interrogation_time(
     Returns (min_2T, guide_radius) with the radius from the full-circumference
     round-trip relation R = v_launch (2T) / (2 pi).
     """
-    if target_sigma <= 0:
-        raise ConfigError(f"target_sigma must be > 0, got {target_sigma}")
+    if not (math.isfinite(target_sigma) and target_sigma > 0):
+        raise ConfigError(f"target_sigma must be finite and > 0, got {target_sigma!r}")
 
     def sigma_at(two_t: float) -> float:
         config = replace(

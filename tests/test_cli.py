@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import importlib
 import importlib.metadata
 import inspect
@@ -16,8 +17,9 @@ import yaml
 
 import chipgyro
 from chipgyro._scipy import compiled_module
-from chipgyro.cli import LOOP_FIELDS, SCHEMA, _write_csv, load_config, main, resolve_config
+from chipgyro.cli import LOOP_FIELDS, SCHEMA, _csv, _write_files, load_config, main, resolve_config
 from chipgyro.constants import species_rb87
+from chipgyro.errors import ConfigError, PhysicsError
 from chipgyro.guide import POSITION_TOLERANCE, trap_potential
 from chipgyro.magnetostatics import design_guide_geometry
 
@@ -68,10 +70,17 @@ def test_all_subcommands_succeed(tmp_path, config_path, capsys):
             assert (tmp_path / "out").joinpath(output.split("/")[-1]).exists()
 
 
-def test_outputs_bitwise_deterministic(tmp_path, config_path, capsys):
-    for command in ("transfer", "sensitivity", "allan", "mission", "noise"):
-        _run(capsys, command, "--config", config_path, "--out", str(tmp_path / "a"))
-        _run(capsys, command, "--config", config_path, "--out", str(tmp_path / "b"))
+def test_outputs_bitwise_deterministic(tmp_path, config_path, capsys, monkeypatch):
+    """The second pass runs from another working directory into another
+    --out, so that a path leaking into an output shows."""
+    commands = ("transfer", "sensitivity", "allan", "mission", "noise", "guide")
+    for command in commands:
+        assert _run(capsys, command, "--config", config_path, "--out", str(tmp_path / "a"))[0] == 0
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    for command in commands:
+        assert _run(capsys, command, "--config", config_path, "--out", str(tmp_path / "b"))[0] == 0
     for name in (
         "transfer.csv",
         "sensitivity.csv",
@@ -79,6 +88,8 @@ def test_outputs_bitwise_deterministic(tmp_path, config_path, capsys):
         "allan_assumptions.json",
         "mission.csv",
         "noise_budget.json",
+        "guide_characterization.json",
+        "potential_map.csv",
     ):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
@@ -404,7 +415,9 @@ def test_potential_map_text_matches_per_cell_rule(tmp_path, config_path, capsys)
     z = np.linspace(max(z0 - span, 1e-7), z0 + span, 5)
     RR, ZZ = np.meshgrid(rho, z, indexing="ij")
     U = trap_potential(design_guide_geometry(), species_rb87(), RR, ZZ, offset_b0)
-    expected = f"# offset_B0_T: {format(offset_b0, '.17g')}\n# species: Rb87\nrho_m,z_m,potential_J\n"
+    provenance = record["provenance"]
+    expected = f"# chipgyro_version: {provenance['version']}\n# config_sha256: {provenance['config_sha256']}\n"
+    expected += f"# offset_B0_T: {format(offset_b0, '.17g')}\n# species: Rb87\nrho_m,z_m,potential_J\n"
     for cells in zip(RR.ravel().tolist(), ZZ.ravel().tolist(), U.ravel().tolist()):
         expected += ",".join(format(v, ".17g") for v in cells) + "\n"
     assert (out / "potential_map.csv").read_bytes() == expected.encode()
@@ -431,7 +444,7 @@ def test_override_changes_result(tmp_path, config_path, capsys):
 
 
 def _read_transfer(path):
-    return np.genfromtxt(path, delimiter=",", names=True, skip_header=4)
+    return np.genfromtxt(path, delimiter=",", names=True, skip_header=6)
 
 
 def test_transfer_grid_nesting(tmp_path, config_path, capsys):
@@ -475,7 +488,7 @@ def test_transfer_columns(tmp_path, config_path, capsys):
 def test_sensitivity_columns_and_values(tmp_path, config_path, capsys):
     _run(capsys, "sensitivity", "--config", config_path, "--out", str(tmp_path / "out"))
     data = np.genfromtxt(
-        tmp_path / "out" / "sensitivity.csv", delimiter=",", names=True, skip_header=11
+        tmp_path / "out" / "sensitivity.csv", delimiter=",", names=True, skip_header=13
     )
     assert set(data.dtype.names) == {
         "two_T_s",
@@ -497,7 +510,7 @@ def test_sensitivity_columns_and_values(tmp_path, config_path, capsys):
 
 def test_allan_outputs(tmp_path, config_path, capsys):
     _run(capsys, "allan", "--config", config_path, "--out", str(tmp_path / "out"))
-    data = np.genfromtxt(tmp_path / "out" / "allan.csv", delimiter=",", names=True, skip_header=1)
+    data = np.genfromtxt(tmp_path / "out" / "allan.csv", delimiter=",", names=True, skip_header=3)
     assert np.all(np.diff(data["tau_s"]) > 0)
     assert np.all(np.diff(data["sigma_rad_s"]) < 0)
     record = json.loads((tmp_path / "out" / "allan_assumptions.json").read_text())
@@ -514,7 +527,7 @@ def _csv_header(path):
 def test_mission_output(tmp_path, config_path, capsys):
     _, summary = _run(capsys, "mission", "--config", config_path, "--out", str(tmp_path / "out"))
     data = np.genfromtxt(
-        tmp_path / "out" / "mission.csv", delimiter=",", names=True, skip_header=13
+        tmp_path / "out" / "mission.csv", delimiter=",", names=True, skip_header=15
     )
     header = _csv_header(tmp_path / "out" / "mission.csv")
     assert json.loads(header["at_bracket_floor_v_over_vr"]) == []
@@ -544,7 +557,7 @@ def test_mission_floor_ties_in_config_order(tmp_path, config_path, capsys):
     )
     assert code == 0
     data = np.genfromtxt(
-        tmp_path / "out" / "mission.csv", delimiter=",", names=True, skip_header=13
+        tmp_path / "out" / "mission.csv", delimiter=",", names=True, skip_header=15
     )
     assert list(data["v_over_vr"]) == [4.0, 2.0, 1.0]
     assert np.all(data["min_2T_s"] == 0.01)
@@ -647,6 +660,113 @@ def test_csv_floats_full_precision(tmp_path, config_path, capsys):
     assert len(sigma_str.replace("-", "").replace(".", "").split("e")[0]) >= 16
 
 
+def _config_sha256(config):
+    """sha256 of the canonical JSON of a resolved config."""
+    return hashlib.sha256(json.dumps(config, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+
+def test_provenance_block_hashes_its_config(tmp_path, config_path, capsys):
+    """Every output of the six subcommands carries the version and the hash
+    of the resolved config it holds, and one override moves the hash."""
+    hashes = []
+    for name, overrides in (("a", []), ("b", ["interferometer.dead_time_s=0.5"])):
+        out = tmp_path / name
+        argv = ["--config", config_path, "--out", str(out)]
+        for override in overrides:
+            argv += ["--override", override]
+        for command in ("transfer", "sensitivity", "allan", "mission", "noise", "guide"):
+            assert _run(capsys, command, *argv)[0] == 0, command
+        records = [json.loads(path.read_text())["provenance"] for path in sorted(out.glob("*.json"))]
+        assert len(records) == 3 and all(record == records[0] for record in records)
+        provenance = records[0]
+        assert set(provenance) == {"version", "config", "config_sha256"}
+        assert provenance["version"] == chipgyro.__version__
+        assert provenance["config"] == resolve_config(load_config(config_path, overrides))
+        assert provenance["config_sha256"] == _config_sha256(provenance["config"])
+        csv_files = sorted(out.glob("*.csv"))
+        assert len(csv_files) == 5
+        for path in csv_files:
+            lines = path.read_text().splitlines()
+            assert lines[:2] == [
+                f"# chipgyro_version: {chipgyro.__version__}",
+                f"# config_sha256: {provenance['config_sha256']}",
+            ]
+        hashes.append(provenance["config_sha256"])
+    assert hashes[0] != hashes[1]
+
+
+def test_provenance_hashes_the_psd_file(tmp_path, config_path, capsys):
+    """A relative noise.file enters the block joined to the config's
+    directory, next to the sha256 of the bytes read."""
+    psd_file = tmp_path / "psd.csv"
+    psd_file.write_bytes(b"f_hz,psd_value\n1e-4,1e-8\n1e3,2e-8\n")
+    out = tmp_path / "out"
+    code, _ = _run(
+        capsys, "noise", "--config", config_path, "--out", str(out),
+        "--override", "noise.file=psd.csv", "--override", "noise.model=null",
+    )
+    assert code == 0
+    provenance = json.loads((out / "noise_budget.json").read_text())["provenance"]
+    assert provenance["config"]["noise.file"] == str(psd_file)
+    assert provenance["psd_file_sha256"] == hashlib.sha256(psd_file.read_bytes()).hexdigest()
+    assert provenance["config_sha256"] == _config_sha256(provenance["config"])
+
+
+def test_unreadable_psd_file_fails_every_subcommand(tmp_path, config_path, capsys):
+    """The provenance of any subcommand hashes noise.file, so a config that
+    names a missing one exits 1 naming it, with no file written."""
+    out = tmp_path / "out"
+    code, summary = _run(
+        capsys, "transfer", "--config", config_path, "--out", str(out),
+        "--override", "noise.file=missing.csv", "--override", "noise.model=null",
+    )
+    assert code == 1
+    assert summary["status"] == "config-error"
+    assert str(tmp_path / "missing.csv") in summary["error"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [(PhysicsError, 2), (ConfigError, 1), (ImportError, 3)],
+    ids=["PhysicsError", "ConfigError", "ImportError"],
+)
+def test_failing_stage_writes_no_file(tmp_path, config_path, capsys, monkeypatch, error, code):
+    """The guide stage fails after its characterization is computed, on the
+    potential map: --out is left without any file, temporary ones included."""
+    trap_potential = chipgyro.guide.trap_potential
+
+    def failing_on_the_map(geometry, species, rho, z, offset_b0):
+        if np.ndim(rho) == 2:  # the map's grid; the characterization's points are 1-D or scalars
+            raise error("potential map failed")
+        return trap_potential(geometry, species, rho, z, offset_b0)
+
+    monkeypatch.setattr("chipgyro.guide.trap_potential", failing_on_the_map)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert _run(capsys, "guide", "--config", config_path, "--out", str(out))[0] == code
+    assert list(out.iterdir()) == []
+
+
+def test_failing_write_leaves_no_file(tmp_path):
+    """An error while the second file is streamed names it, and removes the
+    temporary file of the first as well as its own."""
+
+    def lines():
+        yield "1\n"
+        raise OSError("device full")
+
+    files = {"a.json": {"x": 1}, "b.csv": ({}, ["x"], lines())}
+    with pytest.raises(ConfigError, match="b.csv: device full"):
+        _write_files(str(tmp_path), files, resolve_config({}))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_import_loads_no_hashlib():
+    """Only the writer imports hashlib."""
+    assert _python("import sys, chipgyro.cli; print('hashlib' in sys.modules)").split() == ["False"]
+
+
 def test_csv_text_matches_per_cell_rule(tmp_path):
     """The row template prints every cell as the per-cell rule it replaced:
     format(v, ".17g") for a float, str(v) for an int. Ints are exact up to
@@ -660,15 +780,17 @@ def test_csv_text_matches_per_cell_rule(tmp_path):
         (math.pi * 1e22, np.float64(-1e-5), -(2 ** 53) + 1),
     ]
     rows += [(float(x), np.float64(x) * 3.0, int(x * 1e15)) for x in np.linspace(-1.0, 1.0, 101)]
-    path = tmp_path / "rows.csv"
-    _write_csv(str(path), {"offset_B0_T": "0.015", "species": "rb87"}, ["a", "b", "c"], iter(rows))
+    config = resolve_config({})
+    spec = _csv({"offset_B0_T": "0.015", "species": "rb87"}, ["a", "b", "c"], iter(rows))
+    _write_files(str(tmp_path), {"rows.csv": spec}, config)
 
     def cell(v):
         return format(v, ".17g") if isinstance(v, float) else str(v)
 
-    expected = "# offset_B0_T: 0.015\n# species: rb87\na,b,c\n"
+    expected = f"# chipgyro_version: {chipgyro.__version__}\n# config_sha256: {_config_sha256(config)}\n"
+    expected += "# offset_B0_T: 0.015\n# species: rb87\na,b,c\n"
     expected += "".join(",".join(cell(v) for v in row) + "\n" for row in rows)
-    assert path.read_bytes() == expected.encode()
+    assert (tmp_path / "rows.csv").read_bytes() == expected.encode()
 
 
 def _child(*argv):

@@ -5,11 +5,12 @@ import pytest
 import scipy.ndimage
 import scipy.optimize
 
-from chipgyro.constants import species_rb87
+from chipgyro.constants import DEFAULT_OFFSET_B0, species_rb87
 from chipgyro.errors import ConfigError, NoGuideMinimumError, NonSmoothPotentialError
 from chipgyro.guide import (
     DEPTH_GRID,
     DEPTH_TILE,
+    HESSIAN_STEP,
     _TiledFieldMap,
     _depth_field,
     _flood_barrier,
@@ -296,22 +297,48 @@ def test_imbalanced_ring_minimum_converges():
     assert z0 == pytest.approx(zero[1], abs=2e-9)
 
 
-def test_minimum_matches_root_oracle_on_seeded_guides():
-    """100 three-wire guides, R = 0.5-2 mm, spacing 2-8 % of R, each current
-    within +-10 % of the design value: the minimum is the field zero of the
-    root solve to 1e-12 m, reached in at most 8 Newton iterations."""
+def _seeded_guides():
+    """(geometry, R, s) of 100 three-wire guides, R = 0.5-2 mm, spacing
+    s = 2-8 % of R, each current within +-10 % of the design value."""
     rng = np.random.default_rng(2024)
     for _ in range(100):
         R = rng.uniform(0.5e-3, 2e-3)
         s = rng.uniform(0.02, 0.08) * R
         currents = np.array([-0.123, 0.121, -0.123]) * rng.uniform(0.9, 1.1, size=3)
-        geometry = GuideGeometry(
-            loops=tuple(WireLoop(r, i, 0.0) for r, i in zip((R - s, R, R + s), currents))
-        )
+        loops = tuple(WireLoop(r, i, 0.0) for r, i in zip((R - s, R, R + s), currents))
+        yield GuideGeometry(loops=loops), R, s
+
+
+def test_minimum_matches_root_oracle_on_seeded_guides():
+    """On the seeded guides the minimum is the field zero of the root solve
+    to 1e-12 m, reached in at most 8 Newton iterations."""
+    for geometry, R, s in _seeded_guides():
         rho0, z0, iterations, _ = find_guide_minimum(geometry)
         assert iterations <= 8
         zero = _field_zero(geometry, [R, s])
-        assert abs(rho0 - zero[0]) <= 1e-12 and abs(z0 - zero[1]) <= 1e-12, (R, s, currents)
+        assert abs(rho0 - zero[0]) <= 1e-12 and abs(z0 - zero[1]) <= 1e-12, geometry.loops
+
+
+def test_scalar_and_array_routes_agree_on_hessian_stencils():
+    """|B| and U at each of the nine Hessian stencil points around the
+    minimum, one scalar call per point, equal one array call over all nine
+    bit for bit: on the design guide, the 1 mm ring and the seeded guides."""
+    ring = GuideGeometry(
+        loops=tuple(WireLoop(r, i, 0.0) for r, i in ((974e-6, -0.123), (1000e-6, 0.121), (1026e-6, -0.123)))
+    )
+    species, h = species_rb87(), HESSIAN_STEP
+    d_rho = np.array([0.0, h, -h, 0.0, 0.0, h, h, -h, -h])
+    d_z = np.array([0.0, 0.0, 0.0, h, -h, h, -h, h, -h])
+    for geometry in (design_guide_geometry(), ring, *(g for g, _, _ in _seeded_guides())):
+        rho0, z0, _, _ = find_guide_minimum(geometry)
+        rho, z = rho0 + d_rho, z0 + d_z
+        points = list(zip(rho.tolist(), z.tolist()))
+        assert field_modulus(geometry, rho, z).tolist() == [
+            float(field_modulus(geometry, r, zz)) for r, zz in points
+        ], geometry.loops
+        assert trap_potential(geometry, species, rho, z, DEFAULT_OFFSET_B0).tolist() == [
+            float(trap_potential(geometry, species, r, zz, DEFAULT_OFFSET_B0)) for r, zz in points
+        ], geometry.loops
 
 
 def test_unconverged_refinement_raises(monkeypatch):

@@ -118,6 +118,15 @@ def test_degenerate_latitude_raises():
         phase_sigma_to_rotation_sigma(0.02, cfg)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["cycle_dead_time", "latitude"])
+def test_non_finite_dead_time_or_latitude_rejected(field, value):
+    """A non-finite dead time or latitude would carry on into every rotation
+    figure as nan; it is a ConfigError naming the field."""
+    with pytest.raises(ConfigError, match=f"^{field} must be finite"):
+        _config(**{field: value})
+
+
 def test_geometry_relation():
     rb = species_rb87()
     r = guide_radius_for(rb, 3.0, 1)

@@ -8,7 +8,7 @@ import scipy.optimize
 import chipgyro.stability as stability
 from chipgyro._scipy import compiled_module
 from chipgyro.cli import SCHEMA
-from chipgyro.constants import SECONDS_PER_YEAR, species_rb87
+from chipgyro.constants import SECONDS_PER_YEAR, AtomSpecies, species_rb87
 from chipgyro.errors import (
     ConfigError,
     DegenerateOrientationError,
@@ -222,6 +222,14 @@ def test_direct_brentq_matches_scipy_optimize(monkeypatch):
         brentq(lambda x: x**3 - 0.3, 0.0, 1.0, 5e-324, 1e-15, 1, (), False, True)
 
 
+@pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_target_sigma_rejected(target):
+    """A non-finite target is named, not handed to Brent's bracket test."""
+    tpl = rb87_config(pulse_duration=20e-6, interrogation_time=4.0, atom_number=1e5)
+    with pytest.raises(ConfigError, match="^target_sigma must be finite"):
+        required_interrogation_time(target, SECONDS_PER_YEAR, RB.recoil_velocity, tpl)
+
+
 def test_nan_allan_deviation_in_mission_raises(monkeypatch):
     """Brent's method takes a NaN for a number; the solver raises a physics
     error naming the 2T where the deviation is NaN instead of returning a root."""
@@ -237,6 +245,17 @@ def test_nan_allan_deviation_in_mission_raises(monkeypatch):
     tpl = rb87_config(pulse_duration=20e-6, interrogation_time=4.0, atom_number=1e5)
     with pytest.raises(PhysicsError, match=r"NaN at 2T = \S+ s"):
         required_interrogation_time(5.2e-14, SECONDS_PER_YEAR, 4.0 * RB.recoil_velocity, tpl)
+
+
+def test_finite_inputs_reach_the_nan_guard():
+    """Finite inputs can still give a NaN deviation: M/hbar overflows, so the
+    per-shot figure is 0, and a subnormal tau_I makes sqrt(T_c / tau_I) inf.
+    The solver names the NaN instead of failing in Brent's bracket test."""
+    heavy = AtomSpecies("heavy", 1e300, 1e-300, 9.27e-24)
+    tpl = rb87_config(species=heavy, pulse_duration=20e-6, interrogation_time=1.0)
+    assert math.isnan(projection_allan(tpl, 5e-324))
+    with pytest.raises(PhysicsError, match=r"NaN at 2T = \S+ s"):
+        required_interrogation_time(1e-9, 5e-324, tpl.launch_velocity, tpl)
 
 
 @pytest.mark.parametrize(
