@@ -7,8 +7,8 @@ Layers, bottom up:
 * :mod:`chipgyro.magnetostatics` — circular-loop fields (closed form + oracle)
 * :mod:`chipgyro.guide` — guide minimum, trap frequency, gradient, depth
 * :mod:`chipgyro.interferometer` — scale factor, sensitivity, g(t), |H(f)|²
-* :mod:`chipgyro.noise` — PSD models and phase-variance quadrature
-* :mod:`chipgyro.stability` — Allan deviation, harmonic sum, mission solver
+* :mod:`chipgyro.noise` — PSD models, phase-variance quadrature, harmonic sum
+* :mod:`chipgyro.stability` — Allan deviation, mission solver
 * :mod:`chipgyro.cli` — the ``chipgyro`` command
 
 ``import chipgyro`` loads no layer module: each public name below is looked
@@ -76,18 +76,18 @@ _LAYERS = {
         "design_guide_geometry",
     ),
     "noise": (
+        "DickSumResult",
         "PowerSpectralDensity",
         "VarianceResult",
         "convert_psd",
+        "dick_sum_allan",
         "phase_kernel",
         "phase_sigma_to_rotation_sigma",
         "phase_variance",
     ),
     "stability": (
         "AllanCurve",
-        "DickSumResult",
         "FeasibilityBoundary",
-        "dick_sum_allan",
         "feasibility_boundary",
         "projection_allan",
         "projection_allan_curve",

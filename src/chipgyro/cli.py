@@ -428,7 +428,7 @@ def cmd_sensitivity(config: dict) -> tuple:
 
 
 def cmd_allan(config: dict) -> tuple:
-    from .stability import projection_allan_curve
+    from .stability import AllanCurve, projection_allan_curve
 
     ai = _interferometer_from_config(config)
     tau_min = config["run.allan.tau_min_s"]
@@ -445,6 +445,17 @@ def cmd_allan(config: dict) -> tuple:
         "allan.csv": _csv({"model": curve.model_tag}, ["tau_s", "sigma_rad_s"], curve.points),
         "allan_assumptions.json": {"model": curve.model_tag, "assumptions": curve.assumptions},
     }
+    if config["noise.domain"] is not None:
+        from .noise import dick_sum_allan
+
+        # the Dick variance goes as 1 / tau_I, so one sum at one cycle gives the curve
+        t_c = ai.cycle_time
+        dick = dick_sum_allan(_psd_from_config(config), ai, t_c, f_max=config["noise.band.f_max_hz"])
+        points = tuple((tau, dick.sigma * math.sqrt(t_c / tau)) for tau, _ in curve.points if tau >= t_c)
+        dick_curve = AllanCurve(points=points, model_tag="dick_sum", assumptions=dick.assumptions)
+        meta = {"model": dick_curve.model_tag, "converged": json.dumps(dick.converged),
+                "tail_fraction": _fmt(dick.tail_bound / dick.variance), "terms": dick.m_max}
+        files["allan_dick.csv"] = _csv(meta, ["tau_s", "sigma_rad_s"], dick_curve.points)
     return files, {}
 
 
@@ -469,11 +480,10 @@ def cmd_mission(config: dict) -> tuple:
     return {"mission.csv": mission}, {"at_bracket_floor_v_over_vr": at_floor}
 
 
-def cmd_noise(config: dict) -> tuple:
-    from .interferometer import assumptions_record
-    from .noise import PowerSpectralDensity, phase_sigma_to_rotation_sigma, phase_variance
+def _psd_from_config(config: dict):
+    """The noise block's PSD: the table of noise.file or the noise.model, in noise.domain."""
+    from .noise import PowerSpectralDensity
 
-    ai = _interferometer_from_config(config)
     domain = config["noise.domain"]
     if domain is None:
         raise ConfigError("noise.domain is required (phase | acceleration | rotation)")
@@ -482,18 +492,24 @@ def cmd_noise(config: dict) -> tuple:
     if config["noise.file"] is not None:
         if given:
             raise ConfigError(f"give noise.file or noise.model, not both; got {given} too")
-        psd = PowerSpectralDensity.from_csv(config["noise.file"], domain=domain)
-    else:
-        model = {key: 0.0 if value is None else value for key, value in model.items()}
-        psd = PowerSpectralDensity(domain=domain, **model)
+        return PowerSpectralDensity.from_csv(config["noise.file"], domain=domain)
+    model = {key: 0.0 if value is None else value for key, value in model.items()}
+    return PowerSpectralDensity(domain=domain, **model)
+
+
+def cmd_noise(config: dict) -> tuple:
+    from .interferometer import assumptions_record
+    from .noise import phase_sigma_to_rotation_sigma, phase_variance
+
+    ai = _interferometer_from_config(config)
     result = phase_variance(
-        psd, ai, f_min=config["noise.band.f_min_hz"], f_max=config["noise.band.f_max_hz"]
+        _psd_from_config(config), ai, config["noise.band.f_min_hz"], config["noise.band.f_max_hz"]
     )
     sigma_phi = result.sigma
     record = {
         "entries": [
             {
-                "domain": psd.domain,
+                "domain": result.domain,
                 "variance_rad2": result.value,
                 "sigma_phi_rad": sigma_phi,
                 "sigma_omega_rad_s": phase_sigma_to_rotation_sigma(sigma_phi, ai),

@@ -46,6 +46,7 @@ class InterferometerConfig:
     launch_velocity: float = None  # m/s; default set to v_r in __post_init__
 
     def __post_init__(self):
+        _check_n_loops(self.n_loops)
         if self.launch_velocity is None:
             object.__setattr__(self, "launch_velocity", self.species.recoil_velocity)
         # the given one of 2T and R is checked before the other is derived
@@ -72,8 +73,6 @@ class InterferometerConfig:
             raise ConfigError(f"contrast must be in (0, 1], got {self.contrast!r}")
         if not (0.0 < self.squeezing <= 1.0):
             raise ConfigError(f"squeezing must be in (0, 1], got {self.squeezing!r}")
-        if self.n_loops < 1 or int(self.n_loops) != self.n_loops:
-            raise ConfigError(f"n_loops must be an integer >= 1, got {self.n_loops!r}")
         if not (math.isfinite(self.cycle_dead_time) and self.cycle_dead_time >= 0):
             raise ConfigError(f"cycle_dead_time must be finite and >= 0, got {self.cycle_dead_time!r}")
         if not math.isfinite(self.latitude):
@@ -99,10 +98,14 @@ class InterferometerConfig:
         return self.interrogation_time + self.cycle_dead_time
 
 
+def _check_n_loops(n_loops) -> None:
+    if not (n_loops >= 1 and math.isfinite(n_loops) and int(n_loops) == n_loops):
+        raise ConfigError(f"n_loops must be an integer >= 1, got {n_loops!r}")
+
+
 def guide_radius_for(species: AtomSpecies, interrogation_time: float, n_loops: int = 1) -> float:
     """Guide radius implied by 2T = n_loops * pi * R / v_r."""
-    if n_loops < 1 or int(n_loops) != n_loops:
-        raise ConfigError(f"n_loops must be an integer >= 1, got {n_loops!r}")
+    _check_n_loops(n_loops)
     return species.recoil_velocity * interrogation_time / (n_loops * math.pi)
 
 

@@ -12,14 +12,16 @@ Kernels (omega = 2 pi f):
 
 Each kernel is written once, in ``phase_kernel``, and |H|^2 once, in
 ``interferometer.transfer_H_abs2``; ``phase_variance`` picks the kernel from
-the PSD's own domain, and ``convert_psd`` reads the same kernels.
+the PSD's own domain, ``convert_psd`` reads the same kernels, and
+``dick_sum_allan`` samples the chain at the harmonics of the cycle rate for
+the Allan variance that dead time aliases in (the Dick effect).
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -31,11 +33,13 @@ from .interferometer import (
     InterferometerConfig,
     _sinc,
     _sorted_unique,
+    assumptions_record,
     scale_factor,
     transfer_H_abs2,
 )
 
 ONE_SIDED_CONVENTION = "one-sided, ordinary frequency"
+DICK_TAIL_FRACTION = 1e-4  # converged Dick sum: the band above its last harmonic at most this share
 
 
 @dataclass(frozen=True)
@@ -374,3 +378,64 @@ def phase_variance(
 def phase_sigma_to_rotation_sigma(sigma_phi: float, config: InterferometerConfig) -> float:
     """Rms output phase to rms rotation rate: sigma_phi over ``scale_factor``."""
     return sigma_phi / scale_factor(config)
+
+
+@dataclass(frozen=True)
+class DickSumResult:
+    sigma: float        # rad/s
+    variance: float     # (rad/s)^2
+    m_max: int          # harmonics summed, min(m_max, floor(f_max T_c))
+    tail_bound: float   # (rad/s)^2, the estimate of the band above them, included in variance
+    converged: bool
+    assumptions: dict
+
+
+def dick_sum_allan(
+    psd: PowerSpectralDensity,
+    config: InterferometerConfig,
+    tau_integration: float,
+    m_max: int = 100_000,
+    f_max: Optional[float] = None,
+) -> DickSumResult:
+    """Allan variance at tau_I of a sensor that samples the noise once per
+    cycle T_c, which aliases it (the Dick effect):
+
+        sigma^2(tau_I) = sum_{m=1..M} S K |H|^2 (m / T_c) / (tau_I SF^2)
+
+    with K, |H|^2 and the scale factor SF of ``phase_variance``'s chain,
+    M = min(m_max, floor(f_max T_c)), and f_max 10 / pulse duration unless
+    given. The band above (M + 1/2) / T_c adds T_c times its
+    ``phase_variance``, with D = 2T - tau folded to T_c - D = tau + dead time
+    when that is shorter: samples at m / T_c cannot tell the two apart, and
+    the slower one follows them. ``converged``: that quadrature converged and
+    its share of the total is at most DICK_TAIL_FRACTION. A rotation PSD goes
+    through the same ``phase_kernel`` as in ``phase_variance``, so in both a
+    slow rotation reads back through SF as v_r / (n_loops v_launch) of itself.
+    """
+    if m_max < 1:
+        raise ConfigError(f"m_max must be >= 1, got {m_max}")
+    t_c = config.cycle_time
+    if tau_integration < t_c:
+        raise ConfigError(f"integration time {tau_integration} s is below one cycle ({t_c} s)")
+    f_max = 10.0 / config.pulse_duration if f_max is None else f_max
+    if not (math.isfinite(f_max) and f_max * t_c >= 1.0):
+        raise ConfigError(f"band upper edge must be finite and >= 1 / T_c = {1.0 / t_c} Hz, got {f_max}")
+    norm = tau_integration * scale_factor(config) ** 2  # raises at sin(latitude) = 0
+
+    n_terms = min(m_max, math.floor(f_max * t_c))
+    f = np.arange(1, n_terms + 1) / t_c
+    kernel = phase_kernel(psd.domain, f, config.k_eff, config.guide_radius)
+    total = float(np.sum(psd.evaluate(f) * kernel * transfer_H_abs2(f, config)))
+    tail, converged = 0.0, True
+    if (n_terms + 0.5) / t_c < f_max:
+        # folded, D = 2T - tau is tau + dead time; T_c - D would round the m / D edges off n / tau
+        two_t = min(config.interrogation_time, 2.0 * config.pulse_duration + config.cycle_dead_time)
+        folded = replace(config, interrogation_time=two_t)
+        result = phase_variance(psd, folded, (n_terms + 0.5) / t_c, f_max)
+        tail, converged = t_c * result.value, result.converged
+    variance = (total + tail) / norm
+    return DickSumResult(
+        sigma=math.sqrt(variance), variance=variance, m_max=n_terms, tail_bound=tail / norm,
+        converged=converged and tail <= DICK_TAIL_FRACTION * (total + tail),
+        assumptions=assumptions_record(config),
+    )

@@ -1,9 +1,8 @@
 """Long-term stability and mission feasibility.
 
-Projection-noise Allan deviation, the aliasing harmonic-sum Allan variance of
-a pulsed sensor sampling an external rotation-noise PSD, and the
-interrogation time required to reach a stability target at a given launch
-speed.
+Projection-noise Allan deviation, the Allan curve that carries it (and the
+dead-time curve of ``noise.dick_sum_allan``), and the interrogation time
+required to reach a stability target at a given launch speed.
 
 Every result carries its assumption set (latitude projection, launch speed,
 dead time, atom number, contrast, squeezing): none of these are stated
@@ -14,23 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .constants import HBAR
 from ._scipy import compiled_module
 from .errors import ConfigError, InfeasibleTargetError, PhysicsError
-from .interferometer import (
-    InterferometerConfig,
-    assumptions_record,
-    scale_factor,
-    shot_noise_sensitivity,
-    transfer_H_abs2,
-)
-
-if TYPE_CHECKING:
-    from .noise import PowerSpectralDensity
+from .interferometer import InterferometerConfig, assumptions_record, shot_noise_sensitivity
 
 INTERROGATION_BRACKET = (1e-2, 1e3)  # s, search bracket for the 2T solver
 
@@ -45,6 +33,9 @@ class AllanCurve:
         taus = [p[0] for p in self.points]
         if any(b <= a for a, b in zip(taus, taus[1:])):
             raise ConfigError("Allan curve integration times must be strictly increasing")
+        for tau, sigma in self.points:
+            if not (math.isfinite(sigma) and sigma > 0):
+                raise PhysicsError(f"Allan deviation is {sigma} rad/s at tau_I = {tau} s")
 
 
 @dataclass(frozen=True)
@@ -78,81 +69,6 @@ def projection_allan(config: InterferometerConfig, tau_integration: float) -> fl
 def projection_allan_curve(config: InterferometerConfig, taus) -> AllanCurve:
     points = tuple((float(t), projection_allan(config, float(t))) for t in np.asarray(taus))
     return AllanCurve(points=points, model_tag="projection", assumptions=assumptions_record(config))
-
-
-@dataclass(frozen=True)
-class DickSumResult:
-    sigma: float        # rad/s
-    variance: float     # (rad/s)^2
-    m_max: int
-    tail_bound: float   # (rad/s)^2, bound on the truncated remainder
-    converged: bool
-    assumptions: dict
-
-
-def dick_sum_allan(
-    psd_rotation: PowerSpectralDensity,
-    config: InterferometerConfig,
-    tau_integration: float,
-    m_max: int = 100_000,
-) -> DickSumResult:
-    """Aliasing harmonic-sum Allan variance of the pulsed sensor:
-
-        sigma^2(tau_I) = [ (pi/4)(hbar/M) / (v_r^2 (2T)^2 sin(lat)) ]^2
-                         * (4 pi / tau_I)
-                         * sum_m (2 k_eff R)^2 / (2 pi m / (2T))^2
-                                 * |H(m/T)|^2 * S_Omega(m/T)
-
-    evaluated at the harmonics of 1/T (T = half the interrogation time),
-    truncated at ``m_max`` with a 1/m^2-decay tail bound. The m = 0 term is a
-    removable 0 * inf limit (|H(0)|^2 = 0 against the diverging weight) and is
-    excluded.
-    """
-    if psd_rotation.domain != "rotation":
-        raise ConfigError(f"dick_sum_allan needs a rotation PSD, got {psd_rotation.domain!r}")
-    if m_max < 1:
-        raise ConfigError(f"m_max must be >= 1, got {m_max}")
-    if tau_integration < config.cycle_time:
-        raise ConfigError(
-            f"integration time {tau_integration} s is below one cycle ({config.cycle_time} s)"
-        )
-
-    scale_factor(config)  # raises DegenerateOrientationError at sin(latitude) = 0
-    species = config.species
-    two_t = config.interrogation_time
-    sin_lat = math.sin(config.latitude)
-    prefactor = (
-        (math.pi / 4.0)
-        * (HBAR / species.mass)
-        / (species.recoil_velocity ** 2 * two_t ** 2 * sin_lat)
-    ) ** 2
-
-    m = np.arange(1, m_max + 1, dtype=float)
-    f_m = m / config.half_time
-    weight = (2.0 * config.k_eff * config.guide_radius) ** 2 / (2.0 * np.pi * m / two_t) ** 2
-    terms = weight * transfer_H_abs2(f_m, config) * psd_rotation.evaluate(f_m)
-
-    partial = np.cumsum(terms)
-    total = float(partial[-1])
-
-    # the weight decays as 1/m^2, so sum_{m>M} t_m <~ max(t_m m^2) / M
-    decade_start = max(m_max // 10, 1)
-    c_est = float(np.max(terms[decade_start - 1 :] * m[decade_start - 1 :] ** 2))
-    tail = c_est / m_max
-    converged = bool(
-        total > 0 and abs(total - partial[decade_start - 1]) < 1e-4 * abs(total)
-    ) or total == 0.0
-
-    variance = prefactor * (4.0 * math.pi / tau_integration) * total
-    tail_bound = prefactor * (4.0 * math.pi / tau_integration) * tail
-    return DickSumResult(
-        sigma=math.sqrt(variance),
-        variance=variance,
-        m_max=m_max,
-        tail_bound=tail_bound,
-        converged=converged,
-        assumptions=assumptions_record(config),
-    )
 
 
 def required_interrogation_time(

@@ -21,7 +21,9 @@ from chipgyro.cli import LOOP_FIELDS, SCHEMA, _csv, _write_files, load_config, m
 from chipgyro.constants import species_rb87
 from chipgyro.errors import ConfigError, PhysicsError
 from chipgyro.guide import POSITION_TOLERANCE, trap_potential
+from chipgyro.interferometer import rb87_config
 from chipgyro.magnetostatics import design_guide_geometry
+from chipgyro.noise import PowerSpectralDensity, dick_sum_allan
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -524,6 +526,47 @@ def _csv_header(path):
     return dict(line[2:].split(": ", 1) for line in lines if line.startswith("# "))
 
 
+def test_allan_writes_the_dick_curve_of_the_noise_block(tmp_path, config_path, capsys):
+    """With a noise block, allan adds the Dick curve on the projection curve's
+    taus from one cycle up, sigma(T_c) sqrt(T_c / tau) from one harmonic sum;
+    without one it writes the projection files alone."""
+    out, plain = tmp_path / "out", tmp_path / "plain"
+    argv = ["allan", "--config", config_path, "--override", "run.allan.tau_min_s=1.0"]
+    assert _run(capsys, *argv, "--out", str(out))[0] == 0
+    projection = np.genfromtxt(out / "allan.csv", delimiter=",", names=True, skip_header=3)
+    dick = np.genfromtxt(out / "allan_dick.csv", delimiter=",", names=True, skip_header=6)
+    header = _csv_header(out / "allan_dick.csv")
+    assert (header["model"], header["converged"], header["tail_fraction"], header["terms"]) == (
+        "dick_sum", "true", "0", "4000"
+    )
+    cfg = rb87_config(pulse_duration=20e-6, interrogation_time=4.0, latitude=math.radians(48.85))
+    psd = PowerSpectralDensity(domain="phase", white=1e-8)
+    sigma_cycle = dick_sum_allan(psd, cfg, 4.0, f_max=1e3).sigma
+    assert list(dick["tau_s"]) == [tau for tau in projection["tau_s"] if tau >= 4.0]
+    assert list(dick["sigma_rad_s"]) == [sigma_cycle * math.sqrt(4.0 / tau) for tau in dick["tau_s"]]
+    assert _run(capsys, *argv, "--out", str(plain), "--override", "noise=null")[0] == 0
+    assert sorted(os.listdir(plain)) == ["allan.csv", "allan_assumptions.json"]
+
+
+def test_allan_curve_of_nan_deviations_exits_2(tmp_path, config_path, capsys):
+    """Finite inputs can make the projection deviation NaN (M / hbar
+    overflows, so the per-shot figure is 0, times sqrt(T_c / 5e-324) = inf)
+    and 0 above that tau: allan names the first and writes no file."""
+    out = tmp_path / "out"
+    overrides = [
+        "species.mass_kg=1.0e300",
+        "species.wavelength_m=1.0e-300",
+        "species.magnetic_moment_J_T=9.27e-24",
+        "run.allan.tau_min_s=5.0e-324",
+        "noise=null",
+    ]
+    argv = ["allan", "--config", config_path, "--out", str(out)]
+    code, summary = _run(capsys, *argv, *(arg for item in overrides for arg in ("--override", item)))
+    assert (code, summary["status"]) == (2, "physics-error")
+    assert summary["error"].endswith("at tau_I = 5e-324 s")
+    assert list(out.glob("*")) == []
+
+
 def test_mission_output(tmp_path, config_path, capsys):
     _, summary = _run(capsys, "mission", "--config", config_path, "--out", str(tmp_path / "out"))
     data = np.genfromtxt(
@@ -684,7 +727,7 @@ def test_provenance_block_hashes_its_config(tmp_path, config_path, capsys):
         assert provenance["config"] == resolve_config(load_config(config_path, overrides))
         assert provenance["config_sha256"] == _config_sha256(provenance["config"])
         csv_files = sorted(out.glob("*.csv"))
-        assert len(csv_files) == 5
+        assert len(csv_files) == 6
         for path in csv_files:
             lines = path.read_text().splitlines()
             assert lines[:2] == [
@@ -929,25 +972,33 @@ def test_every_public_name_has_a_user():
     assert unused == exempt
 
 
+LAYER_ROWS = [
+    ("guide", ["guide", "magnetostatics"], []),
+    ("transfer", ["interferometer"], []),
+    ("sensitivity", ["interferometer"], []),
+    ("allan", ["interferometer", "noise", "stability"], []),
+    ("allan", ["interferometer", "stability"], ["noise=null"]),
+    ("mission", ["interferometer", "stability"], []),
+    ("noise", ["interferometer", "noise"], []),
+]
+
+
 @pytest.mark.parametrize(
-    "command, layers",
-    [
-        ("guide", ["guide", "magnetostatics"]),
-        ("transfer", ["interferometer"]),
-        ("sensitivity", ["interferometer"]),
-        ("allan", ["interferometer", "stability"]),
-        ("mission", ["interferometer", "stability"]),
-        ("noise", ["interferometer", "noise"]),
-    ],
-    ids=lambda param: param if isinstance(param, str) else "+".join(param),
+    "command, layers, overrides",
+    LAYER_ROWS,
+    ids=[f"{command}-{'+'.join(layers)}" for command, layers, _ in LAYER_ROWS],
 )
-def test_each_subcommand_loads_only_its_layers(tmp_path, config_path, command, layers):
+def test_each_subcommand_loads_only_its_layers(tmp_path, config_path, command, layers, overrides):
+    """With the test config's noise block, allan also loads noise for the
+    Dick curve; without one it does not."""
     probe = (
         "import sys, chipgyro.cli\n"
-        "assert chipgyro.cli.main([sys.argv[1], '--config', sys.argv[2], '--out', sys.argv[3]]) == 0\n"
+        "argv = [sys.argv[1], '--config', sys.argv[2], '--out', sys.argv[3], *sys.argv[4:]]\n"
+        "assert chipgyro.cli.main(argv) == 0\n"
         f"print(sorted(m for m in {LAYERS!r} if m in sys.modules))"
     )
-    loaded = _python(probe, command, config_path, str(tmp_path / "out")).splitlines()[-1]
+    flags = [arg for override in overrides for arg in ("--override", override)]
+    loaded = _python(probe, command, config_path, str(tmp_path / "out"), *flags).splitlines()[-1]
     assert loaded == repr(sorted(f"chipgyro.{layer}" for layer in layers))
 
 

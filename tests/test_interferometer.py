@@ -154,6 +154,17 @@ def test_config_error_names_the_given_radius(radius):
         InterferometerConfig(species_rb87(), 20e-6, guide_radius=radius)
 
 
+@pytest.mark.parametrize("n_loops", [math.nan, math.inf, -math.inf, 0, 1.5])
+@pytest.mark.parametrize("given", [{"interrogation_time": 1.0}, {"guide_radius": 5.6e-3}], ids=["2T", "R"])
+def test_config_error_names_a_bad_loop_count(n_loops, given):
+    """A loop count that is not an integer >= 1 is named, whichever of 2T and
+    R it would derive the other from; NaN and infinity reach no int()."""
+    with pytest.raises(ConfigError, match="^n_loops must be an integer >= 1"):
+        rb87_config(pulse_duration=20e-6, n_loops=n_loops, **given)
+    with pytest.raises(ConfigError, match="^n_loops must be an integer >= 1"):
+        guide_radius_for(species_rb87(), 1.0, n_loops)
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         _config(pulse_duration=5.0)  # tau >= 2T

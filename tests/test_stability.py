@@ -15,12 +15,12 @@ from chipgyro.errors import (
     InfeasibleTargetError,
     PhysicsError,
 )
-from chipgyro.interferometer import rb87_config, shot_noise_sensitivity
-from chipgyro.noise import PowerSpectralDensity
+from chipgyro.interferometer import rb87_config, scale_factor, shot_noise_sensitivity, transfer_H_abs2
+from chipgyro.noise import PowerSpectralDensity, dick_sum_allan, phase_variance
 from chipgyro.stability import (
     INTERROGATION_BRACKET,
+    AllanCurve,
     FeasibilityBoundary,
-    dick_sum_allan,
     feasibility_boundary,
     projection_allan,
     projection_allan_curve,
@@ -102,8 +102,6 @@ def test_dick_sum_truncation_stable():
 
 def test_dick_sum_rejects_wrong_domain_and_args():
     cfg = _flagship_config()
-    with pytest.raises(ConfigError):
-        dick_sum_allan(PowerSpectralDensity(domain="phase", white=1e-9), cfg, 100.0)
     psd = PowerSpectralDensity(domain="rotation", random_walk=1e-18)
     with pytest.raises(ConfigError):
         dick_sum_allan(psd, cfg, 100.0, m_max=0)
@@ -116,6 +114,76 @@ def test_dick_sum_rejects_zero_latitude():
     psd = PowerSpectralDensity(domain="rotation", white=1e-20)
     with pytest.raises(DegenerateOrientationError):
         dick_sum_allan(psd, cfg, 10.0, m_max=10)
+
+
+@pytest.mark.parametrize("f_max", [math.nan, math.inf, 0.05])
+def test_dick_sum_rejects_a_band_without_a_harmonic(f_max):
+    """A band edge that is not finite, or below the first harmonic 1 / T_c
+    (0.1 Hz here), is named."""
+    psd = PowerSpectralDensity(domain="rotation", random_walk=1e-18)
+    with pytest.raises(ConfigError, match="band upper edge must be finite and >= 1 / T_c = 0.1 Hz"):
+        dick_sum_allan(psd, _flagship_config(), 100.0, f_max=f_max)
+
+
+@pytest.mark.parametrize("dead_time", [1.0, 3.0])
+@pytest.mark.parametrize("v_over_vr", [1.0, 4.0])
+def test_dick_sum_white_phase_identity(dead_time, v_over_vr):
+    """Oracle: with dead time a shot's window (2T) is shorter than the cycle,
+    so by Poisson summation white phase noise sums to the per-shot variance
+    over the same band averaged over tau_I / T_c shots,
+    sigma^2 = sigma_phi^2 T_c / (tau_I SF^2). Without dead time the windows
+    touch and the band's edge breaks the identity (0.995 at 2T = 1 s)."""
+    cfg = rb87_config(
+        pulse_duration=20e-6,
+        interrogation_time=1.0,
+        cycle_dead_time=dead_time,
+        launch_velocity=v_over_vr * RB.recoil_velocity,
+    )
+    psd = PowerSpectralDensity(domain="phase", white=1e-8)
+    sigma_phi2 = phase_variance(psd, cfg, rtol=1e-10).value
+    exact = sigma_phi2 * cfg.cycle_time / 100.0 / scale_factor(cfg) ** 2
+    assert dick_sum_allan(psd, cfg, 100.0).variance == pytest.approx(exact, rel=1e-6, abs=0)
+
+
+def _n_shot_allan_variance(psd, cfg, n_shots, f_max):
+    """Allan variance in rad^2 of averages of ``n_shots`` shots,
+    int S |H|^2 2 sin^4(pi f N T_c) / (N^2 sin^2(pi f T_c)) df over the lobes
+    m >= 1, [1 / (2 T_c), f_max]: 8-point Gauss-Legendre between the zeros
+    j / N of sin(pi N f T_c), taken in blocks of 20 lobes."""
+    t_c = cfg.cycle_time
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    nodes, weights = 0.5 * (nodes + 1.0), 0.5 * weights
+    n_panels = round((f_max * t_c - 0.5) * n_shots)
+    total = 0.0
+    for start in range(0, n_panels, 20 * n_shots):
+        j = np.arange(start, min(start + 20 * n_shots, n_panels))
+        x = 0.5 + (j[:, None] + nodes) / n_shots  # f T_c
+        u = x - np.round(x)  # the kernel has period 1 in x; u keeps its digits
+        kernel = 2.0 * np.sin(math.pi * n_shots * u) ** 4 / (n_shots * np.sin(math.pi * u)) ** 2
+        f = x / t_c
+        total += float(np.sum(psd.evaluate(f) * transfer_H_abs2(f, cfg) * kernel * weights))
+    return total / (n_shots * t_c)
+
+
+@pytest.mark.parametrize("dead_time", [0.0, 1.0])
+@pytest.mark.parametrize("model", [{"white": 1e-8}, {"flicker": 1e-8}], ids=["white", "flicker"])
+def test_dick_sum_is_the_limit_of_n_shot_allan_variance(dead_time, model):
+    """Oracle: the Allan variance of N-shot averages tends to the harmonic sum
+    at tau_I = N T_c, with a gap that falls as 1 / N."""
+    cfg = rb87_config(pulse_duration=50e-3, interrogation_time=1.0, cycle_dead_time=dead_time)
+    psd = PowerSpectralDensity(domain="phase", **model)
+    gaps = []
+    for n_shots in (100, 1000):
+        exact = _n_shot_allan_variance(psd, cfg, n_shots, 10.0 / cfg.pulse_duration) / scale_factor(cfg) ** 2
+        gaps.append(abs(dick_sum_allan(psd, cfg, n_shots * cfg.cycle_time).variance / exact - 1.0))
+    assert gaps[1] <= 2e-3
+    assert gaps[0] >= 5.0 * gaps[1]
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, 0.0, -1.0])
+def test_allan_curve_names_a_deviation_that_is_not_finite_and_positive(sigma):
+    with pytest.raises(PhysicsError, match=r"at tau_I = 2.0 s$"):
+        AllanCurve(points=((1.0, 1.0), (2.0, sigma), (3.0, math.nan)), model_tag="dick_sum", assumptions={})
 
 
 def test_required_interrogation_time_flagship():
