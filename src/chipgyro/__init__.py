@@ -60,6 +60,7 @@ _LAYERS = {
         "corner_frequencies",
         "guide_radius_for",
         "rb87_config",
+        "rotation_gain",
         "scale_factor",
         "sensitivity_function_g",
         "shot_noise_sensitivity",

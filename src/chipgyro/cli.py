@@ -157,6 +157,7 @@ def load_config(path: str, overrides=()) -> dict:
 # Kinds of config value, named as the error messages word them; a tuple is a choice.
 NUMBER, POSITIVE, COUNT = "finite number", "finite number > 0", "integer >= 1"
 NON_NEGATIVE, FRACTION, LOOP = "finite number >= 0", "finite number in (0, 1]", "mapping"
+LATITUDE = "finite number in [-90, 90]"
 STRING, LOOPS, POSITIVES = "string", "non-empty list of loops", "non-empty list of numbers > 0"
 # Every config key the CLI reads: dotted path -> (kind, default). A default
 # of None means "not given": the one subcommand that reads the key derives
@@ -175,7 +176,7 @@ SCHEMA = {
     "interferometer.n_loops": (COUNT, 1),
     "interferometer.atom_number": (POSITIVE, 1e4),
     "interferometer.contrast": (FRACTION, 1.0),
-    "interferometer.latitude_deg": (NUMBER, 90.0),
+    "interferometer.latitude_deg": (LATITUDE, 90.0),
     "interferometer.squeezing": (FRACTION, 1.0),
     "interferometer.dead_time_s": (NON_NEGATIVE, 0.0),
     "interferometer.v_launch_over_vr": (POSITIVE, 1.0),
@@ -230,14 +231,15 @@ def _check(path: str, kind, value):
         if None not in loop.values():
             return loop
         raise ConfigError(f"{path}: missing {', '.join(k for k, v in loop.items() if v is None)}")
-    if kind in (NUMBER, POSITIVE, NON_NEGATIVE, FRACTION, COUNT) and not isinstance(value, bool):
+    if kind in (NUMBER, POSITIVE, NON_NEGATIVE, FRACTION, COUNT, LATITUDE) and not isinstance(value, bool):
         try:
             # numeric strings count: YAML 1.1 reads 20e-6 (no dot) as a string
             number = float(value)
         except (TypeError, ValueError, OverflowError):
             number = math.nan
-        in_range = kind == NUMBER or number > 0 or (kind == NON_NEGATIVE and number == 0)
-        if math.isfinite(number) and in_range and not (kind == FRACTION and number > 1):
+        in_range = kind in (NUMBER, LATITUDE) or number > 0 or (kind == NON_NEGATIVE and number == 0)
+        ceiling = {FRACTION: 1, LATITUDE: 90}.get(kind, math.inf)
+        if math.isfinite(number) and in_range and abs(number) <= ceiling:
             if kind != COUNT:
                 return number
             if number == int(number):
@@ -344,7 +346,7 @@ def cmd_guide(config: dict) -> tuple:
         geometry = design_guide_geometry()
     else:
         loops = [WireLoop(r["radius_m"], r["current_A"], r["height_m"]) for r in records]
-        geometry = GuideGeometry(tuple(loops), label=config["geometry.label"])
+        geometry = GuideGeometry(tuple(loops))
     offset_b0 = config["geometry.offset_B0_T"]
     species = _species_from_config(config)
     span = config["run.guide.map_span_m"]
@@ -451,6 +453,8 @@ def cmd_allan(config: dict) -> tuple:
         # the Dick variance goes as 1 / tau_I, so one sum at one cycle gives the curve
         t_c = ai.cycle_time
         dick = dick_sum_allan(_psd_from_config(config), ai, t_c, f_max=config["noise.band.f_max_hz"])
+        if dick.variance == 0.0:  # a zero PSD has no Dick curve; AllanCurve needs sigma > 0
+            return files, {}
         points = tuple((tau, dick.sigma * math.sqrt(t_c / tau)) for tau, _ in curve.points if tau >= t_c)
         dick_curve = AllanCurve(points=points, model_tag="dick_sum", assumptions=dick.assumptions)
         meta = {"model": dick_curve.model_tag, "converged": json.dumps(dick.converged),

@@ -75,8 +75,8 @@ class InterferometerConfig:
             raise ConfigError(f"squeezing must be in (0, 1], got {self.squeezing!r}")
         if not (math.isfinite(self.cycle_dead_time) and self.cycle_dead_time >= 0):
             raise ConfigError(f"cycle_dead_time must be finite and >= 0, got {self.cycle_dead_time!r}")
-        if not math.isfinite(self.latitude):
-            raise ConfigError(f"latitude must be finite, got {self.latitude!r}")
+        if not abs(self.latitude) <= math.pi / 2.0:
+            raise ConfigError(f"latitude must be finite and in [-pi/2, pi/2], got {self.latitude!r}")
 
     def _check_positive(self, *names):
         for name in names:
@@ -152,14 +152,20 @@ def scale_factor(config: InterferometerConfig) -> float:
     )
 
 
+def rotation_gain(config: InterferometerConfig) -> float:
+    """``scale_factor`` over int g dt = 2T - tau, in rad per rad/s per s: a
+    rotation Omega(t) gives the phase rotation_gain int g(t) Omega(t) dt."""
+    return scale_factor(config) / (config.interrogation_time - config.pulse_duration)
+
+
 def shot_noise_sensitivity(config: InterferometerConfig) -> float:
     """Projection-noise-limited rotation sensitivity per shot (rad/s):
 
-        dOmega = xi / (eta sqrt(N/2) scale_factor)
+        dOmega = xi / (eta sqrt(N/2) |scale_factor|)
 
-    i.e. sqrt(N/2) of population noise divided by the fringe slope.
+    i.e. sqrt(N/2) of population noise divided by the fringe slope's size.
     """
-    slope = config.contrast * math.sqrt(0.5 * config.atom_number) * scale_factor(config)
+    slope = config.contrast * math.sqrt(0.5 * config.atom_number) * abs(scale_factor(config))
     return config.squeezing / slope
 
 
@@ -176,20 +182,11 @@ def sensitivity_function_g(t, config: InterferometerConfig):
     return float(g) if g.ndim == 0 else g
 
 
-def _sinc(x: float) -> float:
-    """sin(x) / x for a float, with the limit 1 at x = 0."""
-    return math.sin(x) / x if x else 1.0
-
-
 def transfer_H_abs2(f, config: InterferometerConfig):
     """|H(f)|^2 of the transfer function H(f) = -(2i / (pi f tau)) sin(pi f tau)
-    sin(pi f (2T - tau)); vectorized, with the analytic limit |H(0)|^2 = 0.
-    A float ``f``, as QUADPACK passes one point at a time, gives a float
-    computed with ``math`` in the same order as the array route."""
+    sin(pi f (2T - tau)); vectorized, with the analytic limit |H(0)|^2 = 0."""
     tau = config.pulse_duration
     D = config.interrogation_time - tau
-    if isinstance(f, float):
-        return (2.0 * _sinc(math.pi * f * tau) * math.sin(math.pi * f * D)) ** 2
     f = np.asarray(f, dtype=float)
     x = np.pi * f * tau
     with np.errstate(divide="ignore", invalid="ignore"):

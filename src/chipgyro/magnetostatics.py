@@ -49,7 +49,6 @@ class GuideGeometry:
     """Ordered set of coplanar concentric loops forming the guide."""
 
     loops: tuple
-    label: str = ""
 
     def __post_init__(self):
         loops = tuple(self.loops)
@@ -66,10 +65,7 @@ class GuideGeometry:
     def scaled(self, factor: float) -> "GuideGeometry":
         """Same geometry with every current multiplied by ``factor``."""
         return GuideGeometry(
-            loops=tuple(
-                WireLoop(loop.radius, loop.current * factor, loop.height) for loop in self.loops
-            ),
-            label=self.label,
+            tuple(WireLoop(loop.radius, loop.current * factor, loop.height) for loop in self.loops)
         )
 
 
@@ -174,6 +170,5 @@ def design_guide_geometry() -> GuideGeometry:
             WireLoop(radius=500e-6, current=121e-3, height=0.0),
             WireLoop(radius=513e-6, current=-123e-3, height=0.0),
         ),
-        label="three-wire-500um",
     )
 

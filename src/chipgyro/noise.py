@@ -5,13 +5,14 @@ angular frequency enters only through explicit omega = 2 pi f factors inside
 the propagation kernels. Results carry their integration band and convention
 so no number leaves the module without its hypotheses.
 
-Kernels (omega = 2 pi f):
+Kernels (omega = 2 pi f, G = ``interferometer.rotation_gain``):
   phase:        sigma^2 = int S_phi(f) |H(f)|^2 df
   acceleration: sigma^2 = int (k_eff^2 / omega^4) S_a(f) |H(f)|^2 df
-  rotation:     sigma^2 = int ((2 k_eff R)^2 / omega^2) S_Omega(f) |H(f)|^2 df
+  rotation:     sigma^2 = int (G^2 / omega^2) S_Omega(f) |H(f)|^2 df
 
-Each kernel is written once, in ``phase_kernel``, and |H|^2 once, in
-``interferometer.transfer_H_abs2``; ``phase_variance`` picks the kernel from
+Each kernel is written once, in ``phase_kernel`` (a slow rotation reads back
+as itself), and |H|^2 once per route, for arrays in ``transfer_H_abs2`` and
+for floats in ``_integrate_band``; ``phase_variance`` picks the kernel from
 the PSD's own domain, ``convert_psd`` reads the same kernels, and
 ``dick_sum_allan`` samples the chain at the harmonics of the cycle rate for
 the Allan variance that dead time aliases in (the Dick effect).
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -31,9 +32,9 @@ from .constants import DEFAULT_F_MIN, DOMAINS
 from .errors import ConfigError, DivergentIntegralError
 from .interferometer import (
     InterferometerConfig,
-    _sinc,
     _sorted_unique,
     assumptions_record,
+    rotation_gain,
     scale_factor,
     transfer_H_abs2,
 )
@@ -167,11 +168,11 @@ class PowerSpectralDensity:
             raise ConfigError(f"PSD file {path}: {exc}") from None
 
 
-def phase_kernel(domain: str, f, k_eff: float, guide_radius: float):
+def phase_kernel(domain: str, f, k_eff: float, rotation_gain: float):
     """Factor K(f) taking a ``domain`` PSD to the phase PSD it induces,
-    S_phi = K S: 1 (phase), k_eff^2 / omega^4 (acceleration) or
-    (2 k_eff R)^2 / omega^2 (rotation), with omega = 2 pi f. A float ``f``
-    gives a float, without numpy; an array gives an array."""
+    S_phi = K S: 1 (phase), k_eff^2 / omega^4 (acceleration) or G^2 / omega^2
+    (rotation, G = ``interferometer.rotation_gain``), with omega = 2 pi f. A
+    float ``f`` gives a float, without numpy; an array gives an array."""
     scalar = isinstance(f, float)
     omega = 2.0 * math.pi * (f if scalar else np.asarray(f, dtype=float))
     if domain == "phase":
@@ -180,7 +181,7 @@ def phase_kernel(domain: str, f, k_eff: float, guide_radius: float):
         if domain == "acceleration":
             return k_eff ** 2 / omega ** 4
         if domain == "rotation":
-            return (2.0 * k_eff * guide_radius) ** 2 / (omega * omega)
+            return rotation_gain ** 2 / (omega * omega)
     except OverflowError:  # a float omega^4 past the float range
         return 0.0
     except ZeroDivisionError:  # a float power of omega that underflowed to 0
@@ -192,11 +193,11 @@ def convert_psd(
     psd: PowerSpectralDensity,
     target_domain: str,
     k_eff: float,
-    guide_radius: float,
+    rotation_gain: float,
     grid: Optional[np.ndarray] = None,
 ) -> PowerSpectralDensity:
     """Re-express a PSD in another domain through the exact kernel identities
-    S_a = (omega^4 / k_eff^2) S_phi and S_Omega = (omega^2 / (2 k_eff R)^2) S_phi.
+    S_a = (omega^4 / k_eff^2) S_phi and S_Omega = (omega^2 / G^2) S_phi, G as in ``phase_kernel``.
 
     Tabulated PSDs convert pointwise on their own grid (round trips are exact);
     analytic PSDs need an explicit grid and come back tabulated.
@@ -209,8 +210,8 @@ def convert_psd(
             raise ConfigError("converting an analytic PSD needs an explicit frequency grid")
         f = np.asarray(grid, dtype=float)
         s = psd.evaluate(f)
-    s_phase = s * phase_kernel(psd.domain, f, k_eff, guide_radius)
-    s_target = s_phase / phase_kernel(target_domain, f, k_eff, guide_radius)
+    s_phase = s * phase_kernel(psd.domain, f, k_eff, rotation_gain)
+    s_target = s_phase / phase_kernel(target_domain, f, k_eff, rotation_gain)
     return PowerSpectralDensity(domain=target_domain, frequencies=f, values=s_target)
 
 
@@ -232,14 +233,19 @@ class VarianceResult:
         return math.sqrt(max(self.value, 0.0))
 
 
-def _integrate_band(psd, config, f_min, f_max, rtol):
+def _sinc(x: float) -> float:
+    """sin(x) / x for a float, with the limit 1 at x = 0."""
+    return math.sin(x) / x if x else 1.0
+
+
+def _integrate_band(psd, config, f_min, f_max, rtol, d):
     """int S K |H|^2 df over [f_min, f_max] on QUADPACK; returns the value, its
     error estimate, the number of points at which the PSD was evaluated and
     the (lo, hi) panels on which QUADPACK's status ``ier`` was non-zero.
 
     K is the ``phase_kernel`` of the PSD's domain; |H|^2 = 2 sinc^2(pi f tau)
-    (1 - cos 2 pi D f), D = 2T - tau. A panel that spans fewer than 8 periods
-    of the cosine is integrated whole. A wider one is split into int g - int g
+    (1 - cos 2 pi D f), D = ``d`` (2T - tau for one shot). A panel that spans
+    fewer than 8 periods of the cosine is integrated whole. A wider one is split into int g - int g
     cos(2 pi D f), g = 2 S K sinc^2, the second by QUADPACK's cosine-weight
     rule (QAWO), whose cost does not depend on D. On a narrow panel the two
     parts would cancel (to about 8 digits for the omega^-4 kernel near f_min,
@@ -247,15 +253,14 @@ def _integrate_band(psd, config, f_min, f_max, rtol):
     zeros m/D for m <= 8, the zeros n/tau of sinc, tabulated-PSD knots and one
     edge per octave; none above 8/D depends on 2T, so neither does the cost.
 
-    QUADPACK calls the integrand with one float at a time, so the PSD, K and
-    |H|^2 take their float routes, and the envelope g reads sinc from where
-    |H|^2 does; config and PSD attributes are read once, outside the callbacks.
+    QUADPACK calls the integrand with one float at a time: the PSD and K take
+    float routes, |H|^2 is written out in ``transfer_H_abs2``'s order and g
+    reuses its sinc; config, PSD and gain are read once, outside the callbacks.
     QAGS and QAWO get the arguments ``scipy.integrate.quad`` passes them.
     """
     quadpack = compiled_module("scipy.integrate._quadpack")
 
     tau = config.pulse_duration
-    d = config.interrogation_time - tau
     n_octaves = int(math.ceil(math.log2(f_max) - math.log2(f_min)))
     edges = [
         [f_min, f_max],
@@ -268,7 +273,8 @@ def _integrate_band(psd, config, f_min, f_max, rtol):
     edges = _sorted_unique(np.concatenate(edges))
     edges = edges[(edges >= f_min) & (edges <= f_max)]
 
-    domain, k_eff, radius = psd.domain, config.k_eff, config.guide_radius
+    domain, k_eff = psd.domain, config.k_eff
+    gain = rotation_gain(config) if domain == "rotation" else None
     n_evals = 0
     warned = []
 
@@ -287,17 +293,17 @@ def _integrate_band(psd, config, f_min, f_max, rtol):
     def weighted(f):
         nonlocal n_evals
         n_evals += 1
-        return psd.evaluate(f) * phase_kernel(domain, f, k_eff, radius)
+        return psd.evaluate(f) * phase_kernel(domain, f, k_eff, gain)
 
     def integrand(f):
-        value = weighted(f) * transfer_H_abs2(f, config)
+        value = weighted(f) * (2.0 * _sinc(math.pi * f * tau) * math.sin(math.pi * f * d)) ** 2
         if domain == "rotation" and not math.isfinite(value):
             # omega^2 so small that K overflowed while |H|^2 underflowed; their
-            # product tends to (2 k_eff R D)^2 as f -> 0, so take it from
+            # product tends to (G D)^2 as f -> 0, so take it from
             # sin(pi f D) / omega (the acceleration product grows like 1/f^2
             # and is left to diverge)
             ratio = math.sin(math.pi * f * d) / (2.0 * math.pi * f)
-            value = psd.evaluate(f) * (4.0 * k_eff * radius * _sinc(math.pi * f * tau) * ratio) ** 2
+            value = psd.evaluate(f) * (2.0 * gain * _sinc(math.pi * f * tau) * ratio) ** 2
         return value
 
     def smooth(f):
@@ -358,7 +364,8 @@ def phase_variance(
     if not 1e-13 <= rtol < 1.0:
         raise ConfigError(f"rtol must lie in [1e-13, 1), got {rtol}")
 
-    value, err, n_evals, warned = _integrate_band(psd, config, f_min, f_max, rtol)
+    d = config.interrogation_time - config.pulse_duration
+    value, err, n_evals, warned = _integrate_band(psd, config, f_min, f_max, rtol, d)
     if not math.isfinite(value):
         raise DivergentIntegralError(f"noise integral is not finite on band [{f_min}, {f_max}]")
     notes = [f"QUADPACK warning on panel [{lo}, {hi}] Hz" for lo, hi in warned]
@@ -376,8 +383,8 @@ def phase_variance(
 
 
 def phase_sigma_to_rotation_sigma(sigma_phi: float, config: InterferometerConfig) -> float:
-    """Rms output phase to rms rotation rate: sigma_phi over ``scale_factor``."""
-    return sigma_phi / scale_factor(config)
+    """Rms output phase to rms rotation rate: sigma_phi over |``scale_factor``|."""
+    return sigma_phi / abs(scale_factor(config))
 
 
 @dataclass(frozen=True)
@@ -404,13 +411,13 @@ def dick_sum_allan(
 
     with K, |H|^2 and the scale factor SF of ``phase_variance``'s chain,
     M = min(m_max, floor(f_max T_c)), and f_max 10 / pulse duration unless
-    given. The band above (M + 1/2) / T_c adds T_c times its
-    ``phase_variance``, with D = 2T - tau folded to T_c - D = tau + dead time
-    when that is shorter: samples at m / T_c cannot tell the two apart, and
-    the slower one follows them. ``converged``: that quadrature converged and
-    its share of the total is at most DICK_TAIL_FRACTION. A rotation PSD goes
-    through the same ``phase_kernel`` as in ``phase_variance``, so in both a
-    slow rotation reads back through SF as v_r / (n_loops v_launch) of itself.
+    given. If m_max stops short of the band's last harmonic, the band above
+    (M + 1/2) / T_c adds T_c times its ``phase_variance``, with D = 2T - tau
+    folded to T_c - D = tau + dead time when that is shorter: samples at
+    m / T_c cannot tell the two apart, and the slower one follows them.
+    ``converged``: that quadrature converged and its share of the total is at
+    most DICK_TAIL_FRACTION. A rotation PSD goes through the same
+    ``phase_kernel`` as in ``phase_variance``: a slow rotation reads back as itself.
     """
     if m_max < 1:
         raise ConfigError(f"m_max must be >= 1, got {m_max}")
@@ -424,15 +431,16 @@ def dick_sum_allan(
 
     n_terms = min(m_max, math.floor(f_max * t_c))
     f = np.arange(1, n_terms + 1) / t_c
-    kernel = phase_kernel(psd.domain, f, config.k_eff, config.guide_radius)
+    gain = rotation_gain(config) if psd.domain == "rotation" else None
+    kernel = phase_kernel(psd.domain, f, config.k_eff, gain)
     total = float(np.sum(psd.evaluate(f) * kernel * transfer_H_abs2(f, config)))
     tail, converged = 0.0, True
-    if (n_terms + 0.5) / t_c < f_max:
+    if m_max + 1 <= f_max * t_c:  # m_max truncates: harmonic m_max + 1 lies in the band
         # folded, D = 2T - tau is tau + dead time; T_c - D would round the m / D edges off n / tau
-        two_t = min(config.interrogation_time, 2.0 * config.pulse_duration + config.cycle_dead_time)
-        folded = replace(config, interrogation_time=two_t)
-        result = phase_variance(psd, folded, (n_terms + 0.5) / t_c, f_max)
-        tail, converged = t_c * result.value, result.converged
+        tau = config.pulse_duration
+        d = min(config.interrogation_time, 2.0 * tau + config.cycle_dead_time) - tau
+        value, err, _, warned = _integrate_band(psd, config, (n_terms + 0.5) / t_c, f_max, 1e-6, d)
+        tail, converged = t_c * value, not warned and err <= 1e-6 * abs(value)
     variance = (total + tail) / norm
     return DickSumResult(
         sigma=math.sqrt(variance), variance=variance, m_max=n_terms, tail_bound=tail / norm,

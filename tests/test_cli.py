@@ -205,6 +205,8 @@ SPECIES = ["species.wavelength_m=7.8e-7", "species.magnetic_moment_J_T=9.3e-24"]
         ("transfer", ["interferometer.guide_radius_m=5.6e-3"]),
         ("transfer", ["interferometer=5"]),
         ("transfer", ["interferometer.latitude_deg.x=1"]),
+        ("sensitivity", ["interferometer.latitude_deg=180"]),
+        ("mission", ["interferometer.latitude_deg=-180"]),
     ],
     ids=lambda param: param if isinstance(param, str) else param[0],
 )
@@ -546,6 +548,41 @@ def test_allan_writes_the_dick_curve_of_the_noise_block(tmp_path, config_path, c
     assert list(dick["sigma_rad_s"]) == [sigma_cycle * math.sqrt(4.0 / tau) for tau in dick["tau_s"]]
     assert _run(capsys, *argv, "--out", str(plain), "--override", "noise=null")[0] == 0
     assert sorted(os.listdir(plain)) == ["allan.csv", "allan_assumptions.json"]
+
+
+def test_allan_writes_no_dick_curve_of_a_zero_psd(tmp_path, config_path, capsys):
+    """A noise block whose PSD is zero has a zero Dick deviation, which no
+    Allan curve holds: allan writes the projection files alone, as without
+    a noise block."""
+    out = tmp_path / "out"
+    argv = ["allan", "--config", config_path, "--out", str(out), "--override", "noise.model=null"]
+    assert _run(capsys, *argv)[0] == 0
+    assert sorted(os.listdir(out)) == ["allan.csv", "allan_assumptions.json"]
+
+
+def _without_latitude(path):
+    """A CLI output file less its sin_latitude assumption and its provenance."""
+    if path.suffix == ".json":
+        record = json.loads(path.read_text())
+        del record["provenance"], record["assumptions"]["sin_latitude"]
+        return record
+    skip = ("# config_sha256: ", "# assumption_sin_latitude: ")
+    return [line for line in path.read_text().splitlines() if not line.startswith(skip)]
+
+
+def test_southern_latitude_gives_the_northern_figures(tmp_path, config_path, capsys):
+    """Rotation figures take |sin(latitude)|: at -48.85 deg each subcommand
+    that reads a rotation writes the files it writes at +48.85 deg, but for
+    the sign of sin_latitude and the provenance."""
+    for command in ("sensitivity", "allan", "mission", "noise"):
+        north, south = tmp_path / command / "north", tmp_path / command / "south"
+        assert _run(capsys, command, "--config", config_path, "--out", str(north))[0] == 0
+        override = ["--override", "interferometer.latitude_deg=-48.85"]
+        assert _run(capsys, command, "--config", config_path, "--out", str(south), *override)[0] == 0
+        names = sorted(os.listdir(north))
+        assert sorted(os.listdir(south)) == names
+        for name in names:
+            assert _without_latitude(south / name) == _without_latitude(north / name), (command, name)
 
 
 def test_allan_curve_of_nan_deviations_exits_2(tmp_path, config_path, capsys):

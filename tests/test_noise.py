@@ -9,8 +9,9 @@ import scipy.integrate
 from scipy.special import sici
 
 import chipgyro.noise
+from chipgyro.constants import species_rb87
 from chipgyro.errors import ConfigError, DivergentIntegralError
-from chipgyro.interferometer import rb87_config, scale_factor, transfer_H_abs2
+from chipgyro.interferometer import rb87_config, rotation_gain, scale_factor, transfer_H_abs2
 from chipgyro.noise import (
     DEFAULT_F_MIN,
     PowerSpectralDensity,
@@ -56,7 +57,7 @@ def test_quadrature_against_trapezoid_oracle():
     f_min, f_max = 1e-4, 50.0
     f = np.linspace(f_min, f_max, 2_000_001)
     integrand = psd.evaluate(f) * transfer_H_abs2(f, cfg)
-    oracle = np.trapezoid(integrand, f)
+    oracle = scipy.integrate.trapezoid(integrand, f)
     result = phase_variance(psd, cfg, f_min=f_min, f_max=f_max)
     assert result.value == pytest.approx(oracle, rel=1e-3, abs=0)
 
@@ -67,7 +68,7 @@ def test_acceleration_kernel_against_direct_quadrature():
     f_min, f_max = 0.05, 20.0
     f = np.linspace(f_min, f_max, 2_000_001)
     kernel = cfg.k_eff ** 2 / (2 * np.pi * f) ** 4
-    oracle = np.trapezoid(psd.evaluate(f) * kernel * transfer_H_abs2(f, cfg), f)
+    oracle = scipy.integrate.trapezoid(psd.evaluate(f) * kernel * transfer_H_abs2(f, cfg), f)
     result = phase_variance(psd, cfg, f_min=f_min, f_max=f_max)
     assert result.value == pytest.approx(oracle, rel=1e-3, abs=0)
     assert "cutoff" in result.notes
@@ -78,23 +79,47 @@ def test_rotation_kernel_against_direct_quadrature():
     psd = PowerSpectralDensity(domain="rotation", white=1e-14)
     f_min, f_max = 0.05, 20.0
     f = np.linspace(f_min, f_max, 2_000_001)
-    kernel = (2 * cfg.k_eff * cfg.guide_radius) ** 2 / (2 * np.pi * f) ** 2
-    oracle = np.trapezoid(psd.evaluate(f) * kernel * transfer_H_abs2(f, cfg), f)
+    kernel = rotation_gain(cfg) ** 2 / (2 * np.pi * f) ** 2
+    oracle = scipy.integrate.trapezoid(psd.evaluate(f) * kernel * transfer_H_abs2(f, cfg), f)
     result = phase_variance(psd, cfg, f_min=f_min, f_max=f_max)
     assert result.value == pytest.approx(oracle, rel=1e-3, abs=0)
 
 
 def test_rotation_kernel_where_omega_squared_underflows():
-    """On a band where omega^2 underflows, K |H|^2 is its DC limit
-    (2 k_eff R D)^2, so white rotation noise S gives S (2 k_eff R D)^2 times
-    the band width."""
-    cfg = _small_config()
+    """On a band where omega^2 underflows, K |H|^2 is its DC limit, the
+    scale factor squared, so white rotation noise S gives S SF^2 times the
+    band width; at n = 1, v_r and 90 deg, and at n = 3, 4 v_r and 48.85 deg."""
     psd = PowerSpectralDensity(domain="rotation", white=1e-14)
-    d = cfg.interrogation_time - cfg.pulse_duration
-    result = phase_variance(psd, cfg, f_min=1e-170, f_max=1e-160)
-    limit = 1e-14 * (2 * cfg.k_eff * cfg.guide_radius * d) ** 2 * (1e-160 - 1e-170)
-    assert result.value == pytest.approx(limit, rel=1e-12, abs=0.0)
-    assert result.converged
+    for n_loops, v_over_vr, latitude_deg in ((1, 1.0, 90.0), (3, 4.0, 48.85)):
+        cfg = _small_config(
+            n_loops=n_loops,
+            launch_velocity=v_over_vr * species_rb87().recoil_velocity,
+            latitude=math.radians(latitude_deg),
+        )
+        result = phase_variance(psd, cfg, f_min=1e-170, f_max=1e-160)
+        limit = 1e-14 * scale_factor(cfg) ** 2 * (1e-160 - 1e-170)
+        assert result.value == pytest.approx(limit, rel=1e-12, abs=0.0)
+        assert result.converged
+
+
+@pytest.mark.parametrize("latitude_deg", [90.0, 48.85, -48.85])
+@pytest.mark.parametrize("v_over_vr", [1.0, 2.0, 4.0])
+@pytest.mark.parametrize("n_loops", [1, 2, 3])
+def test_slow_rotation_reads_back_as_itself(n_loops, v_over_vr, latitude_deg):
+    """White rotation noise on a band far below 1 / 2T is a slow rotation:
+    its phase, read back through the scale factor, is the input's rms
+    sqrt(S df), whatever the loops, launch speed and hemisphere."""
+    cfg = rb87_config(
+        pulse_duration=20e-6,
+        interrogation_time=1.0,
+        n_loops=n_loops,
+        launch_velocity=v_over_vr * species_rb87().recoil_velocity,
+        latitude=math.radians(latitude_deg),
+    )
+    s, f_min, f_max = 1e-14, 1e-6, 1e-4
+    result = phase_variance(PowerSpectralDensity(domain="rotation", white=s), cfg, f_min, f_max)
+    sigma_omega = phase_sigma_to_rotation_sigma(result.sigma, cfg)
+    assert sigma_omega / math.sqrt(s * (f_max - f_min)) == pytest.approx(1.0, rel=1e-6, abs=0)
 
 
 def test_tabulated_round_trip_exact():
@@ -104,9 +129,9 @@ def test_tabulated_round_trip_exact():
     f = np.geomspace(1e-3, 1e3, 301)
     values = 1e-8 * (1.0 + np.sin(np.log(f)) ** 2)
     psd = PowerSpectralDensity(domain="phase", frequencies=f, values=values)
-    acc = convert_psd(psd, "acceleration", cfg.k_eff, cfg.guide_radius)
-    rot = convert_psd(acc, "rotation", cfg.k_eff, cfg.guide_radius)
-    back = convert_psd(rot, "phase", cfg.k_eff, cfg.guide_radius)
+    acc = convert_psd(psd, "acceleration", cfg.k_eff, rotation_gain(cfg))
+    rot = convert_psd(acc, "rotation", cfg.k_eff, rotation_gain(cfg))
+    back = convert_psd(rot, "phase", cfg.k_eff, rotation_gain(cfg))
     assert np.max(np.abs(back.values - values) / values) < 1e-9
 
 
@@ -117,7 +142,7 @@ def test_variance_invariant_under_domain_conversion():
     acc = PowerSpectralDensity(domain="acceleration", white=1e-12)
     f_min, f_max = 0.05, 20.0
     grid = np.geomspace(f_min / 2, f_max * 2, 101)
-    as_phase = convert_psd(acc, "phase", cfg.k_eff, cfg.guide_radius, grid=grid)
+    as_phase = convert_psd(acc, "phase", cfg.k_eff, rotation_gain(cfg), grid=grid)
     v1 = phase_variance(acc, cfg, f_min=f_min, f_max=f_max).value
     v2 = phase_variance(as_phase, cfg, f_min=f_min, f_max=f_max).value
     assert v2 == pytest.approx(v1, rel=1e-3, abs=0)
@@ -186,14 +211,13 @@ def test_float_routes_match_array_routes():
     tabulated = PowerSpectralDensity(domain="rotation", frequencies=knots, values=table)
     analytic = PowerSpectralDensity(domain="acceleration", white=1e-12, flicker=3e-13, random_walk=2e-14)
     routes = {
-        "transfer_H_abs2": lambda x: transfer_H_abs2(x, cfg),
         "analytic": analytic.evaluate,
         "tabulated": tabulated.evaluate,
     }
     white_only = PowerSpectralDensity(domain="rotation", white=1e-14)
     routes["white_only"] = white_only.evaluate
     for domain in ("phase", "acceleration", "rotation"):
-        routes[domain] = lambda x, domain=domain: phase_kernel(domain, x, cfg.k_eff, cfg.guide_radius)
+        routes[domain] = lambda x, domain=domain: phase_kernel(domain, x, cfg.k_eff, rotation_gain(cfg))
     for name, route in routes.items():
         with np.errstate(divide="ignore"):
             array = route(f)
@@ -212,14 +236,13 @@ def test_float_routes_match_array_routes():
         rel = np.abs(scalar[positive] - array[positive]) / array[positive]
         assert np.all(rel <= bound[positive]), (name, rel.max())
     assert transfer_H_abs2(0.0, cfg) == 0.0
-    assert type(transfer_H_abs2(0.0, cfg)) is float
     # past the float range the float routes read the array routes' limits, not OverflowError
-    assert phase_kernel("acceleration", 1e200, cfg.k_eff, cfg.guide_radius) == 0.0
-    assert phase_kernel("rotation", 1e200, cfg.k_eff, cfg.guide_radius) == 0.0
+    assert phase_kernel("acceleration", 1e200, cfg.k_eff, rotation_gain(cfg)) == 0.0
+    assert phase_kernel("rotation", 1e200, cfg.k_eff, rotation_gain(cfg)) == 0.0
     assert analytic.evaluate(1e200) == analytic.white
     # and below it, the array routes' inf, not ZeroDivisionError
-    assert phase_kernel("acceleration", 1e-100, cfg.k_eff, cfg.guide_radius) == math.inf
-    assert phase_kernel("rotation", 1e-170, cfg.k_eff, cfg.guide_radius) == math.inf
+    assert phase_kernel("acceleration", 1e-100, cfg.k_eff, rotation_gain(cfg)) == math.inf
+    assert phase_kernel("rotation", 1e-170, cfg.k_eff, rotation_gain(cfg)) == math.inf
     assert analytic.evaluate(1e-170) == math.inf
     assert white_only.evaluate(1e-300) == white_only.white
 
@@ -376,7 +399,7 @@ def test_acceleration_kernel_down_to_default_cutoff():
     f_max = 20.0
     f = np.geomspace(DEFAULT_F_MIN, f_max, 2_000_001)
     kernel = cfg.k_eff ** 2 / (2 * np.pi * f) ** 4
-    oracle = np.trapezoid(psd.evaluate(f) * kernel * transfer_H_abs2(f, cfg), f)
+    oracle = scipy.integrate.trapezoid(psd.evaluate(f) * kernel * transfer_H_abs2(f, cfg), f)
     result = phase_variance(psd, cfg, f_max=f_max, rtol=1e-6)
     assert result.value == pytest.approx(oracle, rel=1e-6, abs=0)
     assert result.error_estimate <= 1e-6 * result.value

@@ -1,3 +1,4 @@
+import itertools
 import math
 import types
 
@@ -114,6 +115,35 @@ def test_dick_sum_rejects_zero_latitude():
     psd = PowerSpectralDensity(domain="rotation", white=1e-20)
     with pytest.raises(DegenerateOrientationError):
         dick_sum_allan(psd, cfg, 10.0, m_max=10)
+
+
+def test_dick_sum_has_no_tail_when_the_band_sets_the_terms():
+    """With f_max T_c = M + 0.7 the band's last harmonic is the M-th, and no
+    harmonic lies in the sliver above (M + 1/2) / T_c: the variance is the
+    harmonic sum alone, with no tail."""
+    cfg = rb87_config(pulse_duration=20e-6, interrogation_time=1.0, cycle_dead_time=1.0)
+    psd = PowerSpectralDensity(domain="phase", white=1e-8, flicker=1e-9)
+    t_c, n_terms = cfg.cycle_time, 1000
+    result = dick_sum_allan(psd, cfg, 100.0, f_max=(n_terms + 0.7) / t_c)
+    f = np.arange(1, n_terms + 1) / t_c
+    explicit = float(np.sum(psd.evaluate(f) * transfer_H_abs2(f, cfg))) / (100.0 * scale_factor(cfg) ** 2)
+    assert (result.m_max, result.tail_bound, result.converged) == (n_terms, 0.0, True)
+    assert result.variance == pytest.approx(explicit, rel=1e-14, abs=0)
+
+
+def test_dick_sum_of_rotation_noise_is_the_same_for_every_loop_speed_and_latitude():
+    """The rotation kernel carries the scale factor, which the Dick variance
+    divides out: at one 2T, tau and dead time it does not depend on the loop
+    count, the launch speed or the hemisphere."""
+    psd = PowerSpectralDensity(domain="rotation", white=1e-18, random_walk=1e-20)
+    variances = [
+        dick_sum_allan(psd, rb87_config(
+            pulse_duration=20e-6, interrogation_time=1.0, cycle_dead_time=1.0, n_loops=n,
+            launch_velocity=v * RB.recoil_velocity, latitude=math.radians(latitude),
+        ), 100.0).variance
+        for n, v, latitude in itertools.product((1, 2, 3), (1.0, 2.0, 4.0), (90.0, 48.85, -48.85))
+    ]
+    assert variances == pytest.approx([variances[0]] * 27, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("f_max", [math.nan, math.inf, 0.05])
