@@ -374,16 +374,14 @@ def cmd_guide(config: dict) -> tuple:
 
 
 def _transfer_grid(f_min: float, f_max: float, points_per_decade: int, config_ai) -> np.ndarray:
-    from .interferometer import _sorted_unique
+    from .interferometer import _pulse_zeros, _sorted_unique
 
     decades_lo = math.log10(f_min)
     n_points = int(round((math.log10(f_max) - decades_lo) * points_per_decade)) + 1
     exponents = decades_lo + np.arange(n_points) / points_per_decade
     base = 10.0 ** exponents
     # pin the pulse-duration zeros onto the grid so the notch depth is exact
-    tau = config_ai.pulse_duration
-    n_zero = np.arange(1, int(math.floor(f_max * tau)) + 1, dtype=float)
-    grid = _sorted_unique(np.concatenate([base, n_zero / tau]))
+    grid = _sorted_unique(np.concatenate([base, _pulse_zeros(config_ai.pulse_duration, f_max)]))
     return grid[(grid >= f_min) & (grid <= f_max)]
 
 
@@ -419,7 +417,7 @@ def cmd_sensitivity(config: dict) -> tuple:
     rows = []
     for n_atoms in config["run.sensitivity.atom_numbers"]:
         for two_t in two_t_grid:
-            cfg = replace(ai, interrogation_time=float(two_t), guide_radius=None, atom_number=n_atoms)
+            cfg = replace(ai, interrogation_time=float(two_t), atom_number=n_atoms)
             per_shot = shot_noise_sensitivity(cfg)
             arw = per_shot * ARW_DEG_SQRT_H_PER_RAD_S_SQRT_HZ
             rows.append((float(two_t), n_atoms, per_shot, shot_noise_sensitivity_per_sqrt_hz(cfg), arw))
@@ -456,7 +454,7 @@ def cmd_allan(config: dict) -> tuple:
         if dick.variance == 0.0:  # a zero PSD has no Dick curve; AllanCurve needs sigma > 0
             return files, {}
         points = tuple((tau, dick.sigma * math.sqrt(t_c / tau)) for tau, _ in curve.points if tau >= t_c)
-        dick_curve = AllanCurve(points=points, model_tag="dick_sum", assumptions=dick.assumptions)
+        dick_curve = AllanCurve(points=points, model_tag="dick_sum", assumptions=curve.assumptions)
         meta = {"model": dick_curve.model_tag, "converged": json.dumps(dick.converged),
                 "tail_fraction": _fmt(dick.tail_bound / dick.variance), "terms": dick.m_max}
         files["allan_dick.csv"] = _csv(meta, ["tau_s", "sigma_rad_s"], dick_curve.points)

@@ -37,10 +37,6 @@ class DegenerateOrientationError(PhysicsError):
 class InfeasibleTargetError(PhysicsError):
     """Stability target unreachable within the interrogation-time bracket."""
 
-    def __init__(self, message, achieved_floor=None):
-        super().__init__(message)
-        self.achieved_floor = achieved_floor
-
 
 class DivergentIntegralError(PhysicsError):
     """Noise integral diverges within the declared frequency band."""

@@ -6,8 +6,8 @@ sequence (the circular guide itself acts as the mirror).
 
 Conventions (reported in every CLI output):
   * the wave packets are launched azimuthally at ``launch_velocity``
-    (default: one recoil velocity), and the scale-factor geometry relation is
-    2T = n_loops * pi * R / v_r, which only ``InterferometerConfig`` applies;
+    (default: one recoil velocity), and a guide radius R given to
+    ``InterferometerConfig`` sets 2T = n_loops * pi * R / v_r; no R is stored;
   * the rotation phase is expressed in the time-only form
     Phi = (4/pi) (M/hbar) v_r v_launch (2T)^2 Omega sin(latitude),
     which makes equal interrogation times equivalent regardless of how the
@@ -19,24 +19,26 @@ Conventions (reported in every CLI output):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
 from .constants import HBAR, AtomSpecies, species_rb87
 from .errors import ConfigError, DegenerateOrientationError
 
+MAX_PULSE_ZEROS = 10**6  # zeros n / tau a band may hold; each costs about 22 us of quadrature
+
 
 @dataclass(frozen=True)
 class InterferometerConfig:
-    """One interferometer design. Give 2T, R or both: a missing one is
-    derived from the other by 2T = n_loops * pi * R / v_r, and a config with
-    neither raises ConfigError. Both given are taken as they are."""
+    """One interferometer design, given 2T or the guide radius R (not both).
+    R is an input only: it sets 2T = n_loops * pi * R / v_r and is not
+    stored, so ``guide_radius`` reads None on every config."""
 
     species: AtomSpecies
     pulse_duration: float        # tau, s
-    interrogation_time: float = None  # 2T, s; derived from guide_radius if None
-    guide_radius: float = None   # R, m; derived from interrogation_time if None
+    interrogation_time: float = None  # 2T, s; set from guide_radius if None
+    guide_radius: InitVar[float] = None  # R, m; an input only
     n_loops: int = 1
     atom_number: float = 1e4
     contrast: float = 1.0        # eta in (0, 1]
@@ -45,25 +47,19 @@ class InterferometerConfig:
     cycle_dead_time: float = 0.0  # s
     launch_velocity: float = None  # m/s; default set to v_r in __post_init__
 
-    def __post_init__(self):
+    def __post_init__(self, guide_radius):
         _check_n_loops(self.n_loops)
         if self.launch_velocity is None:
             object.__setattr__(self, "launch_velocity", self.species.recoil_velocity)
-        # the given one of 2T and R is checked before the other is derived
-        # from it, so that an error names the input
-        if self.guide_radius is None:
-            if self.interrogation_time is None:
-                raise ConfigError("give interrogation_time or guide_radius")
-            self._check_positive("interrogation_time")
-            radius = guide_radius_for(self.species, self.interrogation_time, self.n_loops)
-            object.__setattr__(self, "guide_radius", radius)
-        elif self.interrogation_time is None:
-            self._check_positive("guide_radius")
-            two_t = self.n_loops * math.pi * self.guide_radius / self.species.recoil_velocity
+        if (self.interrogation_time is None) == (guide_radius is None):
+            raise ConfigError("give exactly one of interrogation_time or guide_radius")
+        if guide_radius is not None:
+            # checked before 2T is set from it, so that an error names the input
+            _check_positive("guide_radius", guide_radius)
+            two_t = self.n_loops * math.pi * guide_radius / self.species.recoil_velocity
             object.__setattr__(self, "interrogation_time", two_t)
-        self._check_positive(
-            "pulse_duration", "interrogation_time", "guide_radius", "atom_number", "launch_velocity"
-        )
+        for name in ("pulse_duration", "interrogation_time", "atom_number", "launch_velocity"):
+            _check_positive(name, getattr(self, name))
         if self.pulse_duration >= self.interrogation_time:
             raise ConfigError(
                 f"pulse_duration ({self.pulse_duration}) must be < interrogation_time "
@@ -77,12 +73,6 @@ class InterferometerConfig:
             raise ConfigError(f"cycle_dead_time must be finite and >= 0, got {self.cycle_dead_time!r}")
         if not abs(self.latitude) <= math.pi / 2.0:
             raise ConfigError(f"latitude must be finite and in [-pi/2, pi/2], got {self.latitude!r}")
-
-    def _check_positive(self, *names):
-        for name in names:
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigError(f"{name} must be > 0, got {value!r}")
 
     @property
     def half_time(self) -> float:
@@ -98,6 +88,11 @@ class InterferometerConfig:
         return self.interrogation_time + self.cycle_dead_time
 
 
+def _check_positive(name: str, value) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{name} must be > 0, got {value!r}")
+
+
 def _check_n_loops(n_loops) -> None:
     if not (n_loops >= 1 and math.isfinite(n_loops) and int(n_loops) == n_loops):
         raise ConfigError(f"n_loops must be an integer >= 1, got {n_loops!r}")
@@ -110,10 +105,9 @@ def guide_radius_for(species: AtomSpecies, interrogation_time: float, n_loops: i
 
 
 def rb87_config(**kwargs) -> InterferometerConfig:
-    """Convenience 87Rb configuration; accepts the same overrides as
+    """Convenience 87Rb configuration; accepts the other fields of
     InterferometerConfig."""
-    species = kwargs.pop("species", species_rb87())
-    return InterferometerConfig(species=species, **kwargs)
+    return InterferometerConfig(species=species_rb87(), **kwargs)
 
 
 def assumptions_record(config: InterferometerConfig) -> dict:
@@ -205,3 +199,11 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
     result, without the ``numpy.ma`` import that ``np.unique`` makes."""
     values = np.sort(values)
     return np.concatenate((values[:1], values[1:][values[1:] != values[:-1]]))
+
+
+def _pulse_zeros(tau: float, f_max: float) -> np.ndarray:
+    """The zeros n / tau <= f_max (n >= 1) of the pulse's sinc(pi f tau).
+    Raises ConfigError when there are more than MAX_PULSE_ZEROS."""
+    if not f_max * tau < MAX_PULSE_ZEROS + 1:
+        raise ConfigError(f"band top {f_max} Hz holds over {MAX_PULSE_ZEROS} zeros n / tau (tau = {tau} s)")
+    return np.arange(1, math.floor(f_max * tau) + 1) / tau

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -32,8 +33,8 @@ from .constants import DEFAULT_F_MIN, DOMAINS
 from .errors import ConfigError, DivergentIntegralError
 from .interferometer import (
     InterferometerConfig,
+    _pulse_zeros,
     _sorted_unique,
-    assumptions_record,
     rotation_gain,
     scale_factor,
     transfer_H_abs2,
@@ -265,7 +266,7 @@ def _integrate_band(psd, config, f_min, f_max, rtol, d):
     edges = [
         [f_min, f_max],
         np.arange(1, 9) / d,
-        np.arange(1, math.floor(f_max * tau) + 1) / tau,
+        _pulse_zeros(tau, f_max),
         np.ldexp(f_min, np.arange(1, n_octaves)),
     ]
     if psd.is_tabulated:
@@ -319,8 +320,9 @@ def _integrate_band(psd, config, f_min, f_max, rtol, d):
                 # g >= 0 vanishes on the panel; QAWO returns ier = 6 for
                 # epsabs = epsrel = 0
                 continue
-            # an epsrel on this small part only chases roundoff
-            wave, wave_err = panel_quad(smooth, lo, hi, rtol * abs(value), 0.0, 2.0 * math.pi * d)
+            # an epsrel on this small part only chases roundoff; epsabs stays > 0 for a subnormal value
+            epsabs = max(rtol * abs(value), sys.float_info.min)
+            wave, wave_err = panel_quad(smooth, lo, hi, epsabs, 0.0, 2.0 * math.pi * d)
             value -= wave
             value_err += wave_err
         total += value
@@ -394,7 +396,6 @@ class DickSumResult:
     m_max: int          # harmonics summed, min(m_max, floor(f_max T_c))
     tail_bound: float   # (rad/s)^2, the estimate of the band above them, included in variance
     converged: bool
-    assumptions: dict
 
 
 def dick_sum_allan(
@@ -445,5 +446,4 @@ def dick_sum_allan(
     return DickSumResult(
         sigma=math.sqrt(variance), variance=variance, m_max=n_terms, tail_bound=tail / norm,
         converged=converged and tail <= DICK_TAIL_FRACTION * (total + tail),
-        assumptions=assumptions_record(config),
     )

@@ -44,13 +44,11 @@ class FeasibilityBoundary:
     radii: tuple         # (R, ...) in m, the guide radius of each point
 
     def __post_init__(self):
-        # sorted by speed, a faster speed needs a strictly shorter 2T; speeds that
-        # meet the target at the bracket floor tie there; equal speeds are skipped
-        floor = INTERROGATION_BRACKET[0]
+        # sorted by speed, a faster speed never needs a longer 2T (ties allowed)
         ordered = sorted(self.points)
         for (va, a), (vb, b) in zip(ordered, ordered[1:]):
-            if vb > va and not (b < a or b == a == floor):
-                raise ConfigError("feasibility boundary must be strictly decreasing in launch speed")
+            if vb > va and b > a:
+                raise ConfigError("feasibility boundary must not increase in launch speed")
 
 
 def projection_allan(config: InterferometerConfig, tau_integration: float) -> float:
@@ -82,27 +80,23 @@ def required_interrogation_time(
     bracket INTERROGATION_BRACKET to a few ulp, then stepped up ulp by ulp
     until the returned 2T meets the target.
 
-    Returns (min_2T, guide_radius) with the radius from the full-circumference
-    round-trip relation R = v_launch (2T) / (2 pi).
+    Returns (min_2T, guide_radius), the radius from ``_round_trip_radius``.
     """
     if not (math.isfinite(target_sigma) and target_sigma > 0):
         raise ConfigError(f"target_sigma must be finite and > 0, got {target_sigma!r}")
 
     def sigma_at(two_t: float) -> float:
-        config = replace(
-            config_template, interrogation_time=two_t, guide_radius=None, launch_velocity=launch_velocity
-        )
+        config = replace(config_template, interrogation_time=two_t, launch_velocity=launch_velocity)
         sigma = projection_allan(config, integration_time)
         if math.isnan(sigma):  # Brent's method would take it for a number
             raise PhysicsError(f"projection Allan deviation is NaN at 2T = {two_t} s")
         return sigma
 
     lo, hi = INTERROGATION_BRACKET
-    if sigma_at(hi) > target_sigma:
+    floor = sigma_at(hi)
+    if floor > target_sigma:
         raise InfeasibleTargetError(
-            f"target {target_sigma} rad/s unreachable within 2T <= {hi} s "
-            f"(floor {sigma_at(hi):.3e} rad/s)",
-            achieved_floor=sigma_at(hi),
+            f"target {target_sigma} rad/s unreachable within 2T <= {hi} s (floor {floor:.3e} rad/s)"
         )
     if sigma_at(lo) <= target_sigma:
         two_t = lo
@@ -115,7 +109,12 @@ def required_interrogation_time(
         )
         while sigma_at(two_t) > target_sigma:
             two_t = math.nextafter(two_t, hi)
-    return two_t, launch_velocity * two_t / (2.0 * math.pi)
+    return two_t, _round_trip_radius(launch_velocity, two_t)
+
+
+def _round_trip_radius(launch_velocity: float, two_t: float) -> float:
+    """R = v_launch (2T) / (2 pi), the full-circumference round trip."""
+    return launch_velocity * two_t / (2.0 * math.pi)
 
 
 def feasibility_boundary(
@@ -125,14 +124,18 @@ def feasibility_boundary(
     config_template: InterferometerConfig,
 ) -> FeasibilityBoundary:
     """Minimum 2T and guide radius of :func:`required_interrogation_time` at
-    each launch speed, kept in the order given. The boundary holds only those;
-    the target and integration time stay with the caller."""
+    each launch speed, in the order given; the target and integration time
+    stay with the caller. A 2T that meets the target at one speed meets it at
+    every faster one, rounding included, so each speed takes the shortest 2T
+    solved at it or at a slower one, which Brent's last ulp may leave longer."""
     speeds = np.asarray(launch_velocities, dtype=float).tolist()
-    solved = [
-        required_interrogation_time(target_sigma, integration_time, v, config_template)
-        for v in speeds
-    ]
+    two_ts = {
+        v: required_interrogation_time(target_sigma, integration_time, v, config_template)[0] for v in speeds
+    }
+    shortest = math.inf
+    for v in sorted(two_ts):
+        shortest = two_ts[v] = min(two_ts[v], shortest)
     return FeasibilityBoundary(
-        points=tuple((v, two_t) for v, (two_t, _) in zip(speeds, solved)),
-        radii=tuple(radius for _, radius in solved),
+        points=tuple((v, two_ts[v]) for v in speeds),
+        radii=tuple(_round_trip_radius(v, two_ts[v]) for v in speeds),
     )

@@ -620,6 +620,41 @@ def test_mission_output(tmp_path, config_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "command, overrides, code",
+    [
+        ("mission", ["run.mission.v_over_vr=[15.191326049419915, 15.191326049419917]"], 0),
+        *(
+            ("noise", ["interferometer.interrogation_time_s=1.0", f"noise.model.white={white}"], 0)
+            for white in ("5e-324", "1e-323", "4e-322")
+        ),
+        ("noise", ["noise.band.f_max_hz=1e300"], 1),
+        ("allan", ["noise.band.f_max_hz=1e300"], 1),
+        ("transfer", ["run.transfer.f_max_hz=1e300"], 1),
+    ],
+    ids=[
+        "mission-ulp-tie", "noise-white-5e-324", "noise-white-1e-323", "noise-white-4e-322",
+        "noise-band-top-1e300", "allan-band-top-1e300", "transfer-band-top-1e300",
+    ],
+)
+def test_edge_inputs_end_in_a_json_status(tmp_path, config_path, capfd, command, overrides, code):
+    """Two launch speeds an ulp apart that tie on their 2T, a subnormal PSD
+    and a band top with more zeros n / tau than MAX_PULSE_ZEROS: each ends
+    in its exit code and a JSON last line, with nothing on stderr."""
+    out = tmp_path / "out"
+    argv = [command, "--config", config_path, "--out", str(out)]
+    assert main(argv + [arg for item in overrides for arg in ("--override", item)]) == code
+    captured = capfd.readouterr()
+    assert captured.err == ""
+    summary = json.loads(captured.out.strip().splitlines()[-1])
+    assert summary["status"] == ("ok" if code == 0 else "config-error")
+    if code == 1:
+        assert not out.exists()
+    elif command == "mission":
+        data = np.genfromtxt(out / "mission.csv", delimiter=",", names=True, skip_header=15)
+        assert data.size == 2
+
+
 def test_mission_floor_ties_in_config_order(tmp_path, config_path, capsys):
     """Every speed meets the target at the 2T bracket floor, and the speeds
     are not in increasing order: a valid input, written in config order."""

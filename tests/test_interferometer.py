@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,9 @@ from scipy.integrate import trapezoid
 from chipgyro.constants import ARW_DEG_SQRT_H_PER_RAD_S_SQRT_HZ, HBAR, species_rb87
 from chipgyro.errors import ConfigError, DegenerateOrientationError
 from chipgyro.interferometer import (
+    MAX_PULSE_ZEROS,
     InterferometerConfig,
+    _pulse_zeros,
     corner_frequencies,
     guide_radius_for,
     rb87_config,
@@ -138,8 +141,6 @@ def test_geometry_relation():
 
 def test_config_derives_the_missing_time_or_radius():
     rb = species_rb87()
-    from_time = InterferometerConfig(rb, 20e-6, interrogation_time=3.0, n_loops=2)
-    assert from_time.guide_radius == guide_radius_for(rb, 3.0, 2)
     from_radius = InterferometerConfig(rb, 20e-6, guide_radius=5.6e-3, n_loops=3)
     assert from_radius.interrogation_time == 3 * math.pi * 5.6e-3 / rb.recoil_velocity
 
@@ -147,6 +148,30 @@ def test_config_derives_the_missing_time_or_radius():
 def test_config_without_time_or_radius_raises():
     with pytest.raises(ConfigError, match="interrogation_time or guide_radius"):
         InterferometerConfig(species_rb87(), 20e-6)
+
+
+def test_config_with_time_and_radius_raises():
+    with pytest.raises(ConfigError, match="exactly one of interrogation_time or guide_radius"):
+        InterferometerConfig(species_rb87(), 20e-6, interrogation_time=3.0, guide_radius=5.6e-3)
+
+
+def test_guide_radius_is_an_input_only():
+    """R sets 2T and is not stored, so a config holds no R that could
+    disagree with its 2T, and a new 2T needs no other argument."""
+    from_radius = InterferometerConfig(species_rb87(), 20e-6, guide_radius=5.6e-3, n_loops=3)
+    assert "guide_radius" not in [field.name for field in dataclasses.fields(from_radius)]
+    assert from_radius.guide_radius is None
+    longer = dataclasses.replace(from_radius, interrogation_time=4.0)
+    assert (longer.interrogation_time, longer.n_loops) == (4.0, 3)
+
+
+def test_pulse_zeros_bound():
+    """A band may hold MAX_PULSE_ZEROS zeros n / tau and not one more."""
+    zeros = _pulse_zeros(1.0, float(MAX_PULSE_ZEROS))
+    assert zeros.size == MAX_PULSE_ZEROS
+    assert (zeros[0], zeros[-1]) == (1.0, float(MAX_PULSE_ZEROS))
+    with pytest.raises(ConfigError, match=f"over {MAX_PULSE_ZEROS} zeros"):
+        _pulse_zeros(1.0, MAX_PULSE_ZEROS + 1.0)
 
 
 @pytest.mark.parametrize("radius", [-1e-3, math.nan])
