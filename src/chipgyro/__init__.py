@@ -15,8 +15,8 @@ Layers, bottom up:
 up in its layer the first time it is read (PEP 562), and each subcommand
 imports only the layers it runs. scipy is loaded inside the function that
 uses it, never at module level, and no subcommand imports a scipy subpackage:
-the elliptic integrals, the noise quadrature and the mission's root finder
-load only the compiled modules they call (``chipgyro._scipy``).
+the elliptic integrals and the noise quadrature load only the compiled
+modules they call (``chipgyro._scipy``).
 """
 
 import importlib

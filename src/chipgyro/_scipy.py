@@ -1,7 +1,7 @@
 """scipy's compiled modules, each loaded without any package ``__init__``:
-importing ``scipy.special``, ``scipy.optimize`` or ``scipy.integrate`` costs a
-child hundreds of milliseconds, the top-level ``scipy`` package tens, the
-compiled module about one."""
+importing ``scipy.special`` or ``scipy.integrate`` costs a child hundreds of
+milliseconds, the top-level ``scipy`` package tens, the compiled module about
+one."""
 
 import functools
 import importlib.machinery

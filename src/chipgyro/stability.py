@@ -12,11 +12,11 @@ uniquely by the design case, so they must travel with the numbers.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._scipy import compiled_module
 from .errors import ConfigError, InfeasibleTargetError, PhysicsError
 from .interferometer import InterferometerConfig, assumptions_record, shot_noise_sensitivity
 
@@ -75,10 +75,11 @@ def required_interrogation_time(
     launch_velocity: float,
     config_template: InterferometerConfig,
 ) -> tuple:
-    """Smallest interrogation time 2T whose projection-noise Allan deviation
-    at ``integration_time`` meets ``target_sigma``: Brent's method on the
-    bracket INTERROGATION_BRACKET to a few ulp, then stepped up ulp by ulp
-    until the returned 2T meets the target.
+    """A crossing 2T in INTERROGATION_BRACKET, found by bisection over its
+    floats: the projection-noise Allan deviation at ``integration_time``
+    meets ``target_sigma`` at 2T and misses it at 2T's float predecessor.
+    sigma(2T) is not monotone at the ulp level, so a 2T a few ulp lower may
+    meet the target too. The bracket floor is returned when it meets it.
 
     Returns (min_2T, guide_radius), the radius from ``_round_trip_radius``.
     """
@@ -88,9 +89,12 @@ def required_interrogation_time(
     def sigma_at(two_t: float) -> float:
         config = replace(config_template, interrogation_time=two_t, launch_velocity=launch_velocity)
         sigma = projection_allan(config, integration_time)
-        if math.isnan(sigma):  # Brent's method would take it for a number
+        if math.isnan(sigma):  # the test would read it as "not met"
             raise PhysicsError(f"projection Allan deviation is NaN at 2T = {two_t} s")
         return sigma
+
+    def as_float(bits: int) -> float:
+        return struct.unpack("<d", struct.pack("<q", bits))[0]
 
     lo, hi = INTERROGATION_BRACKET
     floor = sigma_at(hi)
@@ -98,17 +102,18 @@ def required_interrogation_time(
         raise InfeasibleTargetError(
             f"target {target_sigma} rad/s unreachable within 2T <= {hi} s (floor {floor:.3e} rad/s)"
         )
-    if sigma_at(lo) <= target_sigma:
-        two_t = lo
-    else:
-        # brentq's arguments: maxiter 100, raise on non-convergence, and an
-        # xtol of one ulp (it must be > 0), which leaves the stop to rtol
-        brentq = compiled_module("scipy.optimize._zeros")._brentq
-        two_t = brentq(
-            lambda t: sigma_at(t) - target_sigma, lo, hi, math.ulp(lo), 1e-15, 100, (), False, True
-        )
-        while sigma_at(two_t) > target_sigma:
-            two_t = math.nextafter(two_t, hi)
+    two_t = lo
+    if sigma_at(lo) > target_sigma:
+        # both ends are > 0, so their int64 bit patterns order as the floats
+        # do; keep the target missed at lo and met at hi until one ulp apart
+        lo, hi = struct.unpack("<2q", struct.pack("<2d", lo, hi))
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if sigma_at(as_float(mid)) <= target_sigma:
+                hi = mid
+            else:
+                lo = mid
+        two_t = as_float(hi)
     return two_t, _round_trip_radius(launch_velocity, two_t)
 
 
@@ -123,19 +128,13 @@ def feasibility_boundary(
     integration_time: float,
     config_template: InterferometerConfig,
 ) -> FeasibilityBoundary:
-    """Minimum 2T and guide radius of :func:`required_interrogation_time` at
-    each launch speed, in the order given; the target and integration time
-    stay with the caller. A 2T that meets the target at one speed meets it at
-    every faster one, rounding included, so each speed takes the shortest 2T
-    solved at it or at a slower one, which Brent's last ulp may leave longer."""
+    """2T and guide radius of :func:`required_interrogation_time` at each
+    launch speed, in the order given. A faster speed never gets a longer 2T:
+    sigma falls with the speed, rounding included, so at each midpoint of the
+    bisection a faster speed meets the target whenever a slower one does."""
     speeds = np.asarray(launch_velocities, dtype=float).tolist()
-    two_ts = {
-        v: required_interrogation_time(target_sigma, integration_time, v, config_template)[0] for v in speeds
-    }
-    shortest = math.inf
-    for v in sorted(two_ts):
-        shortest = two_ts[v] = min(two_ts[v], shortest)
+    solved = [required_interrogation_time(target_sigma, integration_time, v, config_template) for v in speeds]
     return FeasibilityBoundary(
-        points=tuple((v, two_ts[v]) for v in speeds),
-        radii=tuple(_round_trip_radius(v, two_ts[v]) for v in speeds),
+        points=tuple((v, two_t) for v, (two_t, _) in zip(speeds, solved)),
+        radii=tuple(radius for _, radius in solved),
     )

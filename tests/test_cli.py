@@ -1013,7 +1013,6 @@ def test_exit_codes_match_their_docs():
         ("scipy.special._special_ufuncs", "ellipe"),
         ("scipy.integrate._quadpack", "_qagse"),
         ("scipy.integrate._quadpack", "_qawoe"),
-        ("scipy.optimize._zeros", "_brentq"),
     ],
 )
 def test_compiled_entry_points_exist(module, entry):
@@ -1100,10 +1099,22 @@ def test_transfer_sensitivity_allan_load_no_scipy(tmp_path, config_path):
     assert _python(probe, config_path, str(tmp_path / "out")).splitlines()[-1] == "[]"
 
 
+def test_mission_loads_no_scipy(tmp_path, config_path):
+    """The mission solver bisects over floats with the standard library, so a
+    mission child loads no scipy module, the ``scipy`` package included."""
+    probe = (
+        "import sys, chipgyro.cli\n"
+        "assert chipgyro.cli.main(['mission', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    assert _python(probe, config_path, str(tmp_path / "out")).splitlines()[-1] == "[]"
+
+
 def test_guide_and_mission_load_no_scipy_special_optimize_or_linalg(tmp_path, config_path):
-    """The elliptic ufuncs and Brent's solver are loaded from their compiled
-    modules on their own, so guide (design and 1 mm ring) and mission children
-    import neither the scipy subpackages nor what their packages pull in."""
+    """The elliptic ufuncs are loaded from their compiled module on their own
+    and mission loads no scipy module, so guide (design and 1 mm ring) and
+    mission children import neither the scipy subpackages nor what their
+    packages pull in."""
     ring = (
         "geometry.loops=[{radius_m: 974e-6, current_A: -0.123}, {radius_m: 1000e-6, current_A: 0.121},"
         " {radius_m: 1026e-6, current_A: -0.123}]"

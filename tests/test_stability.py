@@ -1,15 +1,11 @@
 import itertools
 import math
 import re
-import types
 
 import numpy as np
 import pytest
-import scipy.optimize
 
 import chipgyro.stability as stability
-from chipgyro._scipy import compiled_module
-from chipgyro.cli import SCHEMA
 from chipgyro.constants import SECONDS_PER_YEAR, AtomSpecies, species_rb87
 from chipgyro.errors import (
     ConfigError,
@@ -296,10 +292,9 @@ def test_feasibility_boundary_valid_inputs(ratios, target, at_floor):
 
 
 def test_feasibility_boundary_never_rises_between_neighbouring_speeds():
-    """Two speeds an ulp apart: Brent's root sits a few ulp from the
-    crossing, so each solve alone may give the faster speed the longer 2T.
-    The boundary gives the faster one no longer a 2T than the slower, and
-    that 2T meets its own target."""
+    """Two speeds an ulp apart, each solved alone and in a boundary: the
+    faster one gets no longer a 2T than the slower, and that 2T meets its own
+    target."""
     from dataclasses import replace
 
     tpl = rb87_config(pulse_duration=20e-6, interrogation_time=4.0, latitude=math.radians(48.85))
@@ -314,44 +309,64 @@ def test_feasibility_boundary_never_rises_between_neighbouring_speeds():
     assert boundary.radii[0] == fast * fast_2t / (2 * math.pi)
 
 
-def test_direct_brentq_matches_scipy_optimize(monkeypatch):
-    """Each call the mission solver makes to the compiled Brent routine returns
-    scipy.optimize.brentq's root bit for bit, at every default launch speed.
-    This guards the private module's name and the routine's signature."""
-    brentq = compiled_module("scipy.optimize._zeros")._brentq
-    calls = []
+def test_required_interrogation_time_returns_a_crossing():
+    """On 300 seeded cases (latitude 10-90 deg, N 3e3-3e5, target
+    5.2e-14 * 10^(+-0.5), v 1-16 v_r, tau_I one day), every feasible 2T meets
+    the target and its float predecessor does not, unless 2T is the bracket
+    floor; an infeasible target misses it at the bracket top."""
+    from dataclasses import replace
 
-    def recording(f, lo, hi, *args):
-        root = brentq(f, lo, hi, *args)
-        calls.append((f, lo, hi, args, root))
-        return root
+    rng = np.random.default_rng(2026)
+    lo, hi = INTERROGATION_BRACKET
+    feasible = 0
+    for _ in range(300):
+        tpl = rb87_config(
+            pulse_duration=20e-6,
+            interrogation_time=4.0,
+            atom_number=10 ** rng.uniform(math.log10(3e3), math.log10(3e5)),
+            latitude=math.radians(rng.uniform(10.0, 90.0)),
+        )
+        target = 5.2e-14 * 10 ** rng.uniform(-0.5, 0.5)
+        v = rng.uniform(1.0, 16.0) * RB.recoil_velocity
 
-    zeros = types.SimpleNamespace(_brentq=recording)
-    monkeypatch.setattr(stability, "compiled_module", {"scipy.optimize._zeros": zeros}.__getitem__)
-    tpl = rb87_config(pulse_duration=20e-6, interrogation_time=4.0, atom_number=1e5)
-    ratios = SCHEMA["run.mission.v_over_vr"][1]
-    for ratio in ratios:
-        required_interrogation_time(5.2e-14, SECONDS_PER_YEAR, ratio * RB.recoil_velocity, tpl)
-    assert len(calls) == len(ratios)
-    for f, lo, hi, args, root in calls:
-        assert args == (math.ulp(lo), 1e-15, 100, (), False, True)
-        assert scipy.optimize.brentq(f, lo, hi, xtol=args[0], rtol=args[1]) == root
-    # like brentq, the routine raises when it runs out of iterations
-    with pytest.raises(RuntimeError, match="converge"):
-        brentq(lambda x: x**3 - 0.3, 0.0, 1.0, 5e-324, 1e-15, 1, (), False, True)
+        def sigma(two_t):
+            return projection_allan(replace(tpl, interrogation_time=two_t, launch_velocity=v), 86400.0)
+
+        try:
+            two_t, _ = required_interrogation_time(target, 86400.0, v, tpl)
+        except InfeasibleTargetError:
+            assert sigma(hi) > target
+            continue
+        feasible += 1
+        assert lo <= two_t <= hi
+        assert sigma(two_t) <= target
+        assert two_t == lo or sigma(math.nextafter(two_t, 0.0)) > target
+    assert feasible > 250
+
+
+def test_required_interrogation_time_never_rises_with_speed():
+    """Each solve alone, on 200 seeded sorted speeds and their float
+    successors, gives a faster speed no longer a 2T than a slower one."""
+    tpl = rb87_config(pulse_duration=20e-6, interrogation_time=4.0, latitude=math.radians(48.85))
+    rng = np.random.default_rng(7)
+    speeds = rng.uniform(1.0, 16.0, 200) * RB.recoil_velocity
+    speeds = sorted({*speeds.tolist(), *(math.nextafter(v, math.inf) for v in speeds.tolist())})
+    two_ts = [required_interrogation_time(5.2e-14, SECONDS_PER_YEAR, v, tpl)[0] for v in speeds]
+    assert all(b <= a for a, b in zip(two_ts, two_ts[1:]))
 
 
 @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 def test_non_finite_target_sigma_rejected(target):
-    """A non-finite target is named, not handed to Brent's bracket test."""
+    """A non-finite target is named, not handed to the bisection's test."""
     tpl = rb87_config(pulse_duration=20e-6, interrogation_time=4.0, atom_number=1e5)
     with pytest.raises(ConfigError, match="^target_sigma must be finite"):
         required_interrogation_time(target, SECONDS_PER_YEAR, RB.recoil_velocity, tpl)
 
 
 def test_nan_allan_deviation_in_mission_raises(monkeypatch):
-    """Brent's method takes a NaN for a number; the solver raises a physics
-    error naming the 2T where the deviation is NaN instead of returning a root."""
+    """The bisection's test reads a NaN deviation as "target not met"; the
+    solver raises a physics error naming the 2T where the deviation is NaN
+    instead of returning a 2T."""
     lo, hi = INTERROGATION_BRACKET
     original = stability.projection_allan
 
@@ -369,7 +384,7 @@ def test_nan_allan_deviation_in_mission_raises(monkeypatch):
 def test_finite_inputs_reach_the_nan_guard():
     """Finite inputs can still give a NaN deviation: M/hbar overflows, so the
     per-shot figure is 0, and a subnormal tau_I makes sqrt(T_c / tau_I) inf.
-    The solver names the NaN instead of failing in Brent's bracket test."""
+    The solver names the NaN instead of reading it as "target not met"."""
     heavy = AtomSpecies("heavy", 1e300, 1e-300, 9.27e-24)
     tpl = InterferometerConfig(heavy, pulse_duration=20e-6, interrogation_time=1.0)
     assert math.isnan(projection_allan(tpl, 5e-324))
