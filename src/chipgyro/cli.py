@@ -49,6 +49,7 @@ from .errors import ConfigError, PhysicsError
 
 CONFIG_DIR_ENV = "CHIPGYRO_CONFIG_DIR"
 DEFAULT_CONFIG_NAME = "chipgyro.yaml"
+MAX_TABLE_ROWS = 10**6  # rows one output table may hold; checked before its arrays are built
 
 
 def _fmt(x: float) -> str:
@@ -65,8 +66,24 @@ def _csv(header_comments: dict, columns: list, rows) -> tuple:
     return header_comments, columns, (template % tuple(row) for row in rows)
 
 
-def _write_files(out_dir: str, files: dict, config: dict) -> list:
-    """Write a stage's ``files`` into ``out_dir`` and return their paths. A
+def _check_rows(rows, keys: str) -> None:
+    """ConfigError naming ``keys`` when they ask for more than MAX_TABLE_ROWS rows."""
+    if not rows <= MAX_TABLE_ROWS:
+        raise ConfigError(f"{keys} ask for {rows} table rows, over MAX_TABLE_ROWS = {MAX_TABLE_ROWS}")
+
+
+def _json_text(content, name: str, **kwargs) -> str:
+    """``json.dumps(content, **kwargs)`` as valid JSON: a NaN or infinity,
+    which ``json`` would write as NaN or Infinity, raises PhysicsError naming
+    ``name``."""
+    try:
+        return json.dumps(content, allow_nan=False, **kwargs)
+    except ValueError:
+        raise PhysicsError(f"{name} would hold a non-finite number, which JSON cannot represent") from None
+
+
+def _write_files(out_dir: str, files: dict, config: dict) -> None:
+    """Write a stage's ``files`` into ``out_dir``, each under its name. A
     name maps to a JSON record, which gains the ``provenance`` block of the
     resolved ``config``, or to a CSV spec (header comments, column names, an
     iterator of lines, streamed), which gains the version and config hash.
@@ -91,7 +108,7 @@ def _write_files(out_dir: str, files: dict, config: dict) -> list:
             path = os.path.join(out_dir, name)
             if isinstance(content, dict):
                 content = {**content, "provenance": provenance}
-                chunks = [json.dumps(content, indent=2, sort_keys=True) + "\n"]
+                chunks = [_json_text(content, path, indent=2, sort_keys=True) + "\n"]
             else:
                 header_comments, columns, lines = content
                 head = [f"# {key}: {value}\n" for key, value in {**stamp, **header_comments}.items()]
@@ -109,7 +126,6 @@ def _write_files(out_dir: str, files: dict, config: dict) -> list:
         for tmp in pending:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-    return paths
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +357,7 @@ def cmd_guide(config: dict) -> tuple:
     from .guide import characterize_guide, trap_potential
     from .magnetostatics import GuideGeometry, WireLoop, design_guide_geometry
 
+    _check_rows(config["run.guide.map_n_rho"] * config["run.guide.map_n_z"], "run.guide.map_n_rho x map_n_z")
     records = config["geometry.loops"]
     if records is None:
         geometry = design_guide_geometry()
@@ -377,7 +394,9 @@ def _transfer_grid(f_min: float, f_max: float, points_per_decade: int, config_ai
     from .interferometer import _pulse_zeros, _sorted_unique
 
     decades_lo = math.log10(f_min)
-    n_points = int(round((math.log10(f_max) - decades_lo) * points_per_decade)) + 1
+    span = (math.log10(f_max) - decades_lo) * points_per_decade
+    n_points = round(span) + 1 if math.isfinite(span) else math.inf
+    _check_rows(n_points, "run.transfer.f_min_hz, f_max_hz and points_per_decade")
     exponents = decades_lo + np.arange(n_points) / points_per_decade
     base = 10.0 ** exponents
     # pin the pulse-duration zeros onto the grid so the notch depth is exact
@@ -413,9 +432,11 @@ def cmd_sensitivity(config: dict) -> tuple:
     ai = _interferometer_from_config(config)
     two_t_min = config["run.sensitivity.two_t_min_s"]
     two_t_max = config["run.sensitivity.two_t_max_s"]
-    two_t_grid = np.geomspace(two_t_min, two_t_max, config["run.sensitivity.n_points"])
+    n_points, atom_numbers = config["run.sensitivity.n_points"], config["run.sensitivity.atom_numbers"]
+    _check_rows(n_points * len(atom_numbers), "run.sensitivity.n_points x len(atom_numbers)")
+    two_t_grid = np.geomspace(two_t_min, two_t_max, n_points)
     rows = []
-    for n_atoms in config["run.sensitivity.atom_numbers"]:
+    for n_atoms in atom_numbers:
         for two_t in two_t_grid:
             cfg = replace(ai, interrogation_time=float(two_t), atom_number=n_atoms)
             per_shot = shot_noise_sensitivity(cfg)
@@ -439,6 +460,7 @@ def cmd_allan(config: dict) -> tuple:
             "run.allan.tau_max_s must be > run.allan.tau_min_s (default: one cycle, "
             f"{ai.cycle_time} s), got {tau_max} <= {tau_lo}"
         )
+    _check_rows(config["run.allan.n_points"], "run.allan.n_points")
     taus = np.geomspace(tau_lo, tau_max, config["run.allan.n_points"])
     curve = projection_allan_curve(ai, taus)
     files = {
@@ -566,7 +588,11 @@ def main(argv=None) -> int:
             # a relative PSD path is read from the config file's directory
             config["noise.file"] = os.path.join(os.path.dirname(config_path), config["noise.file"])
         files, summary = COMMANDS[args.command](config)
-        outputs = _write_files(args.out, files, config)
+        # the summary line is formed before any file is written, so a non-finite value leaves none
+        outputs = [os.path.join(args.out, name) for name in files]
+        summary = {"command": args.command, "status": "ok", "outputs": outputs, **summary}
+        line = _json_text(summary, "the summary line", sort_keys=True)
+        _write_files(args.out, files, config)
     except ConfigError as exc:
         print(json.dumps({"command": args.command, "status": "config-error", "error": str(exc)}))
         return 1
@@ -576,8 +602,7 @@ def main(argv=None) -> int:
     except ImportError as exc:
         print(json.dumps({"command": args.command, "status": "environment-error", "error": str(exc)}))
         return 3
-    summary = {"command": args.command, "status": "ok", "outputs": outputs, **summary}
-    print(json.dumps(summary, sort_keys=True))
+    print(line)
     return 0
 
 

@@ -27,7 +27,9 @@ class NoGuideMinimumError(PhysicsError):
 
 
 class NonSmoothPotentialError(PhysicsError):
-    """Modulus zero with no offset field: the potential has no defined curvature."""
+    """The offset field leaves the potential's curvature unresolved by the
+    Hessian stencil: too small (no smooth core, none at all for B0 = 0) or too
+    large (the curvature sinks below the rounding of the potential)."""
 
 
 class DegenerateOrientationError(PhysicsError):

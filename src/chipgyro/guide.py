@@ -24,6 +24,10 @@ from .errors import ConfigError, NoGuideMinimumError, NonSmoothPotentialError
 from .magnetostatics import GuideGeometry, field_modulus, total_field_arrays
 
 HESSIAN_STEP = 1e-8          # m, central-difference step at the minimum
+# window on r = gradient HESSIAN_STEP / hypot(B_min, B0) in which the stencil
+# resolves the curvature to about 2e-3: above it the stencil leaves the
+# harmonic core, below it the curvature sinks under the rounding of U
+HESSIAN_WINDOW = (1e-7, 0.1)
 POSITION_TOLERANCE = 1e-9    # m, Newton stops at a step of at most a tenth of it
 NEWTON_MAX_ITERATIONS = 10   # cap of the minimum refinement
 COARSE_GRID = 201            # coarse scan resolution per axis
@@ -84,9 +88,9 @@ def find_guide_minimum(geometry: GuideGeometry) -> tuple:
     step is at most POSITION_TOLERANCE / 10; near the zero it converges
     quadratically, so that last step bounds the position error. Returns
     (rho0, z0, iterations, last step size). Raises NoGuideMinimumError when
-    the box contains no interior minimum (e.g. all currents zero or
-    non-trapping signs), or when Newton leaves the search box or does not
-    converge within NEWTON_MAX_ITERATIONS.
+    |B| on the scan is not finite, when the box contains no interior minimum
+    (e.g. all currents zero or non-trapping signs), or when Newton leaves the
+    search box or does not converge within NEWTON_MAX_ITERATIONS.
     """
     (rho_lo, rho_hi), (z_lo, z_hi) = _search_box(geometry)
     if all(loop.current == 0.0 for loop in geometry.loops):
@@ -95,7 +99,12 @@ def find_guide_minimum(geometry: GuideGeometry) -> tuple:
     rho = np.linspace(rho_lo, rho_hi, COARSE_GRID)
     z = np.linspace(z_hi / COARSE_GRID, z_hi, COARSE_GRID)
     RR, ZZ = np.meshgrid(rho, z, indexing="ij")
-    B = field_modulus(geometry, RR, ZZ)
+    with np.errstate(over="ignore", invalid="ignore"):  # a field past the float range reads inf or nan
+        B = field_modulus(geometry, RR, ZZ)
+    if not np.all(np.isfinite(B)):
+        raise NoGuideMinimumError(
+            "|B| is not finite in the search box: a loop radius or current is past the float range"
+        )
 
     # interior local minima of the coarse map (the global box minimum can sit
     # on the boundary where the far field decays; that is escape, not trapping)
@@ -221,18 +230,15 @@ def characterize_guide(
     species: AtomSpecies,
     offset_B0: float = DEFAULT_OFFSET_B0,
 ) -> GuideCharacterization:
-    """Full characterization of the guide minimum for the given species."""
+    """Full characterization of the guide minimum for the given species.
+    Raises NonSmoothPotentialError when ``offset_B0`` puts the Hessian
+    stencil outside HESSIAN_WINDOW (see ``_check_stencil``)."""
     if offset_B0 < 0:
         raise ConfigError(f"offset_B0 must be >= 0, got {offset_B0!r}")
     rho0, z0, iterations, step_size = find_guide_minimum(geometry)
     B_min = float(field_modulus(geometry, rho0, z0))
 
     mu = species.magnetic_moment
-    if offset_B0 == 0.0 and B_min < 1e-9:
-        raise NonSmoothPotentialError(
-            "modulus zero at the minimum with offset_B0 = 0: the potential has no "
-            "harmonic curvature; supply offset_B0 > 0"
-        )
 
     def potential(r, zz):
         return trap_potential(geometry, species, r, zz, offset_B0)
@@ -240,7 +246,9 @@ def characterize_guide(
     hessian = potential_hessian(potential, rho0, z0)
     eigvals, eigvecs = np.linalg.eigh(hessian)
     lam_max = float(eigvals[-1])
-    direction = eigvecs[:, -1]
+    # an overflowed U has no eigenvector; |B| rises about equally in every
+    # direction from a quadrupole zero, so e_rho serves for the window check
+    direction = eigvecs[:, -1] if math.isfinite(lam_max) else np.array([1.0, 0.0])
 
     radial_frequency = math.sqrt(max(lam_max, 0.0) / species.mass) / (2.0 * math.pi)
 
@@ -249,6 +257,7 @@ def characterize_guide(
         field_modulus(geometry, rho0 + step * direction[0], z0 + step * direction[1])
     )
     gradient = (b_out - B_min) / step
+    _check_stencil(gradient, B_min, offset_B0)
 
     depth_field, depth_step, depth_points = _depth_field(geometry, (rho0, z0), B_min)
     depth_temperature = mu * depth_field / K_B
@@ -265,6 +274,24 @@ def characterize_guide(
         minimizer_step_m=step_size,
         depth_grid_step=depth_step,
         depth_map_points=depth_points,
+    )
+
+
+def _check_stencil(gradient: float, B_min: float, offset_B0: float) -> None:
+    """Raise NonSmoothPotentialError, naming the offsets this guide admits,
+    unless r = gradient HESSIAN_STEP / hypot(B_min, B0) lies in HESSIAN_WINDOW
+    (a NaN r does not)."""
+    slope, scale = gradient * HESSIAN_STEP, math.hypot(B_min, offset_B0)
+    r = slope / scale if scale else math.inf
+    if HESSIAN_WINDOW[0] <= r <= HESSIAN_WINDOW[1]:
+        return
+    # B0 = sqrt(x^2 - B_min^2) at x = slope / w, factored so that x^2 cannot overflow
+    edges = [slope / w for w in HESSIAN_WINDOW[::-1]]
+    lo, hi = (math.sqrt(max(x - B_min, 0.0)) * math.sqrt(max(x + B_min, 0.0)) for x in edges)
+    raise NonSmoothPotentialError(
+        f"geometry.offset_B0_T = {offset_B0!r} T puts r = gradient * HESSIAN_STEP / hypot(B_min, B0) "
+        f"at {r:.3g}, outside the window {list(HESSIAN_WINDOW)} where the Hessian stencil resolves "
+        f"the trap curvature; this guide admits geometry.offset_B0_T in [{lo:.3g}, {hi:.3g}] T"
     )
 
 

@@ -2,7 +2,8 @@
 
 Scale factor, shot-noise-limited rotation sensitivity, the sensitivity
 function g(t) and the transfer function |H(f)|^2 of the two-beam-splitter
-sequence (the circular guide itself acts as the mirror).
+sequence (the circular guide itself acts as the mirror). |H|^2 and the
+pulse shape's factor in it are formed here only; ``noise`` reads both.
 
 Conventions (reported in every CLI output):
   * the wave packets are launched azimuthally at ``launch_velocity``
@@ -176,16 +177,26 @@ def sensitivity_function_g(t, config: InterferometerConfig):
     return float(g) if g.ndim == 0 else g
 
 
-def transfer_H_abs2(f, config: InterferometerConfig):
-    """|H(f)|^2 of the transfer function H(f) = -(2i / (pi f tau)) sin(pi f tau)
-    sin(pi f (2T - tau)); vectorized, with the analytic limit |H(0)|^2 = 0."""
-    tau = config.pulse_duration
-    D = config.interrogation_time - tau
-    f = np.asarray(f, dtype=float)
+def _pulse_factor(f, tau: float):
+    """sinc(pi f tau), the factor of a square pulse of duration tau in H(f),
+    with the limit 1 at f = 0; a float ``f`` gives a float, without numpy."""
+    if isinstance(f, float):
+        x = math.pi * f * tau
+        return math.sin(x) / x if x else 1.0
     x = np.pi * f * tau
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(x == 0.0, 1.0, np.sin(x) / np.where(x == 0.0, 1.0, x))
-    return (2.0 * ratio * np.sin(np.pi * f * D)) ** 2
+        return np.where(x == 0.0, 1.0, np.sin(x) / np.where(x == 0.0, 1.0, x))
+
+
+def transfer_H_abs2(f, config: InterferometerConfig):
+    """|H(f)|^2 of the transfer function H(f) = -(2i / (pi f tau)) sin(pi f tau)
+    sin(pi f (2T - tau)), with the limit |H(0)|^2 = 0; a float gives a float."""
+    tau = config.pulse_duration
+    D = config.interrogation_time - tau
+    if isinstance(f, float):
+        return (2.0 * _pulse_factor(f, tau) * math.sin(math.pi * f * D)) ** 2
+    f = np.asarray(f, dtype=float)
+    return (2.0 * _pulse_factor(f, tau) * np.sin(np.pi * f * D)) ** 2
 
 
 def corner_frequencies(config: InterferometerConfig) -> tuple:

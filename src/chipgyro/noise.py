@@ -11,11 +11,11 @@ Kernels (omega = 2 pi f, G = ``interferometer.rotation_gain``):
   rotation:     sigma^2 = int (G^2 / omega^2) S_Omega(f) |H(f)|^2 df
 
 Each kernel is written once, in ``phase_kernel`` (a slow rotation reads back
-as itself), and |H|^2 once per route, for arrays in ``transfer_H_abs2`` and
-for floats in ``_integrate_band``; ``phase_variance`` picks the kernel from
-the PSD's own domain, ``convert_psd`` reads the same kernels, and
-``dick_sum_allan`` samples the chain at the harmonics of the cycle rate for
-the Allan variance that dead time aliases in (the Dick effect).
+as itself), and |H|^2 with its pulse factor only in ``interferometer``;
+``phase_variance`` picks the kernel from the PSD's own domain,
+``convert_psd`` reads the same kernels, and ``dick_sum_allan`` samples the
+chain at the harmonics of the cycle rate for the Allan variance that dead
+time aliases in (the Dick effect).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import bisect
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -33,6 +33,7 @@ from .constants import DEFAULT_F_MIN, DOMAINS
 from .errors import ConfigError, DivergentIntegralError
 from .interferometer import (
     InterferometerConfig,
+    _pulse_factor,
     _pulse_zeros,
     _sorted_unique,
     rotation_gain,
@@ -56,10 +57,8 @@ class PowerSpectralDensity:
     random_walk: float = 0.0  # h_-2, S += h_-2 / f^2
     frequencies: Optional[np.ndarray] = field(default=None, repr=False)
     values: Optional[np.ndarray] = field(default=None, repr=False)
-    # log knots and log values (0 where S = 0), built once from the table
-    _log_f: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
-    _log_s: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
-    # (knots, log knots, values, log values) as float lists for the scalar route
+    # (knots, log knots, values, log values (0 where S = 0)) as float lists,
+    # built once from the table; the array route reads them back as arrays
     _lists: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -76,13 +75,10 @@ class PowerSpectralDensity:
                 raise ConfigError("PSD frequency grid must be finite, strictly increasing and > 0")
             if np.any(s < 0) or not np.all(np.isfinite(s)):
                 raise ConfigError("PSD values must be finite and >= 0")
-            log_f = np.log(f)
             log_s = np.log(np.where(s > 0, s, 1.0))
             object.__setattr__(self, "frequencies", f)
             object.__setattr__(self, "values", s)
-            object.__setattr__(self, "_log_f", log_f)
-            object.__setattr__(self, "_log_s", log_s)
-            object.__setattr__(self, "_lists", tuple(a.tolist() for a in (f, log_f, s, log_s)))
+            object.__setattr__(self, "_lists", tuple(a.tolist() for a in (f, np.log(f), s, log_s)))
         for name in ("white", "flicker", "random_walk"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"analytic PSD component {name} must be >= 0")
@@ -120,7 +116,7 @@ class PowerSpectralDensity:
         return s
 
     def _interpolate(self, f):
-        grid, vals, log_grid, log_vals = self.frequencies, self.values, self._log_f, self._log_s
+        grid, log_grid, vals, log_vals = (np.asarray(a) for a in self._lists)
         # extrapolation is pinned to the end segments: out-of-range points
         # reuse idx = 0 / idx = n-2
         idx = np.clip(np.searchsorted(grid, f, side="right") - 1, 0, grid.size - 2)
@@ -234,34 +230,29 @@ class VarianceResult:
         return math.sqrt(max(self.value, 0.0))
 
 
-def _sinc(x: float) -> float:
-    """sin(x) / x for a float, with the limit 1 at x = 0."""
-    return math.sin(x) / x if x else 1.0
-
-
-def _integrate_band(psd, config, f_min, f_max, rtol, d):
+def _integrate_band(psd, config, f_min, f_max, rtol, pulses):
     """int S K |H|^2 df over [f_min, f_max] on QUADPACK; returns the value, its
     error estimate, the number of points at which the PSD was evaluated and
     the (lo, hi) panels on which QUADPACK's status ``ier`` was non-zero.
 
-    K is the ``phase_kernel`` of the PSD's domain; |H|^2 = 2 sinc^2(pi f tau)
-    (1 - cos 2 pi D f), D = ``d`` (2T - tau for one shot). A panel that spans
-    fewer than 8 periods of the cosine is integrated whole. A wider one is split into int g - int g
-    cos(2 pi D f), g = 2 S K sinc^2, the second by QUADPACK's cosine-weight
-    rule (QAWO), whose cost does not depend on D. On a narrow panel the two
-    parts would cancel (to about 8 digits for the omega^-4 kernel near f_min,
-    completely for a line on a zero of H). Panel edges are the band ends, the
-    zeros m/D for m <= 8, the zeros n/tau of sinc, tabulated-PSD knots and one
-    edge per octave; none above 8/D depends on 2T, so neither does the cost.
+    K is the ``phase_kernel`` of the PSD's domain for ``config``, and |H|^2 =
+    2 p^2 (1 - cos 2 pi D f) the ``transfer_H_abs2`` of the pulse pair ``pulses``, p
+    its ``_pulse_factor``, D = 2T - tau. A panel that spans fewer than 8 periods
+    of the cosine is integrated whole; a wider one is split into int g - int g
+    cos(2 pi D f), g = 2 S K p^2, the second by QUADPACK's cosine-weight rule
+    (QAWO), whose cost does not depend on D. On a narrow panel the two parts would
+    cancel (to about 8 digits for the omega^-4 kernel near f_min, completely for a
+    line on a zero of H). Panel edges are the band ends, the zeros m/D for m <= 8,
+    the zeros n/tau of p, tabulated-PSD knots and one edge per octave; none above
+    8/D depends on 2T, so neither does the cost.
 
-    QUADPACK calls the integrand with one float at a time: the PSD and K take
-    float routes, |H|^2 is written out in ``transfer_H_abs2``'s order and g
-    reuses its sinc; config, PSD and gain are read once, outside the callbacks.
-    QAGS and QAWO get the arguments ``scipy.integrate.quad`` passes them.
+    QUADPACK passes one float at a time, so S, K, |H|^2 and p take their float
+    routes; QAGS and QAWO get the arguments ``scipy.integrate.quad`` passes them.
     """
     quadpack = compiled_module("scipy.integrate._quadpack")
 
-    tau = config.pulse_duration
+    tau = pulses.pulse_duration
+    d = pulses.interrogation_time - tau
     n_octaves = int(math.ceil(math.log2(f_max) - math.log2(f_min)))
     edges = [
         [f_min, f_max],
@@ -297,18 +288,18 @@ def _integrate_band(psd, config, f_min, f_max, rtol, d):
         return psd.evaluate(f) * phase_kernel(domain, f, k_eff, gain)
 
     def integrand(f):
-        value = weighted(f) * (2.0 * _sinc(math.pi * f * tau) * math.sin(math.pi * f * d)) ** 2
+        value = weighted(f) * transfer_H_abs2(f, pulses)
         if domain == "rotation" and not math.isfinite(value):
             # omega^2 so small that K overflowed while |H|^2 underflowed; their
             # product tends to (G D)^2 as f -> 0, so take it from
             # sin(pi f D) / omega (the acceleration product grows like 1/f^2
             # and is left to diverge)
             ratio = math.sin(math.pi * f * d) / (2.0 * math.pi * f)
-            value = psd.evaluate(f) * (2.0 * gain * _sinc(math.pi * f * tau) * ratio) ** 2
+            value = psd.evaluate(f) * (2.0 * gain * _pulse_factor(f, tau) * ratio) ** 2
         return value
 
     def smooth(f):
-        return 2.0 * weighted(f) * _sinc(math.pi * f * tau) ** 2
+        return 2.0 * weighted(f) * _pulse_factor(f, tau) ** 2
 
     total = err = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -366,8 +357,7 @@ def phase_variance(
     if not 1e-13 <= rtol < 1.0:
         raise ConfigError(f"rtol must lie in [1e-13, 1), got {rtol}")
 
-    d = config.interrogation_time - config.pulse_duration
-    value, err, n_evals, warned = _integrate_band(psd, config, f_min, f_max, rtol, d)
+    value, err, n_evals, warned = _integrate_band(psd, config, f_min, f_max, rtol, config)
     if not math.isfinite(value):
         raise DivergentIntegralError(f"noise integral is not finite on band [{f_min}, {f_max}]")
     notes = [f"QUADPACK warning on panel [{lo}, {hi}] Hz" for lo, hi in warned]
@@ -438,9 +428,9 @@ def dick_sum_allan(
     tail, converged = 0.0, True
     if m_max + 1 <= f_max * t_c:  # m_max truncates: harmonic m_max + 1 lies in the band
         # folded, D = 2T - tau is tau + dead time; T_c - D would round the m / D edges off n / tau
-        tau = config.pulse_duration
-        d = min(config.interrogation_time, 2.0 * tau + config.cycle_dead_time) - tau
-        value, err, _, warned = _integrate_band(psd, config, (n_terms + 0.5) / t_c, f_max, 1e-6, d)
+        two_t = min(config.interrogation_time, 2.0 * config.pulse_duration + config.cycle_dead_time)
+        pulses = replace(config, interrogation_time=two_t)
+        value, err, _, warned = _integrate_band(psd, config, (n_terms + 0.5) / t_c, f_max, 1e-6, pulses)
         tail, converged = t_c * value, not warned and err <= 1e-6 * abs(value)
     variance = (total + tail) / norm
     return DickSumResult(

@@ -631,24 +631,41 @@ def test_mission_output(tmp_path, config_path, capsys):
         ("noise", ["noise.band.f_max_hz=1e300"], 1),
         ("allan", ["noise.band.f_max_hz=1e300"], 1),
         ("transfer", ["run.transfer.f_max_hz=1e300"], 1),
+        ("guide", ["geometry.loops=[{radius_m: 1e300, current_A: 1}]"], 2),
+        ("guide", ["geometry.loops=[{radius_m: 1e-3, current_A: 1e300}]"], 2),
+        (
+            "guide",
+            ["geometry.loops=[{radius_m: 4.87e-4, current_A: -1.23e150}, {radius_m: 5e-4, current_A: 1.21e150}, "
+             "{radius_m: 5.13e-4, current_A: -1.23e150}]"],
+            2,
+        ),
+        ("guide", ["geometry.offset_B0_T=1e-6"], 2),
+        ("guide", ["geometry.offset_B0_T=1e155"], 2),
     ],
     ids=[
         "mission-ulp-tie", "noise-white-5e-324", "noise-white-1e-323", "noise-white-4e-322",
         "noise-band-top-1e300", "allan-band-top-1e300", "transfer-band-top-1e300",
+        "guide-loop-radius-1e300", "guide-loop-current-1e300", "guide-currents-1e150", "guide-offset-1e-6",
+        "guide-offset-1e155",
     ],
 )
 def test_edge_inputs_end_in_a_json_status(tmp_path, config_path, capfd, command, overrides, code):
-    """Two launch speeds an ulp apart that tie on their 2T, a subnormal PSD
-    and a band top with more zeros n / tau than MAX_PULSE_ZEROS: each ends
-    in its exit code and a JSON last line, with nothing on stderr."""
+    """Two launch speeds an ulp apart that tie on their 2T, a subnormal PSD,
+    a band top with more zeros n / tau than MAX_PULSE_ZEROS, a loop whose
+    field overflows, currents so large that the offsets the Hessian window
+    admits square past the float range, and offset fields outside that window:
+    each ends in its exit code and a JSON last line, with nothing on stderr
+    and, on an error, no file. An offset error names its key."""
     out = tmp_path / "out"
     argv = [command, "--config", config_path, "--out", str(out)]
     assert main(argv + [arg for item in overrides for arg in ("--override", item)]) == code
     captured = capfd.readouterr()
     assert captured.err == ""
     summary = json.loads(captured.out.strip().splitlines()[-1])
-    assert summary["status"] == ("ok" if code == 0 else "config-error")
-    if code == 1:
+    assert summary["status"] == {0: "ok", 1: "config-error", 2: "physics-error"}[code]
+    if "offset_B0_T" in overrides[0]:
+        assert "geometry.offset_B0_T" in summary["error"]
+    if code:
         assert not out.exists()
     elif command == "mission":
         data = np.genfromtxt(out / "mission.csv", delimiter=",", names=True, skip_header=15)
@@ -860,6 +877,58 @@ def test_failing_stage_writes_no_file(tmp_path, config_path, capsys, monkeypatch
     out = tmp_path / "out"
     out.mkdir()
     assert _run(capsys, "guide", "--config", config_path, "--out", str(out))[0] == code
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command, overrides, keys",
+    [
+        ("guide", ["run.guide.map_n_rho=1000001", "run.guide.map_n_z=1"], "run.guide.map_n_rho x map_n_z"),
+        (
+            "transfer",
+            ["run.transfer.f_min_hz=1", "run.transfer.f_max_hz=10", "run.transfer.points_per_decade=1000000"],
+            "run.transfer.f_min_hz, f_max_hz and points_per_decade",
+        ),
+        (
+            "sensitivity",
+            ["run.sensitivity.n_points=1000001", "run.sensitivity.atom_numbers=[1e4]"],
+            "run.sensitivity.n_points x len(atom_numbers)",
+        ),
+        ("allan", ["run.allan.n_points=1000001"], "run.allan.n_points"),
+    ],
+    ids=["guide", "transfer", "sensitivity", "allan"],
+)
+def test_table_over_max_rows_is_a_config_error(tmp_path, config_path, capsys, monkeypatch, command, overrides, keys):
+    """MAX_TABLE_ROWS + 1 rows of a table end in exit 1 naming the keys that
+    set them, before any array is built: the stages run without numpy, and
+    the guide without its characterization."""
+    assert chipgyro.cli.MAX_TABLE_ROWS + 1 == 1000001
+    monkeypatch.setattr(chipgyro.cli, "np", None)
+    monkeypatch.setattr("chipgyro.guide.characterize_guide", None)
+    out = tmp_path / "out"
+    argv = [command, "--config", config_path, "--out", str(out)]
+    code, summary = _run(capsys, *argv, *(arg for item in overrides for arg in ("--override", item)))
+    assert (code, summary["status"]) == (1, "config-error")
+    assert summary["error"] == f"{keys} ask for 1000001 table rows, over MAX_TABLE_ROWS = 1000000"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["record", "summary"])
+def test_non_finite_json_is_a_physics_error(tmp_path, config_path, capsys, monkeypatch, bad):
+    """A stage whose JSON record or summary holds a NaN or an infinity, which
+    json.dumps would write as NaN or Infinity, not JSON: exit 2 naming the
+    file or the summary line, and no file in --out."""
+
+    def stage(config):
+        files = {"a.csv": _csv({}, ["x"], [(1.0,)]), "b.json": {"x": math.nan if bad == "record" else 1.0}}
+        return files, {"x": math.inf if bad == "summary" else 1.0}
+
+    monkeypatch.setitem(chipgyro.cli.COMMANDS, "noise", stage)
+    out = tmp_path / "out"
+    out.mkdir()
+    code, summary = _run(capsys, "noise", "--config", config_path, "--out", str(out))
+    assert (code, summary["status"]) == (2, "physics-error")
+    assert (str(out / "b.json") if bad == "record" else "the summary line") in summary["error"]
     assert list(out.iterdir()) == []
 
 

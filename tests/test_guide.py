@@ -366,6 +366,32 @@ def test_non_smooth_without_offset():
         characterize_guide(design_guide_geometry(), species_rb87(), offset_B0=0.0)
 
 
+@pytest.mark.parametrize(
+    "geometry, inside, outside",
+    [
+        # r = gradient HESSIAN_STEP / B0 with gradients of 151 T/m and 37.9 T/m:
+        # the window admits B0 in [1.51e-5, 15.1] T and [3.79e-6, 3.79] T
+        (design_guide_geometry(), (2e-5, DEFAULT_OFFSET_B0, 10.0), (1e-12, 1e-6, 1e-5, 30.0, 1e155)),
+        (RING_1MM, (1e-5, DEFAULT_OFFSET_B0, 1.0), (0.0, 1e-6, 10.0, 100.0)),
+    ],
+    ids=["design", "ring"],
+)
+def test_hessian_window_on_the_offset_field(geometry, inside, outside):
+    """Inside HESSIAN_WINDOW the stencil's frequency holds the quadrupole
+    oracle (its plateau is 1.0035 of it on the design guide, 1.0017 on the
+    ring; the window's edges add under 2e-3). Outside it, where the stencil
+    read 0.85 (1e-6 T), 0.0012 (1e-12 T), 1.33 (100 T), 0.0 or NaN, the
+    guide raises and names the key and the offsets this guide admits."""
+    rb = species_rb87()
+    for b0 in inside:
+        ch = characterize_guide(geometry, rb, offset_B0=b0)
+        oracle = radial_frequency_quadrupole(ch.gradient, b0, rb)
+        assert ch.radial_frequency == pytest.approx(oracle, rel=6e-3, abs=0), b0
+    for b0 in outside:
+        with pytest.raises(NonSmoothPotentialError, match=r"geometry\.offset_B0_T in \[[0-9.e-]+, [0-9.]+\] T"):
+            characterize_guide(geometry, rb, offset_B0=b0)
+
+
 def test_negative_offset_rejected():
     with pytest.raises(ConfigError):
         characterize_guide(design_guide_geometry(), species_rb87(), offset_B0=-1e-4)

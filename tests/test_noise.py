@@ -11,7 +11,7 @@ from scipy.special import sici
 import chipgyro.noise
 from chipgyro.constants import species_rb87
 from chipgyro.errors import ConfigError, DivergentIntegralError
-from chipgyro.interferometer import rb87_config, rotation_gain, scale_factor, transfer_H_abs2
+from chipgyro.interferometer import _pulse_factor, rb87_config, rotation_gain, scale_factor, transfer_H_abs2
 from chipgyro.noise import (
     DEFAULT_F_MIN,
     PowerSpectralDensity,
@@ -189,11 +189,12 @@ def test_scalar_route_matches_array_route():
 
 def test_float_routes_match_array_routes():
     """QUADPACK's one-float-at-a-time calls take float routes through |H|^2,
-    K and S; on 1e5 log-spaced points of the default band and on the zeros
-    n/tau and m/D of H they agree with the array routes within a few ulp and
-    return builtin floats, not numpy scalars. At 1e-100 Hz and below, where a
-    power of f or omega underflows to 0, both routes give inf for that term
-    (no ZeroDivisionError), and a zero PSD component adds exactly 0 (no nan)."""
+    its pulse factor, K and S; on 1e5 log-spaced points of the default band
+    and on the zeros n/tau and m/D of H they agree with the array routes
+    within a few ulp and return builtin floats, not numpy scalars. At
+    1e-100 Hz and below, where a power of f or omega underflows to 0, both
+    routes give inf for that term (no ZeroDivisionError), and a zero PSD
+    component adds exactly 0 (no nan)."""
     cfg = rb87_config(pulse_duration=20e-6, interrogation_time=1.0)
     tau = cfg.pulse_duration
     d = cfg.interrogation_time - tau
@@ -216,6 +217,8 @@ def test_float_routes_match_array_routes():
     }
     white_only = PowerSpectralDensity(domain="rotation", white=1e-14)
     routes["white_only"] = white_only.evaluate
+    routes["transfer_H_abs2"] = lambda x: transfer_H_abs2(x, cfg)
+    routes["pulse_factor"] = lambda x: _pulse_factor(x, tau)  # changes sign at n/tau
     for domain in ("phase", "acceleration", "rotation"):
         routes[domain] = lambda x, domain=domain: phase_kernel(domain, x, cfg.k_eff, rotation_gain(cfg))
     for name, route in routes.items():
@@ -231,10 +234,10 @@ def test_float_routes_match_array_routes():
             # where math.log and numpy's log do; one ulp of log S is up to
             # 2.2e-16 |log S| of S
             bound += 2.3e-16 * np.abs(np.log(np.where(array > 0, array, 1.0)))
-        positive = (array > 0) & np.isfinite(array)
-        assert np.all(scalar[~positive] == array[~positive]), name
-        rel = np.abs(scalar[positive] - array[positive]) / array[positive]
-        assert np.all(rel <= bound[positive]), (name, rel.max())
+        nonzero = (array != 0) & np.isfinite(array)
+        assert np.all(scalar[~nonzero] == array[~nonzero]), name
+        rel = np.abs(scalar[nonzero] - array[nonzero]) / np.abs(array[nonzero])
+        assert np.all(rel <= bound[nonzero]), (name, rel.max())
     assert transfer_H_abs2(0.0, cfg) == 0.0
     # past the float range the float routes read the array routes' limits, not OverflowError
     assert phase_kernel("acceleration", 1e200, cfg.k_eff, rotation_gain(cfg)) == 0.0
