@@ -378,7 +378,13 @@ def cmd_guide(config: dict) -> tuple:
     rho0, z0 = characterization.min_position
     rho = np.linspace(rho0 - span, rho0 + span, config["run.guide.map_n_rho"])
     z = np.linspace(max(z0 - span, 1e-7), z0 + span, config["run.guide.map_n_z"])
-    U = trap_potential(geometry, species, rho[:, None], z[None, :], offset_b0)
+    with np.errstate(over="ignore", invalid="ignore"):  # a field past the float range reads inf or nan
+        U = trap_potential(geometry, species, rho[:, None], z[None, :], offset_b0)
+    if not np.all(np.isfinite(U)):
+        raise PhysicsError(
+            "|B| or U is not finite in the potential map: a loop current or geometry.offset_B0_T "
+            "is past the float range there"
+        )
     # rows run over rho, then z; each axis value is formatted once, not once per row
     cells = itertools.product(["%.17g" % v for v in rho.tolist()], ["%.17g" % v for v in z.tolist()])
     potential_map = (

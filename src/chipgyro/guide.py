@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import DEFAULT_OFFSET_B0, AtomSpecies, K_B
-from .errors import ConfigError, NoGuideMinimumError, NonSmoothPotentialError
+from .errors import ConfigError, NoGuideMinimumError, NonSmoothPotentialError, PhysicsError
 from .magnetostatics import GuideGeometry, field_modulus, total_field_arrays
 
 HESSIAN_STEP = 1e-8          # m, central-difference step at the minimum
@@ -150,7 +151,8 @@ class _TiledFieldMap:
     one DEPTH_TILE x DEPTH_TILE tile at a time, the first time a cell of the
     tile is read; the tiles of the last row and column are partial. A cell
     reads as a Python float, which the flood's heap compares faster than a
-    numpy scalar, bit-identical to the same cell of the full map."""
+    numpy scalar, bit-identical to the same cell of the full map. A tile with
+    a non-finite |B| raises PhysicsError."""
 
     def __init__(self, geometry: GuideGeometry, rho: np.ndarray, z: np.ndarray):
         self.geometry, self.rho, self.z = geometry, rho, z
@@ -164,7 +166,12 @@ class _TiledFieldMap:
         if tile is None:
             rho = self.rho[ta * DEPTH_TILE:(ta + 1) * DEPTH_TILE]
             z = self.z[tb * DEPTH_TILE:(tb + 1) * DEPTH_TILE]
-            tile = self.tiles[ta, tb] = field_modulus(self.geometry, rho[:, None], z[None, :])
+            with np.errstate(over="ignore", invalid="ignore"):  # a field past the float range reads inf or nan
+                tile = self.tiles[ta, tb] = field_modulus(self.geometry, rho[:, None], z[None, :])
+            if not np.all(np.isfinite(tile)):
+                raise PhysicsError(
+                    "|B| is not finite in the depth map: a loop current is past the float range there"
+                )
         return tile.item(a, b)
 
     @property
@@ -243,7 +250,8 @@ def characterize_guide(
     def potential(r, zz):
         return trap_potential(geometry, species, r, zz, offset_B0)
 
-    hessian = potential_hessian(potential, rho0, z0)
+    with np.errstate(over="ignore", invalid="ignore"):  # _check_stencil rejects a B0 that overflows U
+        hessian = potential_hessian(potential, rho0, z0)
     eigvals, eigvecs = np.linalg.eigh(hessian)
     lam_max = float(eigvals[-1])
     # an overflowed U has no eigenvector; |B| rises about equally in every
@@ -280,18 +288,27 @@ def characterize_guide(
 def _check_stencil(gradient: float, B_min: float, offset_B0: float) -> None:
     """Raise NonSmoothPotentialError, naming the offsets this guide admits,
     unless r = gradient HESSIAN_STEP / hypot(B_min, B0) lies in HESSIAN_WINDOW
-    (a NaN r does not)."""
+    (a NaN r does not) and U = mu sqrt(|B|^2 + B0^2) is finite on the stencil."""
     slope, scale = gradient * HESSIAN_STEP, math.hypot(B_min, offset_B0)
     r = slope / scale if scale else math.inf
-    if HESSIAN_WINDOW[0] <= r <= HESSIAN_WINDOW[1]:
+    # U squares B0, so it overflows above this B0; |B| on the stencil stays below B_min + 2 slope
+    top = B_min + 2.0 * slope
+    finite_edge = math.sqrt(max(sys.float_info.max - top * top, 0.0))
+    if not HESSIAN_WINDOW[0] <= r <= HESSIAN_WINDOW[1]:
+        reason = (
+            f"puts r = gradient * HESSIAN_STEP / hypot(B_min, B0) at {r:.3g}, outside the window "
+            f"{list(HESSIAN_WINDOW)} where the Hessian stencil resolves the trap curvature"
+        )
+    elif offset_B0 > finite_edge:
+        reason = "overflows U = mu sqrt(|B|^2 + B0^2) on the Hessian stencil"
+    else:
         return
     # B0 = sqrt(x^2 - B_min^2) at x = slope / w, factored so that x^2 cannot overflow
     edges = [slope / w for w in HESSIAN_WINDOW[::-1]]
     lo, hi = (math.sqrt(max(x - B_min, 0.0)) * math.sqrt(max(x + B_min, 0.0)) for x in edges)
     raise NonSmoothPotentialError(
-        f"geometry.offset_B0_T = {offset_B0!r} T puts r = gradient * HESSIAN_STEP / hypot(B_min, B0) "
-        f"at {r:.3g}, outside the window {list(HESSIAN_WINDOW)} where the Hessian stencil resolves "
-        f"the trap curvature; this guide admits geometry.offset_B0_T in [{lo:.3g}, {hi:.3g}] T"
+        f"geometry.offset_B0_T = {offset_B0!r} T {reason}; this guide admits "
+        f"geometry.offset_B0_T in [{lo:.3g}, {min(hi, finite_edge):.3g}] T"
     )
 
 

@@ -81,10 +81,6 @@ class InterferometerConfig:
         return 0.5 * self.interrogation_time
 
     @property
-    def k_eff(self) -> float:
-        return self.species.k_eff
-
-    @property
     def cycle_time(self) -> float:
         return self.interrogation_time + self.cycle_dead_time
 

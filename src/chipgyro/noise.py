@@ -5,17 +5,17 @@ angular frequency enters only through explicit omega = 2 pi f factors inside
 the propagation kernels. Results carry their integration band and convention
 so no number leaves the module without its hypotheses.
 
-Kernels (omega = 2 pi f, G = ``interferometer.rotation_gain``):
+Kernels (omega = 2 pi f, k_eff of the species, G = ``interferometer.rotation_gain``):
   phase:        sigma^2 = int S_phi(f) |H(f)|^2 df
   acceleration: sigma^2 = int (k_eff^2 / omega^4) S_a(f) |H(f)|^2 df
   rotation:     sigma^2 = int (G^2 / omega^2) S_Omega(f) |H(f)|^2 df
 
-Each kernel is written once, in ``phase_kernel`` (a slow rotation reads back
-as itself), and |H|^2 with its pulse factor only in ``interferometer``;
-``phase_variance`` picks the kernel from the PSD's own domain,
-``convert_psd`` reads the same kernels, and ``dick_sum_allan`` samples the
-chain at the harmonics of the cycle rate for the Allan variance that dead
-time aliases in (the Dick effect).
+Each kernel is written once, in ``phase_kernel(domain, config)``, which
+returns K(f) for that config (a slow rotation reads back as itself); |H|^2
+with its pulse factor is formed only in ``interferometer``. ``phase_variance``
+picks the kernel from the PSD's own domain, ``convert_psd`` reads the same
+kernels, and ``dick_sum_allan`` samples the chain at the harmonics of the
+cycle rate for the Allan variance that dead time aliases in (the Dick effect).
 """
 
 from __future__ import annotations
@@ -165,36 +165,39 @@ class PowerSpectralDensity:
             raise ConfigError(f"PSD file {path}: {exc}") from None
 
 
-def phase_kernel(domain: str, f, k_eff: float, rotation_gain: float):
-    """Factor K(f) taking a ``domain`` PSD to the phase PSD it induces,
-    S_phi = K S: 1 (phase), k_eff^2 / omega^4 (acceleration) or G^2 / omega^2
-    (rotation, G = ``interferometer.rotation_gain``), with omega = 2 pi f. A
-    float ``f`` gives a float, without numpy; an array gives an array."""
-    scalar = isinstance(f, float)
-    omega = 2.0 * math.pi * (f if scalar else np.asarray(f, dtype=float))
+def phase_kernel(domain: str, config: InterferometerConfig):
+    """K(f), the factor taking a ``domain`` PSD of ``config`` to the phase PSD
+    it induces, S_phi = K S: 1 (phase), k_eff^2 / omega^4 (acceleration, k_eff
+    of the species) or G^2 / omega^2 (rotation, G = ``rotation_gain(config)``),
+    omega = 2 pi f. Its constant is computed once, here. A float f gives a
+    float, without numpy, and an array an array."""
     if domain == "phase":
-        return 1.0 if scalar else np.ones_like(omega)
-    try:
-        if domain == "acceleration":
-            return k_eff ** 2 / omega ** 4
-        if domain == "rotation":
-            return rotation_gain ** 2 / (omega * omega)
-    except OverflowError:  # a float omega^4 past the float range
-        return 0.0
-    except ZeroDivisionError:  # a float power of omega that underflowed to 0
-        return math.inf
-    raise ConfigError(f"unknown PSD domain {domain!r}; expected one of {DOMAINS}")
+        return lambda f: 1.0 if isinstance(f, float) else np.ones(np.shape(f))
+    if domain not in DOMAINS:
+        raise ConfigError(f"unknown PSD domain {domain!r}; expected one of {DOMAINS}")
+    quartic = domain == "acceleration"
+    constant = config.species.k_eff ** 2 if quartic else rotation_gain(config) ** 2
+
+    def kernel(f):
+        omega = 2.0 * math.pi * (f if isinstance(f, float) else np.asarray(f, dtype=float))
+        try:
+            return constant / (omega ** 4 if quartic else omega * omega)
+        except OverflowError:  # a float omega^4 past the float range
+            return 0.0
+        except ZeroDivisionError:  # a float power of omega that underflowed to 0
+            return math.inf
+
+    return kernel
 
 
 def convert_psd(
     psd: PowerSpectralDensity,
     target_domain: str,
-    k_eff: float,
-    rotation_gain: float,
+    config: InterferometerConfig,
     grid: Optional[np.ndarray] = None,
 ) -> PowerSpectralDensity:
-    """Re-express a PSD in another domain through the exact kernel identities
-    S_a = (omega^4 / k_eff^2) S_phi and S_Omega = (omega^2 / G^2) S_phi, G as in ``phase_kernel``.
+    """Re-express a PSD in another domain of ``config`` through the exact
+    identity S_target = S K_source / K_target, each K a ``phase_kernel``.
 
     Tabulated PSDs convert pointwise on their own grid (round trips are exact);
     analytic PSDs need an explicit grid and come back tabulated.
@@ -207,8 +210,8 @@ def convert_psd(
             raise ConfigError("converting an analytic PSD needs an explicit frequency grid")
         f = np.asarray(grid, dtype=float)
         s = psd.evaluate(f)
-    s_phase = s * phase_kernel(psd.domain, f, k_eff, rotation_gain)
-    s_target = s_phase / phase_kernel(target_domain, f, k_eff, rotation_gain)
+    s_phase = s * phase_kernel(psd.domain, config)(f)
+    s_target = s_phase / phase_kernel(target_domain, config)(f)
     return PowerSpectralDensity(domain=target_domain, frequencies=f, values=s_target)
 
 
@@ -265,8 +268,7 @@ def _integrate_band(psd, config, f_min, f_max, rtol, pulses):
     edges = _sorted_unique(np.concatenate(edges))
     edges = edges[(edges >= f_min) & (edges <= f_max)]
 
-    domain, k_eff = psd.domain, config.k_eff
-    gain = rotation_gain(config) if domain == "rotation" else None
+    kernel = phase_kernel(psd.domain, config)
     n_evals = 0
     warned = []
 
@@ -285,17 +287,17 @@ def _integrate_band(psd, config, f_min, f_max, rtol, pulses):
     def weighted(f):
         nonlocal n_evals
         n_evals += 1
-        return psd.evaluate(f) * phase_kernel(domain, f, k_eff, gain)
+        return psd.evaluate(f) * kernel(f)
 
     def integrand(f):
         value = weighted(f) * transfer_H_abs2(f, pulses)
-        if domain == "rotation" and not math.isfinite(value):
+        if not math.isfinite(value) and psd.domain == "rotation":
             # omega^2 so small that K overflowed while |H|^2 underflowed; their
             # product tends to (G D)^2 as f -> 0, so take it from
             # sin(pi f D) / omega (the acceleration product grows like 1/f^2
             # and is left to diverge)
             ratio = math.sin(math.pi * f * d) / (2.0 * math.pi * f)
-            value = psd.evaluate(f) * (2.0 * gain * _pulse_factor(f, tau) * ratio) ** 2
+            value = psd.evaluate(f) * (2.0 * rotation_gain(config) * _pulse_factor(f, tau) * ratio) ** 2
         return value
 
     def smooth(f):
@@ -422,8 +424,7 @@ def dick_sum_allan(
 
     n_terms = min(m_max, math.floor(f_max * t_c))
     f = np.arange(1, n_terms + 1) / t_c
-    gain = rotation_gain(config) if psd.domain == "rotation" else None
-    kernel = phase_kernel(psd.domain, f, config.k_eff, gain)
+    kernel = phase_kernel(psd.domain, config)(f)
     total = float(np.sum(psd.evaluate(f) * kernel * transfer_H_abs2(f, config)))
     tail, converged = 0.0, True
     if m_max + 1 <= f_max * t_c:  # m_max truncates: harmonic m_max + 1 lies in the band

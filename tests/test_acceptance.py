@@ -170,9 +170,9 @@ def test_criterion_7_noise_machinery():
     f = np.geomspace(1e-3, 1e3, 201)
     values = 1e-8 * (1.0 + np.cos(np.log(f)) ** 2)
     tab = cg.PowerSpectralDensity(domain="phase", frequencies=f, values=values)
-    acc = cg.convert_psd(tab, "acceleration", cfg.k_eff, cg.rotation_gain(cfg))
-    rot = cg.convert_psd(acc, "rotation", cfg.k_eff, cg.rotation_gain(cfg))
-    back = cg.convert_psd(rot, "phase", cfg.k_eff, cg.rotation_gain(cfg))
+    acc = cg.convert_psd(tab, "acceleration", cfg)
+    rot = cg.convert_psd(acc, "rotation", cfg)
+    back = cg.convert_psd(rot, "phase", cfg)
     round_trip = float(np.max(np.abs(back.values - values) / values))
 
     d = cfg.interrogation_time - cfg.pulse_duration

@@ -620,6 +620,13 @@ def test_mission_output(tmp_path, config_path, capsys):
     )
 
 
+# the design guide's loops with currents near 1e154 A: the coarse scan stays finite
+LOOPS_1E154 = (
+    "geometry.loops=[{radius_m: 4.87e-4, current_A: -1.23e154}, {radius_m: 5e-4, current_A: 1.21e154}, "
+    "{radius_m: 5.13e-4, current_A: -1.23e154}]"
+)
+
+
 @pytest.mark.parametrize(
     "command, overrides, code",
     [
@@ -641,21 +648,29 @@ def test_mission_output(tmp_path, config_path, capsys):
         ),
         ("guide", ["geometry.offset_B0_T=1e-6"], 2),
         ("guide", ["geometry.offset_B0_T=1e155"], 2),
+        (
+            "guide",
+            [LOOPS_1E154, "geometry.offset_B0_T=1.5e152", "run.guide.map_n_rho=101", "run.guide.map_n_z=101"],
+            2,
+        ),
+        ("guide", ["geometry.offset_B0_T=1e155", LOOPS_1E154], 2),
     ],
     ids=[
         "mission-ulp-tie", "noise-white-5e-324", "noise-white-1e-323", "noise-white-4e-322",
         "noise-band-top-1e300", "allan-band-top-1e300", "transfer-band-top-1e300",
         "guide-loop-radius-1e300", "guide-loop-current-1e300", "guide-currents-1e150", "guide-offset-1e-6",
-        "guide-offset-1e155",
+        "guide-offset-1e155", "guide-currents-1e154-map-overflow", "guide-currents-1e154-offset-1e155",
     ],
 )
 def test_edge_inputs_end_in_a_json_status(tmp_path, config_path, capfd, command, overrides, code):
     """Two launch speeds an ulp apart that tie on their 2T, a subnormal PSD,
     a band top with more zeros n / tau than MAX_PULSE_ZEROS, a loop whose
     field overflows, currents so large that the offsets the Hessian window
-    admits square past the float range, and offset fields outside that window:
-    each ends in its exit code and a JSON last line, with nothing on stderr
-    and, on an error, no file. An offset error names its key."""
+    admits square past the float range, offset fields outside that window,
+    currents whose field overflows in the potential map only, and an offset
+    inside the window whose square overflows U: each ends in its exit code and
+    a JSON last line, with nothing on stderr and, on an error, no file. An
+    offset error names its key."""
     out = tmp_path / "out"
     argv = [command, "--config", config_path, "--out", str(out)]
     assert main(argv + [arg for item in overrides for arg in ("--override", item)]) == code
@@ -1262,7 +1277,7 @@ def _assert_cutoff_converges_to_wide_band(tmp_path, config_path, capsys, f_min, 
 
 
 def test_noise_white_rotation_tiny_infrared_cutoff_converges(tmp_path, config_path, capsys):
-    """K |H|^2 tends to (2 k_eff R D)^2 at DC, so a cutoff at which omega^2
+    """K |H|^2 tends to (G D)^2 at DC, G = rotation_gain, so a cutoff at which omega^2
     underflows converges for white rotation noise."""
     _assert_cutoff_converges_to_wide_band(
         tmp_path, config_path, capsys, "1e-170",

@@ -6,7 +6,7 @@ import scipy.ndimage
 import scipy.optimize
 
 from chipgyro.constants import DEFAULT_OFFSET_B0, species_rb87
-from chipgyro.errors import ConfigError, NoGuideMinimumError, NonSmoothPotentialError
+from chipgyro.errors import ConfigError, NoGuideMinimumError, NonSmoothPotentialError, PhysicsError
 from chipgyro.guide import (
     DEPTH_GRID,
     DEPTH_TILE,
@@ -234,6 +234,17 @@ def test_tiled_map_reads_builtin_floats():
             cell = tiled[a, b]
             assert type(cell) is float
             assert cell == full[a, b]
+
+
+def test_tiled_map_rejects_a_field_past_the_float_range():
+    """Design currents times 1e155 overflow |B| 0.1 um above the inner wire:
+    the tile holding that cell raises PhysicsError naming the depth map,
+    without numpy's overflow warning."""
+    rho = np.linspace(4.77e-4, 4.97e-4, 41)  # cell 20 is the wire's radius
+    z = np.linspace(1e-7, 2e-5, 40)
+    tiled = _TiledFieldMap(design_guide_geometry().scaled(1e155), rho, z)
+    with pytest.raises(PhysicsError, match="depth map"):
+        tiled[20, 0]
 
 
 def test_depth_field_evaluates_few_map_points(monkeypatch, characterization):

@@ -11,7 +11,14 @@ from scipy.special import sici
 import chipgyro.noise
 from chipgyro.constants import species_rb87
 from chipgyro.errors import ConfigError, DivergentIntegralError
-from chipgyro.interferometer import _pulse_factor, rb87_config, rotation_gain, scale_factor, transfer_H_abs2
+from chipgyro.interferometer import (
+    InterferometerConfig,
+    _pulse_factor,
+    rb87_config,
+    rotation_gain,
+    scale_factor,
+    transfer_H_abs2,
+)
 from chipgyro.noise import (
     DEFAULT_F_MIN,
     PowerSpectralDensity,
@@ -67,7 +74,7 @@ def test_acceleration_kernel_against_direct_quadrature():
     psd = PowerSpectralDensity(domain="acceleration", white=1e-12)
     f_min, f_max = 0.05, 20.0
     f = np.linspace(f_min, f_max, 2_000_001)
-    kernel = cfg.k_eff ** 2 / (2 * np.pi * f) ** 4
+    kernel = cfg.species.k_eff ** 2 / (2 * np.pi * f) ** 4
     oracle = scipy.integrate.trapezoid(psd.evaluate(f) * kernel * transfer_H_abs2(f, cfg), f)
     result = phase_variance(psd, cfg, f_min=f_min, f_max=f_max)
     assert result.value == pytest.approx(oracle, rel=1e-3, abs=0)
@@ -129,9 +136,9 @@ def test_tabulated_round_trip_exact():
     f = np.geomspace(1e-3, 1e3, 301)
     values = 1e-8 * (1.0 + np.sin(np.log(f)) ** 2)
     psd = PowerSpectralDensity(domain="phase", frequencies=f, values=values)
-    acc = convert_psd(psd, "acceleration", cfg.k_eff, rotation_gain(cfg))
-    rot = convert_psd(acc, "rotation", cfg.k_eff, rotation_gain(cfg))
-    back = convert_psd(rot, "phase", cfg.k_eff, rotation_gain(cfg))
+    acc = convert_psd(psd, "acceleration", cfg)
+    rot = convert_psd(acc, "rotation", cfg)
+    back = convert_psd(rot, "phase", cfg)
     assert np.max(np.abs(back.values - values) / values) < 1e-9
 
 
@@ -142,7 +149,7 @@ def test_variance_invariant_under_domain_conversion():
     acc = PowerSpectralDensity(domain="acceleration", white=1e-12)
     f_min, f_max = 0.05, 20.0
     grid = np.geomspace(f_min / 2, f_max * 2, 101)
-    as_phase = convert_psd(acc, "phase", cfg.k_eff, rotation_gain(cfg), grid=grid)
+    as_phase = convert_psd(acc, "phase", cfg, grid=grid)
     v1 = phase_variance(acc, cfg, f_min=f_min, f_max=f_max).value
     v2 = phase_variance(as_phase, cfg, f_min=f_min, f_max=f_max).value
     assert v2 == pytest.approx(v1, rel=1e-3, abs=0)
@@ -220,7 +227,7 @@ def test_float_routes_match_array_routes():
     routes["transfer_H_abs2"] = lambda x: transfer_H_abs2(x, cfg)
     routes["pulse_factor"] = lambda x: _pulse_factor(x, tau)  # changes sign at n/tau
     for domain in ("phase", "acceleration", "rotation"):
-        routes[domain] = lambda x, domain=domain: phase_kernel(domain, x, cfg.k_eff, rotation_gain(cfg))
+        routes[domain] = phase_kernel(domain, cfg)
     for name, route in routes.items():
         with np.errstate(divide="ignore"):
             array = route(f)
@@ -240,12 +247,12 @@ def test_float_routes_match_array_routes():
         assert np.all(rel <= bound[nonzero]), (name, rel.max())
     assert transfer_H_abs2(0.0, cfg) == 0.0
     # past the float range the float routes read the array routes' limits, not OverflowError
-    assert phase_kernel("acceleration", 1e200, cfg.k_eff, rotation_gain(cfg)) == 0.0
-    assert phase_kernel("rotation", 1e200, cfg.k_eff, rotation_gain(cfg)) == 0.0
+    assert phase_kernel("acceleration", cfg)(1e200) == 0.0
+    assert phase_kernel("rotation", cfg)(1e200) == 0.0
     assert analytic.evaluate(1e200) == analytic.white
     # and below it, the array routes' inf, not ZeroDivisionError
-    assert phase_kernel("acceleration", 1e-100, cfg.k_eff, rotation_gain(cfg)) == math.inf
-    assert phase_kernel("rotation", 1e-170, cfg.k_eff, rotation_gain(cfg)) == math.inf
+    assert phase_kernel("acceleration", cfg)(1e-100) == math.inf
+    assert phase_kernel("rotation", cfg)(1e-170) == math.inf
     assert analytic.evaluate(1e-170) == math.inf
     assert white_only.evaluate(1e-300) == white_only.white
 
@@ -401,7 +408,7 @@ def test_acceleration_kernel_down_to_default_cutoff():
     psd = PowerSpectralDensity(domain="acceleration", white=1e-12)
     f_max = 20.0
     f = np.geomspace(DEFAULT_F_MIN, f_max, 2_000_001)
-    kernel = cfg.k_eff ** 2 / (2 * np.pi * f) ** 4
+    kernel = cfg.species.k_eff ** 2 / (2 * np.pi * f) ** 4
     oracle = scipy.integrate.trapezoid(psd.evaluate(f) * kernel * transfer_H_abs2(f, cfg), f)
     result = phase_variance(psd, cfg, f_max=f_max, rtol=1e-6)
     assert result.value == pytest.approx(oracle, rel=1e-6, abs=0)
@@ -497,9 +504,29 @@ def test_quadrature_cost_flat_in_interrogation_time(monkeypatch):
         assert max(counts) < 2 * min(counts), (psd.domain, counts)
 
 
+def test_phase_kernel_follows_the_config_it_is_given():
+    """Two configs that differ only in the species wavelength give acceleration
+    kernels in the ratio of their k_eff^2, and two that differ only in latitude
+    rotation kernels in the ratio of their sin^2(latitude), on the float and
+    the array route: a constant kept from another config fails this."""
+    f = np.array([1e-3, 0.7, 40.0])
+    infrared = dataclasses.replace(species_rb87(), wavelength=1064e-9)
+    cases = [
+        ("acceleration", _small_config(), InterferometerConfig(infrared, 0.01, 1.0),
+         (species_rb87().k_eff / infrared.k_eff) ** 2),
+        ("rotation", _small_config(latitude=0.3), _small_config(latitude=1.1),
+         (math.sin(0.3) / math.sin(1.1)) ** 2),
+    ]
+    for domain, one, other, ratio in cases:
+        k_one, k_other = phase_kernel(domain, one), phase_kernel(domain, other)
+        assert np.all(np.abs(k_one(f) / k_other(f) / ratio - 1.0) <= 1e-15), domain
+        for x in f.tolist():
+            assert abs(k_one(x) / k_other(x) / ratio - 1.0) <= 1e-15, (domain, x)
+
+
 def test_phase_kernel_rejects_unknown_domain():
     with pytest.raises(ConfigError, match="volts"):
-        phase_kernel("volts", 1.0, 1.6e7, 1e-3)
+        phase_kernel("volts", _small_config())
 
 
 def test_psd_validation():
