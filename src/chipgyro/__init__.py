@@ -51,7 +51,6 @@ _LAYERS = {
         "GuideCharacterization",
         "characterize_guide",
         "find_guide_minimum",
-        "potential_hessian",
         "radial_frequency_quadrupole",
         "trap_potential",
     ),

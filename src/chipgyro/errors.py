@@ -27,9 +27,8 @@ class NoGuideMinimumError(PhysicsError):
 
 
 class NonSmoothPotentialError(PhysicsError):
-    """The offset field leaves the potential's curvature unresolved by the
-    Hessian stencil: too small (no smooth core, none at all for B0 = 0) or too
-    large (the curvature sinks below the rounding of the potential)."""
+    """No offset field (B0 = 0): the potential is a cone at the field zero,
+    with no trap frequency."""
 
 
 class DegenerateOrientationError(PhysicsError):

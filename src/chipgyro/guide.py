@@ -1,21 +1,21 @@
 """Characterization of the circular magnetic guide.
 
 Locates the modulus minimum of the wire field, which above a quadrupole
-guide is the zero of (B_rho, B_z), derives confinement (radial frequency
-from the Hessian of the regularized potential), transverse gradient
-and trap depth.
+guide is the zero of (B_rho, B_z), and derives the transverse gradient, the
+radial frequency and the trap depth there.
 
 The bare quadrupole modulus is non-smooth at its zero line, so the trapping
 potential is regularized by a longitudinal offset field B0 added in
-quadrature: U = mu * sqrt(B_rho^2 + B_z^2 + B0^2). B0 is always reported next
-to the derived quantities.
+quadrature: U = mu * sqrt(B_rho^2 + B_z^2 + B0^2). At the zero, U's Hessian
+is mu J^T J / hypot(B_min, B0), with J the Jacobian of (B_rho, B_z), so the
+gradient and the radial frequency both come from J's top singular value.
+B0 is always reported next to the derived quantities.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,11 +24,7 @@ from .constants import DEFAULT_OFFSET_B0, AtomSpecies, K_B
 from .errors import ConfigError, NoGuideMinimumError, NonSmoothPotentialError, PhysicsError
 from .magnetostatics import GuideGeometry, field_modulus, total_field_arrays
 
-HESSIAN_STEP = 1e-8          # m, central-difference step at the minimum
-# window on r = gradient HESSIAN_STEP / hypot(B_min, B0) in which the stencil
-# resolves the curvature to about 2e-3: above it the stencil leaves the
-# harmonic core, below it the curvature sinks under the rounding of U
-HESSIAN_WINDOW = (1e-7, 0.1)
+JACOBIAN_STEP = 1e-8         # m, central-difference step of the field Jacobian
 POSITION_TOLERANCE = 1e-9    # m, Newton stops at a step of at most a tenth of it
 NEWTON_MAX_ITERATIONS = 10   # cap of the minimum refinement
 COARSE_GRID = 201            # coarse scan resolution per axis
@@ -40,7 +36,7 @@ DEPTH_TILE = 32              # cells per side of a lazily evaluated depth-map ti
 class GuideCharacterization:
     min_position: tuple        # (rho0, z0) in m
     B_min: float               # T, bare modulus at the minimum
-    gradient: float            # T/m, transverse slope of |B| outside the zero
+    gradient: float            # T/m, steepest slope of |B| out of the zero
     offset_B0: float           # T
     radial_frequency: float    # Hz
     depth_field: float         # T
@@ -78,6 +74,16 @@ def _search_box(geometry: GuideGeometry):
     else:
         spacing = 0.1 * R
     return (0.5 * R, 1.5 * R), (0.0, 10.0 * spacing)
+
+
+def _field_jacobian(geometry: GuideGeometry, x: np.ndarray) -> tuple:
+    """(B, J) at x = (rho, z): the field vector (B_rho, B_z) and its
+    central-difference Jacobian J[i, k] = dB_i / dx_k (step JACOBIAN_STEP),
+    from one field call on x, x +- h e_rho and x +- h e_z."""
+    h = JACOBIAN_STEP
+    offsets = np.array([[0.0, 0.0], [h, 0.0], [-h, 0.0], [0.0, h], [0.0, -h]])
+    B = np.array(total_field_arrays(geometry, *(x + offsets).T))
+    return B[:, 0], (B[:, 1::2] - B[:, 2::2]) / (2.0 * h)
 
 
 def find_guide_minimum(geometry: GuideGeometry) -> tuple:
@@ -124,15 +130,11 @@ def find_guide_minimum(geometry: GuideGeometry) -> tuple:
     i, j = np.unravel_index(np.argmin(masked), masked.shape)
     i, j = i + 1, j + 1
 
-    # Newton on (B_rho, B_z): each iteration evaluates x, x +- h e_rho and
-    # x +- h e_z in one call for the value and the central-difference Jacobian
-    h = HESSIAN_STEP
-    offsets = np.array([[0.0, 0.0], [h, 0.0], [-h, 0.0], [0.0, h], [0.0, -h]])
+    # Newton on (B_rho, B_z)
     x = np.array([rho[i], z[j]])
     for iterations in range(1, NEWTON_MAX_ITERATIONS + 1):
-        B = np.array(total_field_arrays(geometry, *(x + offsets).T))
-        jacobian = (B[:, 1::2] - B[:, 2::2]) / (2.0 * h)
-        step = np.linalg.solve(jacobian, -B[:, 0])
+        B, jacobian = _field_jacobian(geometry, x)
+        step = np.linalg.solve(jacobian, -B)
         x = x + step
         if not (rho_lo <= x[0] <= rho_hi and z_lo < x[1] <= z_hi):
             raise NoGuideMinimumError("refined minimum escaped the search box")
@@ -238,37 +240,29 @@ def characterize_guide(
     offset_B0: float = DEFAULT_OFFSET_B0,
 ) -> GuideCharacterization:
     """Full characterization of the guide minimum for the given species.
-    Raises NonSmoothPotentialError when ``offset_B0`` puts the Hessian
-    stencil outside HESSIAN_WINDOW (see ``_check_stencil``)."""
-    if offset_B0 < 0:
-        raise ConfigError(f"offset_B0 must be >= 0, got {offset_B0!r}")
+
+    The gradient is the top singular value of the field Jacobian J at the
+    minimum, the steepest slope of |B| out of the zero. U's Hessian there is
+    mu J^T J / hypot(B_min, B0), so the radial frequency is the quadrupole
+    relation at that gradient and the offset hypot(B_min, B0). Raises
+    ConfigError for an offset that is not a finite number >= 0, and
+    NonSmoothPotentialError for B0 = 0, where U has no trap frequency."""
+    if not (math.isfinite(offset_B0) and offset_B0 >= 0):
+        raise ConfigError(f"offset_B0 must be a finite number >= 0, got {offset_B0!r}")
+    if offset_B0 == 0:
+        raise NonSmoothPotentialError(
+            "geometry.offset_B0_T = 0: U = mu |B| is a cone at the field zero, with no "
+            "trap frequency; give an offset field B0 > 0"
+        )
     rho0, z0, iterations, step_size = find_guide_minimum(geometry)
     B_min = float(field_modulus(geometry, rho0, z0))
 
-    mu = species.magnetic_moment
-
-    def potential(r, zz):
-        return trap_potential(geometry, species, r, zz, offset_B0)
-
-    with np.errstate(over="ignore", invalid="ignore"):  # _check_stencil rejects a B0 that overflows U
-        hessian = potential_hessian(potential, rho0, z0)
-    eigvals, eigvecs = np.linalg.eigh(hessian)
-    lam_max = float(eigvals[-1])
-    # an overflowed U has no eigenvector; |B| rises about equally in every
-    # direction from a quadrupole zero, so e_rho serves for the window check
-    direction = eigvecs[:, -1] if math.isfinite(lam_max) else np.array([1.0, 0.0])
-
-    radial_frequency = math.sqrt(max(lam_max, 0.0) / species.mass) / (2.0 * math.pi)
-
-    step = 3.0 * HESSIAN_STEP
-    b_out = float(
-        field_modulus(geometry, rho0 + step * direction[0], z0 + step * direction[1])
-    )
-    gradient = (b_out - B_min) / step
-    _check_stencil(gradient, B_min, offset_B0)
+    _, jacobian = _field_jacobian(geometry, np.array([rho0, z0]))
+    gradient = float(np.linalg.norm(jacobian, 2))
+    radial_frequency = radial_frequency_quadrupole(gradient, math.hypot(B_min, offset_B0), species)
 
     depth_field, depth_step, depth_points = _depth_field(geometry, (rho0, z0), B_min)
-    depth_temperature = mu * depth_field / K_B
+    depth_temperature = species.magnetic_moment * depth_field / K_B
 
     return GuideCharacterization(
         min_position=(rho0, z0),
@@ -285,51 +279,13 @@ def characterize_guide(
     )
 
 
-def _check_stencil(gradient: float, B_min: float, offset_B0: float) -> None:
-    """Raise NonSmoothPotentialError, naming the offsets this guide admits,
-    unless r = gradient HESSIAN_STEP / hypot(B_min, B0) lies in HESSIAN_WINDOW
-    (a NaN r does not) and U = mu sqrt(|B|^2 + B0^2) is finite on the stencil."""
-    slope, scale = gradient * HESSIAN_STEP, math.hypot(B_min, offset_B0)
-    r = slope / scale if scale else math.inf
-    # U squares B0, so it overflows above this B0; |B| on the stencil stays below B_min + 2 slope
-    top = B_min + 2.0 * slope
-    finite_edge = math.sqrt(max(sys.float_info.max - top * top, 0.0))
-    if not HESSIAN_WINDOW[0] <= r <= HESSIAN_WINDOW[1]:
-        reason = (
-            f"puts r = gradient * HESSIAN_STEP / hypot(B_min, B0) at {r:.3g}, outside the window "
-            f"{list(HESSIAN_WINDOW)} where the Hessian stencil resolves the trap curvature"
-        )
-    elif offset_B0 > finite_edge:
-        reason = "overflows U = mu sqrt(|B|^2 + B0^2) on the Hessian stencil"
-    else:
-        return
-    # B0 = sqrt(x^2 - B_min^2) at x = slope / w, factored so that x^2 cannot overflow
-    edges = [slope / w for w in HESSIAN_WINDOW[::-1]]
-    lo, hi = (math.sqrt(max(x - B_min, 0.0)) * math.sqrt(max(x + B_min, 0.0)) for x in edges)
-    raise NonSmoothPotentialError(
-        f"geometry.offset_B0_T = {offset_B0!r} T {reason}; this guide admits "
-        f"geometry.offset_B0_T in [{lo:.3g}, {min(hi, finite_edge):.3g}] T"
-    )
-
-
-def potential_hessian(potential, rho0: float, z0: float) -> np.ndarray:
-    """2x2 central-difference Hessian (step HESSIAN_STEP) of a (rho, z)
-    potential, from one call of ``potential`` on the nine stencil points."""
-    h = HESSIAN_STEP
-    d_rho = np.array([0.0, h, -h, 0.0, 0.0, h, h, -h, -h])
-    d_z = np.array([0.0, 0.0, 0.0, h, -h, h, -h, h, -h])
-    u0, u_e, u_w, u_n, u_s, u_ne, u_se, u_nw, u_sw = potential(rho0 + d_rho, z0 + d_z).tolist()
-    uxx = (u_e - 2 * u0 + u_w) / h ** 2
-    uzz = (u_n - 2 * u0 + u_s) / h ** 2
-    uxz = (u_ne - u_se - u_nw + u_sw) / (4 * h ** 2)
-    return np.array([[uxx, uxz], [uxz, uzz]])
-
-
 def radial_frequency_quadrupole(
     gradient: float, offset_B0: float, species: AtomSpecies
 ) -> float:
-    """Small-oscillation frequency of a pure 2D quadrupole of transverse
-    gradient b' regularized by B0: f = b'/(2 pi) * sqrt(mu / (m B0))."""
+    """Small-oscillation frequency of a 2D quadrupole of transverse
+    gradient b' with the field B0 at its bottom:
+    f = b'/(2 pi) * sqrt(mu / (m B0)) (Fortagh & Zimmermann, Rev. Mod. Phys.
+    79, 235 (2007))."""
     if offset_B0 <= 0:
         raise ConfigError("the analytic quadrupole frequency needs offset_B0 > 0")
     return gradient / (2.0 * math.pi) * math.sqrt(

@@ -644,9 +644,9 @@ LOOPS_1E154 = (
             "guide",
             ["geometry.loops=[{radius_m: 4.87e-4, current_A: -1.23e150}, {radius_m: 5e-4, current_A: 1.21e150}, "
              "{radius_m: 5.13e-4, current_A: -1.23e150}]"],
-            2,
+            0,
         ),
-        ("guide", ["geometry.offset_B0_T=1e-6"], 2),
+        ("guide", ["geometry.offset_B0_T=1e-6"], 0),
         ("guide", ["geometry.offset_B0_T=1e155"], 2),
         (
             "guide",
@@ -665,11 +665,10 @@ LOOPS_1E154 = (
 def test_edge_inputs_end_in_a_json_status(tmp_path, config_path, capfd, command, overrides, code):
     """Two launch speeds an ulp apart that tie on their 2T, a subnormal PSD,
     a band top with more zeros n / tau than MAX_PULSE_ZEROS, a loop whose
-    field overflows, currents so large that the offsets the Hessian window
-    admits square past the float range, offset fields outside that window,
-    currents whose field overflows in the potential map only, and an offset
-    inside the window whose square overflows U: each ends in its exit code and
-    a JSON last line, with nothing on stderr and, on an error, no file. An
+    field overflows, currents of 1e150 A, a small offset field, currents whose
+    field overflows in the potential map only, and an offset whose square
+    overflows U there: each ends in its exit code and a JSON last line, with
+    nothing on stderr, on an error no file, and on success the files. An
     offset error names its key."""
     out = tmp_path / "out"
     argv = [command, "--config", config_path, "--out", str(out)]
@@ -678,10 +677,12 @@ def test_edge_inputs_end_in_a_json_status(tmp_path, config_path, capfd, command,
     assert captured.err == ""
     summary = json.loads(captured.out.strip().splitlines()[-1])
     assert summary["status"] == {0: "ok", 1: "config-error", 2: "physics-error"}[code]
-    if "offset_B0_T" in overrides[0]:
-        assert "geometry.offset_B0_T" in summary["error"]
     if code:
         assert not out.exists()
+        if "offset_B0_T" in overrides[0]:
+            assert "geometry.offset_B0_T" in summary["error"]
+    elif command == "guide":
+        assert sorted(path.name for path in out.iterdir()) == ["guide_characterization.json", "potential_map.csv"]
     elif command == "mission":
         data = np.genfromtxt(out / "mission.csv", delimiter=",", names=True, skip_header=15)
         assert data.size == 2
@@ -1112,7 +1113,6 @@ def test_every_public_name_has_a_user():
     exempt = {
         "OMEGA_EARTH",  # the Earth-rate noise source (ROADMAP D13) needs it
         "sensitivity_function_g",  # oracle: tests compare |H|^2 with its Fourier transform
-        "radial_frequency_quadrupole",  # oracle: tests compare the guide's frequency with it
     }
     files = [path for path in (REPO / "src" / "chipgyro").glob("*.py") if path.name != "__init__.py"]
     files += [REPO / "README.md", REPO / "tests" / "test_acceptance.py"]

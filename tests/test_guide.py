@@ -10,14 +10,13 @@ from chipgyro.errors import ConfigError, NoGuideMinimumError, NonSmoothPotential
 from chipgyro.guide import (
     DEPTH_GRID,
     DEPTH_TILE,
-    HESSIAN_STEP,
     _TiledFieldMap,
     _depth_field,
+    _field_jacobian,
     _flood_barrier,
     _search_box,
     characterize_guide,
     find_guide_minimum,
-    potential_hessian,
     radial_frequency_quadrupole,
     trap_potential,
 )
@@ -27,6 +26,20 @@ from chipgyro.magnetostatics import (
     design_guide_geometry,
     field_modulus,
     total_field_arrays,
+)
+
+
+RING_1MM = GuideGeometry(
+    loops=(
+        WireLoop(radius=974e-6, current=-0.123, height=0.0),
+        WireLoop(radius=1000e-6, current=0.121, height=0.0),
+        WireLoop(radius=1026e-6, current=-0.123, height=0.0),
+    )
+)
+
+
+GUIDES = pytest.mark.parametrize(
+    "geometry", [design_guide_geometry(), RING_1MM], ids=["design", "ring"]
 )
 
 
@@ -68,7 +81,7 @@ def test_current_scaling_leaves_minimum_position():
 
 def test_gradient_scales_with_current(characterization):
     doubled = characterize_guide(design_guide_geometry().scaled(2.0), species_rb87())
-    assert doubled.gradient == pytest.approx(2.0 * characterization.gradient, rel=1e-3, abs=0)
+    assert doubled.gradient == pytest.approx(2.0 * characterization.gradient, rel=1e-12, abs=0)
 
 
 def test_depth_band(characterization):
@@ -80,9 +93,28 @@ def test_radial_frequency_band(characterization):
     assert 500.0 <= characterization.radial_frequency <= 4500.0
 
 
+HESSIAN_STEP = 1e-8  # m, default step of the oracle's potential stencil
+
+
+def _potential_hessian(potential, rho0, z0, h=HESSIAN_STEP):
+    """Oracle: 2x2 central-difference Hessian (step h) of a (rho, z)
+    potential, from one call of ``potential`` on the nine stencil points."""
+    d_rho = np.array([0.0, h, -h, 0.0, 0.0, h, h, -h, -h])
+    d_z = np.array([0.0, 0.0, 0.0, h, -h, h, -h, h, -h])
+    u0, u_e, u_w, u_n, u_s, u_ne, u_se, u_nw, u_sw = potential(rho0 + d_rho, z0 + d_z).tolist()
+    uxx = (u_e - 2 * u0 + u_w) / h ** 2
+    uzz = (u_n - 2 * u0 + u_s) / h ** 2
+    uxz = (u_ne - u_se - u_nw + u_sw) / (4 * h ** 2)
+    return np.array([[uxx, uxz], [uxz, uzz]])
+
+
+def _stencil_frequency(hessian, species):
+    return math.sqrt(max(np.linalg.eigvalsh(hessian)[-1], 0.0) / species.mass) / (2 * math.pi)
+
+
 def test_radial_frequency_against_quadrupole_oracle(characterization):
-    """The Hessian route applied to an ideal 2D quadrupole potential must
-    reproduce the analytic small-oscillation frequency."""
+    """The oracle's Hessian stencil applied to an ideal 2D quadrupole
+    potential reproduces the analytic small-oscillation frequency."""
     rb = species_rb87()
     gradient = characterization.gradient
     b0 = characterization.offset_B0
@@ -91,12 +123,50 @@ def test_radial_frequency_against_quadrupole_oracle(characterization):
     def potential(r, z):
         return mu * np.sqrt(gradient ** 2 * ((r - 1e-4) ** 2 + (z - 2e-5) ** 2) + b0 ** 2)
 
-    hessian = potential_hessian(potential, 1e-4, 2e-5)
-    f_numeric = math.sqrt(max(np.linalg.eigvalsh(hessian)[-1], 0.0) / rb.mass) / (2 * math.pi)
-    f_analytic = radial_frequency_quadrupole(gradient, b0, rb)
-    assert f_numeric == pytest.approx(f_analytic, rel=1e-4, abs=0)
-    # and the real guide is quadrupole-like near its zero line
-    assert characterization.radial_frequency == pytest.approx(f_analytic, rel=0.02, abs=0)
+    f_numeric = _stencil_frequency(_potential_hessian(potential, 1e-4, 2e-5), rb)
+    assert f_numeric == pytest.approx(radial_frequency_quadrupole(gradient, b0, rb), rel=1e-4, abs=0)
+
+
+@GUIDES
+def test_gradient_against_symmetric_slope_oracle(geometry):
+    """The gradient is the slope of |B| out of the zero along J's top right
+    singular vector v: (|B|(x0 + eps v) + |B|(x0 - eps v)) / (2 eps), whose
+    symmetric sum cancels the curvature of |B|."""
+    ch = characterize_guide(geometry, species_rb87())
+    x0 = np.array(ch.min_position)
+    _, jacobian = _field_jacobian(geometry, x0)
+    v = np.linalg.svd(jacobian)[2][0]
+    eps = 1e-8
+    plus, minus = field_modulus(geometry, *(x0[:, None] + eps * np.outer(v, [1.0, -1.0]))).tolist()
+    assert (plus + minus) / (2 * eps) == pytest.approx(ch.gradient, rel=1e-8, abs=0)
+
+
+@GUIDES
+def test_radial_frequency_against_potential_stencil_oracle(geometry):
+    """The oracle's 9-point stencil of V = mu |B|^2 / (hypot(|B|, B0) + B0),
+    which is U - mu B0 without its cancellation, with a step well inside the
+    harmonic core, gives the guide's frequency from B0 = 1e-6 T to 1e155 T."""
+    rb = species_rb87()
+    mu = rb.magnetic_moment
+    for b0 in (1e-6, 2e-5, 1.5e-2, 1.0, 10.0, 30.0, 1e155):
+        ch = characterize_guide(geometry, rb, offset_B0=b0)
+
+        def potential(r, z):
+            modulus = field_modulus(geometry, r, z)
+            return mu * modulus * modulus / (np.hypot(modulus, b0) + b0)
+
+        h = min(1e-3 * b0 / ch.gradient, 1e-8)
+        hessian = _potential_hessian(potential, *ch.min_position, h)
+        assert _stencil_frequency(hessian, rb) == pytest.approx(ch.radial_frequency, rel=5e-6, abs=0), b0
+
+
+def test_gradient_does_not_depend_on_the_offset():
+    """The gradient is a property of the field alone: the same float for any B0."""
+    gradients = {
+        characterize_guide(design_guide_geometry(), species_rb87(), offset_B0=b0).gradient
+        for b0 in (2e-5, 1.5e-2, 30.0)
+    }
+    assert len(gradients) == 1
 
 
 def test_trap_potential_offset_in_quadrature():
@@ -111,7 +181,7 @@ def test_hessian_symmetric():
     def potential(r, z):
         return (r - 1e-4) ** 2 + 3.0 * (z - 2e-5) ** 2 + 0.5 * (r - 1e-4) * (z - 2e-5)
 
-    h = potential_hessian(potential, 1e-4, 2e-5)
+    h = _potential_hessian(potential, 1e-4, 2e-5)
     assert h[0, 1] == h[1, 0]
     assert h[0, 0] == pytest.approx(2.0, rel=1e-4, abs=0)
     assert h[1, 1] == pytest.approx(6.0, rel=1e-4, abs=0)
@@ -176,15 +246,6 @@ def test_flood_barrier_on_random_surface_matches_bisection():
         )
 
 
-RING_1MM = GuideGeometry(
-    loops=(
-        WireLoop(radius=974e-6, current=-0.123, height=0.0),
-        WireLoop(radius=1000e-6, current=0.121, height=0.0),
-        WireLoop(radius=1026e-6, current=-0.123, height=0.0),
-    )
-)
-
-
 def _depth_grid(geometry):
     (rho_lo, rho_hi), (_, z_hi) = _search_box(geometry)
     return np.linspace(rho_lo, rho_hi, DEPTH_GRID), np.linspace(z_hi / DEPTH_GRID, z_hi, DEPTH_GRID)
@@ -204,7 +265,7 @@ def _assert_tiled_map_matches_full(geometry, rho, z):
     return tiled
 
 
-@pytest.mark.parametrize("geometry", [design_guide_geometry(), RING_1MM], ids=["design", "ring"])
+@GUIDES
 def test_tiled_map_barrier_equals_full_map(geometry):
     tiled = _assert_tiled_map_matches_full(geometry, *_depth_grid(geometry))
     assert tiled.points < DEPTH_GRID ** 2
@@ -331,16 +392,14 @@ def test_minimum_matches_root_oracle_on_seeded_guides():
 
 
 def test_scalar_and_array_routes_agree_on_hessian_stencils():
-    """|B| and U at each of the nine Hessian stencil points around the
-    minimum, one scalar call per point, equal one array call over all nine
-    bit for bit: on the design guide, the 1 mm ring and the seeded guides."""
-    ring = GuideGeometry(
-        loops=tuple(WireLoop(r, i, 0.0) for r, i in ((974e-6, -0.123), (1000e-6, 0.121), (1026e-6, -0.123)))
-    )
+    """|B| and U at each of the nine points of the oracle's Hessian stencil
+    around the minimum, one scalar call per point, equal one array call over
+    all nine bit for bit: on the design guide, the 1 mm ring and the seeded
+    guides."""
     species, h = species_rb87(), HESSIAN_STEP
     d_rho = np.array([0.0, h, -h, 0.0, 0.0, h, h, -h, -h])
     d_z = np.array([0.0, 0.0, 0.0, h, -h, h, -h, h, -h])
-    for geometry in (design_guide_geometry(), ring, *(g for g, _, _ in _seeded_guides())):
+    for geometry in (design_guide_geometry(), RING_1MM, *(g for g, _, _ in _seeded_guides())):
         rho0, z0, _, _ = find_guide_minimum(geometry)
         rho, z = rho0 + d_rho, z0 + d_z
         points = list(zip(rho.tolist(), z.tolist()))
@@ -377,33 +436,13 @@ def test_non_smooth_without_offset():
         characterize_guide(design_guide_geometry(), species_rb87(), offset_B0=0.0)
 
 
-@pytest.mark.parametrize(
-    "geometry, inside, outside",
-    [
-        # r = gradient HESSIAN_STEP / B0 with gradients of 151 T/m and 37.9 T/m:
-        # the window admits B0 in [1.51e-5, 15.1] T and [3.79e-6, 3.79] T
-        (design_guide_geometry(), (2e-5, DEFAULT_OFFSET_B0, 10.0), (1e-12, 1e-6, 1e-5, 30.0, 1e155)),
-        (RING_1MM, (1e-5, DEFAULT_OFFSET_B0, 1.0), (0.0, 1e-6, 10.0, 100.0)),
-    ],
-    ids=["design", "ring"],
-)
-def test_hessian_window_on_the_offset_field(geometry, inside, outside):
-    """Inside HESSIAN_WINDOW the stencil's frequency holds the quadrupole
-    oracle (its plateau is 1.0035 of it on the design guide, 1.0017 on the
-    ring; the window's edges add under 2e-3). Outside it, where the stencil
-    read 0.85 (1e-6 T), 0.0012 (1e-12 T), 1.33 (100 T), 0.0 or NaN, the
-    guide raises and names the key and the offsets this guide admits."""
-    rb = species_rb87()
-    for b0 in inside:
-        ch = characterize_guide(geometry, rb, offset_B0=b0)
-        oracle = radial_frequency_quadrupole(ch.gradient, b0, rb)
-        assert ch.radial_frequency == pytest.approx(oracle, rel=6e-3, abs=0), b0
-    for b0 in outside:
-        with pytest.raises(NonSmoothPotentialError, match=r"geometry\.offset_B0_T in \[[0-9.e-]+, [0-9.]+\] T"):
-            characterize_guide(geometry, rb, offset_B0=b0)
-
-
 def test_negative_offset_rejected():
     with pytest.raises(ConfigError):
         characterize_guide(design_guide_geometry(), species_rb87(), offset_B0=-1e-4)
 
+
+
+@pytest.mark.parametrize("b0", [math.nan, math.inf, -math.inf])
+def test_non_finite_offset_rejected(b0):
+    with pytest.raises(ConfigError, match="finite"):
+        characterize_guide(design_guide_geometry(), species_rb87(), offset_B0=b0)
