@@ -15,8 +15,8 @@ separators=(",", ":"))`` and, when ``noise.file`` is set, ``psd_file_sha256``
 of its bytes); a CSV file starts with the version and the config hash.
 Outputs are deterministic: identical config (including seed) gives
 bitwise-identical files. Exit codes: 0 success, 1 config/validation error,
-2 physics-domain error (no guide minimum, infeasible target), 3 environment
-error (a compiled scipy module missing from the installed scipy).
+2 physics-domain error (no guide minimum, infeasible target, a value past the
+float range), 3 environment error (a compiled scipy module missing).
 """
 
 from __future__ import annotations
@@ -397,17 +397,15 @@ def cmd_guide(config: dict) -> tuple:
 
 
 def _transfer_grid(f_min: float, f_max: float, points_per_decade: int, config_ai) -> np.ndarray:
-    from .interferometer import _pulse_zeros, _sorted_unique
+    from .interferometer import band_grid
 
     decades_lo = math.log10(f_min)
     span = (math.log10(f_max) - decades_lo) * points_per_decade
     n_points = round(span) + 1 if math.isfinite(span) else math.inf
     _check_rows(n_points, "run.transfer.f_min_hz, f_max_hz and points_per_decade")
     exponents = decades_lo + np.arange(n_points) / points_per_decade
-    base = 10.0 ** exponents
     # pin the pulse-duration zeros onto the grid so the notch depth is exact
-    grid = _sorted_unique(np.concatenate([base, _pulse_zeros(config_ai.pulse_duration, f_max)]))
-    return grid[(grid >= f_min) & (grid <= f_max)]
+    return band_grid(config_ai, f_min, f_max, 10.0 ** exponents)
 
 
 def cmd_transfer(config: dict) -> tuple:
@@ -602,7 +600,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(json.dumps({"command": args.command, "status": "config-error", "error": str(exc)}))
         return 1
-    except PhysicsError as exc:
+    except (PhysicsError, ArithmeticError) as exc:
+        if isinstance(exc, ArithmeticError):  # a float ** or / in the stage
+            exc = f"{args.command} left the float range: {type(exc).__name__}: {exc}"
         print(json.dumps({"command": args.command, "status": "physics-error", "error": str(exc)}))
         return 2
     except ImportError as exc:

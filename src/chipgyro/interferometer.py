@@ -2,8 +2,8 @@
 
 Scale factor, shot-noise-limited rotation sensitivity, the sensitivity
 function g(t) and the transfer function |H(f)|^2 of the two-beam-splitter
-sequence (the circular guide itself acts as the mirror). |H|^2 and the
-pulse shape's factor in it are formed here only; ``noise`` reads both.
+sequence (the circular guide itself acts as the mirror). |H|^2, the pulse
+shape's factor in it and that factor's zeros are formed here only.
 
 Conventions (reported in every CLI output):
   * the wave packets are launched azimuthally at ``launch_velocity``
@@ -173,9 +173,11 @@ def sensitivity_function_g(t, config: InterferometerConfig):
     return float(g) if g.ndim == 0 else g
 
 
-def _pulse_factor(f, tau: float):
-    """sinc(pi f tau), the factor of a square pulse of duration tau in H(f),
-    with the limit 1 at f = 0; a float ``f`` gives a float, without numpy."""
+def _pulse_factor(f, config: InterferometerConfig):
+    """sinc(pi f tau), the factor of the square pulse of duration tau of
+    ``config`` in H(f), with the limit 1 at f = 0; a float ``f`` gives a
+    float, without numpy."""
+    tau = config.pulse_duration
     if isinstance(f, float):
         x = math.pi * f * tau
         return math.sin(x) / x if x else 1.0
@@ -187,12 +189,11 @@ def _pulse_factor(f, tau: float):
 def transfer_H_abs2(f, config: InterferometerConfig):
     """|H(f)|^2 of the transfer function H(f) = -(2i / (pi f tau)) sin(pi f tau)
     sin(pi f (2T - tau)), with the limit |H(0)|^2 = 0; a float gives a float."""
-    tau = config.pulse_duration
-    D = config.interrogation_time - tau
+    D = config.interrogation_time - config.pulse_duration
     if isinstance(f, float):
-        return (2.0 * _pulse_factor(f, tau) * math.sin(math.pi * f * D)) ** 2
+        return (2.0 * _pulse_factor(f, config) * math.sin(math.pi * f * D)) ** 2
     f = np.asarray(f, dtype=float)
-    return (2.0 * _pulse_factor(f, tau) * np.sin(np.pi * f * D)) ** 2
+    return (2.0 * _pulse_factor(f, config) * np.sin(np.pi * f * D)) ** 2
 
 
 def corner_frequencies(config: InterferometerConfig) -> tuple:
@@ -201,16 +202,14 @@ def corner_frequencies(config: InterferometerConfig) -> tuple:
     return 1.0 / (math.pi * tau), 1.0 / (math.pi * (config.interrogation_time - tau))
 
 
-def _sorted_unique(values: np.ndarray) -> np.ndarray:
-    """The distinct values of a NaN-free 1D array, sorted: ``np.unique``'s
-    result, without the ``numpy.ma`` import that ``np.unique`` makes."""
-    values = np.sort(values)
-    return np.concatenate((values[:1], values[1:][values[1:] != values[:-1]]))
-
-
-def _pulse_zeros(tau: float, f_max: float) -> np.ndarray:
-    """The zeros n / tau <= f_max (n >= 1) of the pulse's sinc(pi f tau).
-    Raises ConfigError when there are more than MAX_PULSE_ZEROS."""
+def band_grid(config: InterferometerConfig, f_min: float, f_max: float, *points) -> np.ndarray:
+    """The sorted distinct values in [f_min, f_max] of the arrays ``points``
+    and the zeros n / tau (n >= 1) of the pulse factor of ``config``, without
+    the ``numpy.ma`` import that ``np.unique`` makes. Raises ConfigError when
+    f_max holds more than MAX_PULSE_ZEROS zeros."""
+    tau = config.pulse_duration
     if not f_max * tau < MAX_PULSE_ZEROS + 1:
         raise ConfigError(f"band top {f_max} Hz holds over {MAX_PULSE_ZEROS} zeros n / tau (tau = {tau} s)")
-    return np.arange(1, math.floor(f_max * tau) + 1) / tau
+    values = np.sort(np.concatenate([*points, np.arange(1, math.floor(f_max * tau) + 1) / tau]))
+    values = np.concatenate((values[:1], values[1:][values[1:] != values[:-1]]))
+    return values[(values >= f_min) & (values <= f_max)]

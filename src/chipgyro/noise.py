@@ -11,8 +11,8 @@ Kernels (omega = 2 pi f, k_eff of the species, G = ``interferometer.rotation_gai
   rotation:     sigma^2 = int (G^2 / omega^2) S_Omega(f) |H(f)|^2 df
 
 Each kernel is written once, in ``phase_kernel(domain, config)``, which
-returns K(f) for that config (a slow rotation reads back as itself); |H|^2
-with its pulse factor is formed only in ``interferometer``. ``phase_variance``
+returns K(f) for that config (a slow rotation reads back as itself); |H|^2,
+its pulse factor and that factor's zeros come from ``interferometer``. ``phase_variance``
 picks the kernel from the PSD's own domain, ``convert_psd`` reads the same
 kernels, and ``dick_sum_allan`` samples the chain at the harmonics of the
 cycle rate for the Allan variance that dead time aliases in (the Dick effect).
@@ -34,8 +34,7 @@ from .errors import ConfigError, DivergentIntegralError
 from .interferometer import (
     InterferometerConfig,
     _pulse_factor,
-    _pulse_zeros,
-    _sorted_unique,
+    band_grid,
     rotation_gain,
     scale_factor,
     transfer_H_abs2,
@@ -43,6 +42,7 @@ from .interferometer import (
 
 ONE_SIDED_CONVENTION = "one-sided, ordinary frequency"
 DICK_TAIL_FRACTION = 1e-4  # converged Dick sum: the band above its last harmonic at most this share
+DEFAULT_RTOL = 1e-6  # relative accuracy asked of each quadrature panel unless given
 
 
 @dataclass(frozen=True)
@@ -235,8 +235,9 @@ class VarianceResult:
 
 def _integrate_band(psd, config, f_min, f_max, rtol, pulses):
     """int S K |H|^2 df over [f_min, f_max] on QUADPACK; returns the value, its
-    error estimate, the number of points at which the PSD was evaluated and
-    the (lo, hi) panels on which QUADPACK's status ``ier`` was non-zero.
+    error estimate, the number of points at which the PSD was evaluated, the
+    (lo, hi) panels on which QUADPACK's status ``ier`` was non-zero and the
+    verdict ``converged``: no such panel, and the error at most rtol |value|.
 
     K is the ``phase_kernel`` of the PSD's domain for ``config``, and |H|^2 =
     2 p^2 (1 - cos 2 pi D f) the ``transfer_H_abs2`` of the pulse pair ``pulses``, p
@@ -246,27 +247,19 @@ def _integrate_band(psd, config, f_min, f_max, rtol, pulses):
     (QAWO), whose cost does not depend on D. On a narrow panel the two parts would
     cancel (to about 8 digits for the omega^-4 kernel near f_min, completely for a
     line on a zero of H). Panel edges are the band ends, the zeros m/D for m <= 8,
-    the zeros n/tau of p, tabulated-PSD knots and one edge per octave; none above
-    8/D depends on 2T, so neither does the cost.
+    tabulated-PSD knots and one edge per octave, merged by ``band_grid`` with the
+    zeros n/tau of p; none above 8/D depends on 2T, so neither does the cost.
 
     QUADPACK passes one float at a time, so S, K, |H|^2 and p take their float
     routes; QAGS and QAWO get the arguments ``scipy.integrate.quad`` passes them.
     """
     quadpack = compiled_module("scipy.integrate._quadpack")
 
-    tau = pulses.pulse_duration
-    d = pulses.interrogation_time - tau
+    d = pulses.interrogation_time - pulses.pulse_duration
     n_octaves = int(math.ceil(math.log2(f_max) - math.log2(f_min)))
-    edges = [
-        [f_min, f_max],
-        np.arange(1, 9) / d,
-        _pulse_zeros(tau, f_max),
-        np.ldexp(f_min, np.arange(1, n_octaves)),
-    ]
-    if psd.is_tabulated:
-        edges.append(psd.frequencies)
-    edges = _sorted_unique(np.concatenate(edges))
-    edges = edges[(edges >= f_min) & (edges <= f_max)]
+    octaves = np.ldexp(f_min, np.arange(1, n_octaves))
+    knots = psd.frequencies if psd.is_tabulated else []
+    edges = band_grid(pulses, f_min, f_max, [f_min, f_max], np.arange(1, 9) / d, octaves, knots)
 
     kernel = phase_kernel(psd.domain, config)
     n_evals = 0
@@ -297,11 +290,11 @@ def _integrate_band(psd, config, f_min, f_max, rtol, pulses):
             # sin(pi f D) / omega (the acceleration product grows like 1/f^2
             # and is left to diverge)
             ratio = math.sin(math.pi * f * d) / (2.0 * math.pi * f)
-            value = psd.evaluate(f) * (2.0 * rotation_gain(config) * _pulse_factor(f, tau) * ratio) ** 2
+            value = psd.evaluate(f) * (2.0 * rotation_gain(config) * _pulse_factor(f, pulses) * ratio) ** 2
         return value
 
     def smooth(f):
-        return 2.0 * weighted(f) * _pulse_factor(f, tau) ** 2
+        return 2.0 * weighted(f) * _pulse_factor(f, pulses) ** 2
 
     total = err = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -320,7 +313,7 @@ def _integrate_band(psd, config, f_min, f_max, rtol, pulses):
             value_err += wave_err
         total += value
         err += value_err
-    return total, err, n_evals, warned
+    return total, err, n_evals, warned, not warned and err <= rtol * abs(total)
 
 
 def phase_variance(
@@ -328,7 +321,7 @@ def phase_variance(
     config: InterferometerConfig,
     f_min: float = DEFAULT_F_MIN,
     f_max: Optional[float] = None,
-    rtol: float = 1e-6,
+    rtol: float = DEFAULT_RTOL,
 ) -> VarianceResult:
     """sigma_phi^2 = int K S |H|^2 df over the declared band, with K the
     ``phase_kernel`` of the PSD's own domain.
@@ -359,7 +352,7 @@ def phase_variance(
     if not 1e-13 <= rtol < 1.0:
         raise ConfigError(f"rtol must lie in [1e-13, 1), got {rtol}")
 
-    value, err, n_evals, warned = _integrate_band(psd, config, f_min, f_max, rtol, config)
+    value, err, n_evals, warned, converged = _integrate_band(psd, config, f_min, f_max, rtol, config)
     if not math.isfinite(value):
         raise DivergentIntegralError(f"noise integral is not finite on band [{f_min}, {f_max}]")
     notes = [f"QUADPACK warning on panel [{lo}, {hi}] Hz" for lo, hi in warned]
@@ -372,7 +365,7 @@ def phase_variance(
         domain=psd.domain,
         notes="; ".join(notes),
         n_evals=n_evals,
-        converged=not warned and err <= rtol * abs(value),
+        converged=converged,
     )
 
 
@@ -424,15 +417,17 @@ def dick_sum_allan(
 
     n_terms = min(m_max, math.floor(f_max * t_c))
     f = np.arange(1, n_terms + 1) / t_c
-    kernel = phase_kernel(psd.domain, config)(f)
-    total = float(np.sum(psd.evaluate(f) * kernel * transfer_H_abs2(f, config)))
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum past the float range reads inf or nan
+        kernel = phase_kernel(psd.domain, config)(f)
+        total = float(np.sum(psd.evaluate(f) * kernel * transfer_H_abs2(f, config)))
     tail, converged = 0.0, True
     if m_max + 1 <= f_max * t_c:  # m_max truncates: harmonic m_max + 1 lies in the band
         # folded, D = 2T - tau is tau + dead time; T_c - D would round the m / D edges off n / tau
         two_t = min(config.interrogation_time, 2.0 * config.pulse_duration + config.cycle_dead_time)
         pulses = replace(config, interrogation_time=two_t)
-        value, err, _, warned = _integrate_band(psd, config, (n_terms + 0.5) / t_c, f_max, 1e-6, pulses)
-        tail, converged = t_c * value, not warned and err <= 1e-6 * abs(value)
+        f_lo = (n_terms + 0.5) / t_c
+        tail, _, _, _, converged = _integrate_band(psd, config, f_lo, f_max, DEFAULT_RTOL, pulses)
+        tail *= t_c
     variance = (total + tail) / norm
     return DickSumResult(
         sigma=math.sqrt(variance), variance=variance, m_max=n_terms, tail_bound=tail / norm,

@@ -625,6 +625,7 @@ LOOPS_1E154 = (
     "geometry.loops=[{radius_m: 4.87e-4, current_A: -1.23e154}, {radius_m: 5e-4, current_A: 1.21e154}, "
     "{radius_m: 5.13e-4, current_A: -1.23e154}]"
 )
+ROTATION_NOISE = ("noise.domain=rotation", "noise.model.white=1e-8")
 
 
 @pytest.mark.parametrize(
@@ -654,12 +655,27 @@ LOOPS_1E154 = (
             2,
         ),
         ("guide", ["geometry.offset_B0_T=1e155", LOOPS_1E154], 2),
+        ("allan", [*ROTATION_NOISE, "interferometer.latitude_deg=1e-300"], 2),
+        ("allan", [*ROTATION_NOISE, "interferometer.v_launch_over_vr=1e300"], 2),
+        ("noise", [*ROTATION_NOISE, "interferometer.v_launch_over_vr=1e300"], 2),
+        (
+            "noise",
+            ["noise.domain=acceleration", "noise.model.white=1e-8", "species.name=x", "species.mass_kg=1.4e-25",
+             "species.wavelength_m=1e-200", "species.magnetic_moment_J_T=1e-23"],
+            2,
+        ),
+        ("noise", [*ROTATION_NOISE, "interferometer.interrogation_time_s=1e200"], 2),
+        ("sensitivity", ["run.sensitivity.two_t_max_s=1e200"], 2),
+        ("allan", ["interferometer.atom_number=1e-300", "interferometer.v_launch_over_vr=1e-300"], 2),
+        ("allan", ["noise.domain=phase", "noise.model.white=1e308"], 2),
     ],
     ids=[
         "mission-ulp-tie", "noise-white-5e-324", "noise-white-1e-323", "noise-white-4e-322",
         "noise-band-top-1e300", "allan-band-top-1e300", "transfer-band-top-1e300",
         "guide-loop-radius-1e300", "guide-loop-current-1e300", "guide-currents-1e150", "guide-offset-1e-6",
         "guide-offset-1e155", "guide-currents-1e154-map-overflow", "guide-currents-1e154-offset-1e155",
+        "allan-latitude-1e-300", "allan-launch-1e300", "noise-launch-1e300", "noise-wavelength-1e-200",
+        "noise-2T-1e200", "sensitivity-2T-1e200", "allan-atoms-and-launch-1e-300", "allan-phase-white-1e308",
     ],
 )
 def test_edge_inputs_end_in_a_json_status(tmp_path, config_path, capfd, command, overrides, code):
@@ -667,7 +683,9 @@ def test_edge_inputs_end_in_a_json_status(tmp_path, config_path, capfd, command,
     a band top with more zeros n / tau than MAX_PULSE_ZEROS, a loop whose
     field overflows, currents of 1e150 A, a small offset field, currents whose
     field overflows in the potential map only, and an offset whose square
-    overflows U there: each ends in its exit code and a JSON last line, with
+    overflows U there, and inputs whose rotation chain (scale factor, its
+    square, k_eff^2, tau SF^2, the shot-noise slope, the Dick sum) leaves the
+    float range: each ends in its exit code and a JSON last line, with
     nothing on stderr, on an error no file, and on success the files. An
     offset error names its key."""
     out = tmp_path / "out"
@@ -686,6 +704,18 @@ def test_edge_inputs_end_in_a_json_status(tmp_path, config_path, capfd, command,
     elif command == "mission":
         data = np.genfromtxt(out / "mission.csv", delimiter=",", names=True, skip_header=15)
         assert data.size == 2
+
+
+def test_allan_taus_that_do_not_increase_exit_1(tmp_path, config_path, capsys):
+    """tau_min and tau_max one ulp apart put 50 log-spaced taus on two
+    floats, so the curve's taus do not increase: exit 1, no file."""
+    out = tmp_path / "out"
+    overrides = ["run.allan.tau_min_s=1.0", "run.allan.tau_max_s=1.0000000000000002", "run.allan.n_points=50"]
+    argv = ["allan", "--config", config_path, "--out", str(out)]
+    code, summary = _run(capsys, *argv, *(arg for item in overrides for arg in ("--override", item)))
+    assert (code, summary["status"]) == (1, "config-error")
+    assert summary["error"] == "Allan curve integration times must be strictly increasing"
+    assert not out.exists()
 
 
 def test_mission_floor_ties_in_config_order(tmp_path, config_path, capsys):

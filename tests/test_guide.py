@@ -446,3 +446,25 @@ def test_negative_offset_rejected():
 def test_non_finite_offset_rejected(b0):
     with pytest.raises(ConfigError, match="finite"):
         characterize_guide(design_guide_geometry(), species_rb87(), offset_B0=b0)
+
+
+def test_single_loop_has_no_interior_minimum():
+    """One loop alone makes no zero of B above the chip: the coarse scan finds
+    no interior |B| minimum and says so."""
+    geometry = GuideGeometry((WireLoop(radius=5e-4, current=0.1, height=0.0),))
+    with pytest.raises(NoGuideMinimumError, match=r"^no interior \|B\| minimum in the search box"):
+        find_guide_minimum(geometry)
+
+
+def test_newton_leaving_the_box_is_an_error(monkeypatch):
+    """A Newton step that lands outside the search box stops the refinement;
+    a near-singular Jacobian stands in for a bad start."""
+    monkeypatch.setattr("chipgyro.guide._field_jacobian", lambda geometry, x: (np.ones(2), 1e-12 * np.eye(2)))
+    with pytest.raises(NoGuideMinimumError, match="^refined minimum escaped the search box$"):
+        find_guide_minimum(design_guide_geometry())
+
+
+@pytest.mark.parametrize("b0", [0.0, -1e-4])
+def test_quadrupole_frequency_needs_an_offset(b0):
+    with pytest.raises(ConfigError, match="needs offset_B0 > 0"):
+        radial_frequency_quadrupole(1.0, b0, species_rb87())

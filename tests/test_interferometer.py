@@ -10,7 +10,7 @@ from chipgyro.errors import ConfigError, DegenerateOrientationError
 from chipgyro.interferometer import (
     MAX_PULSE_ZEROS,
     InterferometerConfig,
-    _pulse_zeros,
+    band_grid,
     corner_frequencies,
     guide_radius_for,
     rb87_config,
@@ -167,11 +167,12 @@ def test_guide_radius_is_an_input_only():
 
 def test_pulse_zeros_bound():
     """A band may hold MAX_PULSE_ZEROS zeros n / tau and not one more."""
-    zeros = _pulse_zeros(1.0, float(MAX_PULSE_ZEROS))
+    config = rb87_config(pulse_duration=1.0, interrogation_time=2.0)
+    zeros = band_grid(config, 1.0, float(MAX_PULSE_ZEROS))
     assert zeros.size == MAX_PULSE_ZEROS
     assert (zeros[0], zeros[-1]) == (1.0, float(MAX_PULSE_ZEROS))
     with pytest.raises(ConfigError, match=f"over {MAX_PULSE_ZEROS} zeros"):
-        _pulse_zeros(1.0, MAX_PULSE_ZEROS + 1.0)
+        band_grid(config, 1.0, MAX_PULSE_ZEROS + 1.0)
 
 
 @pytest.mark.parametrize("radius", [-1e-3, math.nan])
@@ -197,6 +198,9 @@ def test_config_validation():
         _config(pulse_duration=5.0)  # tau >= 2T
     with pytest.raises(ConfigError):
         _config(contrast=0.0)
+    for squeezing in (0.0, 1.5, math.nan):
+        with pytest.raises(ConfigError, match=r"^squeezing must be in \(0, 1\]"):
+            _config(squeezing=squeezing)
     with pytest.raises(ConfigError):
         _config(n_loops=0)
     with pytest.raises(ConfigError):

@@ -171,6 +171,10 @@ def test_singular_point_raises():
 def test_geometry_validation():
     with pytest.raises(ConfigError):
         WireLoop(radius=-1e-6, current=0.1, height=0.0)
+    with pytest.raises(ConfigError, match="^loop current must be finite"):
+        WireLoop(radius=5e-4, current=math.nan, height=0.0)
+    with pytest.raises(ConfigError, match="^loop height must be finite"):
+        WireLoop(radius=5e-4, current=0.1, height=math.inf)
     with pytest.raises(ConfigError):
         GuideGeometry(loops=())
     with pytest.raises(ConfigError):
@@ -196,3 +200,8 @@ def test_vectorized_matches_scalar():
     mods = field_modulus(geometry, rho, z)
     for i in range(3):
         assert mods[i] == pytest.approx(float(field_modulus(geometry, rho[i], z[i])), rel=1e-12, abs=0)
+
+
+def test_oracle_needs_eight_segments():
+    with pytest.raises(ConfigError, match="^n_segments must be >= 8, got 7"):
+        loop_field_oracle(WireLoop(radius=5e-4, current=0.1, height=0.0), 4e-4, 1e-5, n_segments=7)

@@ -225,7 +225,7 @@ def test_float_routes_match_array_routes():
     white_only = PowerSpectralDensity(domain="rotation", white=1e-14)
     routes["white_only"] = white_only.evaluate
     routes["transfer_H_abs2"] = lambda x: transfer_H_abs2(x, cfg)
-    routes["pulse_factor"] = lambda x: _pulse_factor(x, tau)  # changes sign at n/tau
+    routes["pulse_factor"] = lambda x: _pulse_factor(x, cfg)  # changes sign at n/tau
     for domain in ("phase", "acceleration", "rotation"):
         routes[domain] = phase_kernel(domain, cfg)
     for name, route in routes.items():
@@ -540,9 +540,18 @@ def test_psd_validation():
         )
     with pytest.raises(ConfigError):
         PowerSpectralDensity(domain="phase", frequencies=np.array([1.0, 2.0]), values=None)
+    # a 2-D table, one knot, lengths that differ
+    for f, s in (([[1.0, 2.0]], [[1.0, 1.0]]), ([1.0], [1.0]), ([1.0, 2.0, 3.0], [1.0, 1.0])):
+        with pytest.raises(ConfigError, match="^tabulated PSD needs 1D grids of equal length >= 2$"):
+            PowerSpectralDensity(domain="phase", frequencies=np.array(f), values=np.array(s))
+    for bad in (-1e-20, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="^PSD values must be finite and >= 0$"):
+            PowerSpectralDensity(domain="phase", frequencies=np.array([1.0, 2.0]), values=np.array([1e-9, bad]))
     psd = PowerSpectralDensity(domain="phase", white=1e-9)
     with pytest.raises(ConfigError):
         psd.evaluate(np.array([-1.0, 1.0]))
+    with pytest.raises(ConfigError, match="needs an explicit frequency grid"):
+        convert_psd(psd, "acceleration", _small_config())
 
 
 def test_psd_from_csv(tmp_path):
