@@ -26,10 +26,10 @@ from .magnetostatics import GuideGeometry, field_modulus, total_field_arrays
 
 JACOBIAN_STEP = 1e-8         # m, central-difference step of the field Jacobian
 POSITION_TOLERANCE = 1e-9    # m, Newton stops at a step of at most a tenth of it
-NEWTON_MAX_ITERATIONS = 10   # cap of the minimum refinement
-COARSE_GRID = 201            # coarse scan resolution per axis
-DEPTH_GRID = 1001            # priority-flood barrier grid resolution per axis
-DEPTH_TILE = 32              # cells per side of a lazily evaluated depth-map tile
+NEWTON_MAX_ITERATIONS = 10   # cap of the minimum and of the saddle refinement
+COARSE_GRID = 201            # coarse scan resolution per axis, also flooded for the depth
+# x, x +- h e_rho and x +- h e_z, h = JACOBIAN_STEP: the central-difference stencil
+_STENCIL = JACOBIAN_STEP * np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
 
 
 @dataclass(frozen=True)
@@ -43,8 +43,9 @@ class GuideCharacterization:
     depth_temperature: float   # K
     minimizer_iterations: int  # Newton iterations of the minimum refinement
     minimizer_step_m: float    # m, last Newton step, a bound on the position error
-    depth_grid_step: tuple     # (d_rho, d_z) in m, resolution bound on depth_field
-    depth_map_points: int      # depth-map cells at which |B| was evaluated
+    saddle_position: tuple | None  # (rho, z) in m of the escape saddle; None when the escape is the box edge
+    saddle_iterations: int     # Newton iterations of the saddle refinement (0 without a saddle)
+    saddle_step_m: float | None    # m, last saddle Newton step (None without a saddle)
 
     def as_record(self) -> dict:
         return {
@@ -58,8 +59,10 @@ class GuideCharacterization:
             "depth_temperature_K": self.depth_temperature,
             "minimizer_iterations": self.minimizer_iterations,
             "minimizer_step_m": self.minimizer_step_m,
-            "depth_grid_step_m": list(self.depth_grid_step),
-            "depth_map_points": self.depth_map_points,
+            "saddle_position_m": None if self.saddle_position is None else list(self.saddle_position),
+            "saddle_iterations": self.saddle_iterations,
+            "saddle_step_m": self.saddle_step_m,
+            "jacobian_step_m": JACOBIAN_STEP,
         }
 
 
@@ -79,11 +82,52 @@ def _search_box(geometry: GuideGeometry):
 def _field_jacobian(geometry: GuideGeometry, x: np.ndarray) -> tuple:
     """(B, J) at x = (rho, z): the field vector (B_rho, B_z) and its
     central-difference Jacobian J[i, k] = dB_i / dx_k (step JACOBIAN_STEP),
-    from one field call on x, x +- h e_rho and x +- h e_z."""
-    h = JACOBIAN_STEP
-    offsets = np.array([[0.0, 0.0], [h, 0.0], [-h, 0.0], [0.0, h], [0.0, -h]])
-    B = np.array(total_field_arrays(geometry, *(x + offsets).T))
-    return B[:, 0], (B[:, 1::2] - B[:, 2::2]) / (2.0 * h)
+    from one field call on the _STENCIL around x. For points x of shape
+    (n, 1, 2), B is (2, n) and J is (2, 2, n)."""
+    B = np.array(total_field_arrays(geometry, *(x + _STENCIL).T))
+    return B[:, 0], (B[:, 1::2] - B[:, 2::2]) / (2.0 * JACOBIAN_STEP)
+
+
+def _modulus_gradient_hessian(geometry: GuideGeometry, x: np.ndarray) -> tuple:
+    """(grad |B|, its Hessian) at x. grad |B| = J^T B / |B| at the _STENCIL
+    around x (one field call on 25 points); the Hessian is its central
+    differences."""
+    B, jacobian = _field_jacobian(geometry, (x + _STENCIL)[:, None, :])
+    gradient = np.einsum("ikn,in->kn", jacobian, B / np.hypot(*B))
+    return gradient[:, 0], (gradient[:, 1::2] - gradient[:, 2::2]) / (2.0 * JACOBIAN_STEP)
+
+
+def _coarse_scan(geometry: GuideGeometry) -> tuple:
+    """(rho, z, |B|) of the COARSE_GRID^2 scan of the search box. Raises
+    NoGuideMinimumError when |B| on it is not finite."""
+    (rho_lo, rho_hi), (_, z_hi) = _search_box(geometry)
+    rho = np.linspace(rho_lo, rho_hi, COARSE_GRID)
+    z = np.linspace(z_hi / COARSE_GRID, z_hi, COARSE_GRID)
+    with np.errstate(over="ignore", invalid="ignore"):  # a field past the float range reads inf or nan
+        B = field_modulus(geometry, rho[:, None], z[None, :])
+    if not np.all(np.isfinite(B)):
+        raise NoGuideMinimumError(
+            "|B| is not finite in the search box: a loop radius or current is past the float range"
+        )
+    return rho, z, B
+
+
+def _newton(system, x: np.ndarray, geometry: GuideGeometry, error: type, name: str) -> tuple:
+    """Newton's method on system(geometry, x) -> (F, dF/dx) from x, until a
+    step is at most POSITION_TOLERANCE / 10. Returns (x, the last dF/dx,
+    iterations, last step size). Raises ``error`` when an iterate leaves the
+    search box or after NEWTON_MAX_ITERATIONS iterations."""
+    (rho_lo, rho_hi), (z_lo, z_hi) = _search_box(geometry)
+    for iterations in range(1, NEWTON_MAX_ITERATIONS + 1):
+        F, jacobian = system(geometry, x)
+        step = np.linalg.solve(jacobian, -F)
+        x = x + step
+        if not (rho_lo <= x[0] <= rho_hi and z_lo < x[1] <= z_hi):
+            raise error(f"refined {name} escaped the search box")
+        step_size = math.hypot(*step)
+        if step_size <= POSITION_TOLERANCE / 10.0:
+            return x, jacobian, iterations, step_size
+    raise error(f"{name} refinement did not converge in {NEWTON_MAX_ITERATIONS} Newton iterations")
 
 
 def find_guide_minimum(geometry: GuideGeometry) -> tuple:
@@ -99,19 +143,9 @@ def find_guide_minimum(geometry: GuideGeometry) -> tuple:
     (e.g. all currents zero or non-trapping signs), or when Newton leaves the
     search box or does not converge within NEWTON_MAX_ITERATIONS.
     """
-    (rho_lo, rho_hi), (z_lo, z_hi) = _search_box(geometry)
     if all(loop.current == 0.0 for loop in geometry.loops):
         raise NoGuideMinimumError("all currents are zero: no field, no guide")
-
-    rho = np.linspace(rho_lo, rho_hi, COARSE_GRID)
-    z = np.linspace(z_hi / COARSE_GRID, z_hi, COARSE_GRID)
-    RR, ZZ = np.meshgrid(rho, z, indexing="ij")
-    with np.errstate(over="ignore", invalid="ignore"):  # a field past the float range reads inf or nan
-        B = field_modulus(geometry, RR, ZZ)
-    if not np.all(np.isfinite(B)):
-        raise NoGuideMinimumError(
-            "|B| is not finite in the search box: a loop radius or current is past the float range"
-        )
+    rho, z, B = _coarse_scan(geometry)
 
     # interior local minima of the coarse map (the global box minimum can sit
     # on the boundary where the far field decays; that is escape, not trapping)
@@ -128,103 +162,65 @@ def find_guide_minimum(geometry: GuideGeometry) -> tuple:
         )
     masked = np.where(local_min, core, np.inf)
     i, j = np.unravel_index(np.argmin(masked), masked.shape)
-    i, j = i + 1, j + 1
 
-    # Newton on (B_rho, B_z)
-    x = np.array([rho[i], z[j]])
-    for iterations in range(1, NEWTON_MAX_ITERATIONS + 1):
-        B, jacobian = _field_jacobian(geometry, x)
-        step = np.linalg.solve(jacobian, -B)
-        x = x + step
-        if not (rho_lo <= x[0] <= rho_hi and z_lo < x[1] <= z_hi):
-            raise NoGuideMinimumError("refined minimum escaped the search box")
-        step_size = math.hypot(*step)
-        if step_size <= POSITION_TOLERANCE / 10.0:
-            break
-    else:
-        raise NoGuideMinimumError(
-            f"minimum refinement did not converge in {NEWTON_MAX_ITERATIONS} Newton iterations"
-        )
+    start = np.array([rho[i + 1], z[j + 1]])
+    x, _, iterations, step_size = _newton(_field_jacobian, start, geometry, NoGuideMinimumError, "minimum")
     return float(x[0]), float(x[1]), iterations, step_size
 
 
-class _TiledFieldMap:
-    """|B| on the grid rho x z, read as ``map[a, b]``. The field is evaluated
-    one DEPTH_TILE x DEPTH_TILE tile at a time, the first time a cell of the
-    tile is read; the tiles of the last row and column are partial. A cell
-    reads as a Python float, which the flood's heap compares faster than a
-    numpy scalar, bit-identical to the same cell of the full map. A tile with
-    a non-finite |B| raises PhysicsError."""
-
-    def __init__(self, geometry: GuideGeometry, rho: np.ndarray, z: np.ndarray):
-        self.geometry, self.rho, self.z = geometry, rho, z
-        self.shape = (rho.size, z.size)
-        self.tiles = {}
-
-    def __getitem__(self, cell):
-        ta, a = divmod(cell[0], DEPTH_TILE)
-        tb, b = divmod(cell[1], DEPTH_TILE)
-        tile = self.tiles.get((ta, tb))
-        if tile is None:
-            rho = self.rho[ta * DEPTH_TILE:(ta + 1) * DEPTH_TILE]
-            z = self.z[tb * DEPTH_TILE:(tb + 1) * DEPTH_TILE]
-            with np.errstate(over="ignore", invalid="ignore"):  # a field past the float range reads inf or nan
-                tile = self.tiles[ta, tb] = field_modulus(self.geometry, rho[:, None], z[None, :])
-            if not np.all(np.isfinite(tile)):
-                raise PhysicsError(
-                    "|B| is not finite in the depth map: a loop current is past the float range there"
-                )
-        return tile.item(a, b)
-
-    @property
-    def points(self) -> int:
-        """Number of cells evaluated so far."""
-        return sum(tile.size for tile in self.tiles.values())
-
-
-def _flood_barrier(B, i: int, j: int) -> float:
-    """Lowest level at which the 4-connected region {B <= level} containing
-    cell (i, j) touches the edge of the grid.
+def _flood_barrier(B: np.ndarray, i: int, j: int) -> tuple:
+    """(level, cell): the lowest level at which the 4-connected region
+    {B <= level} containing cell (i, j) touches the edge of the grid, and
+    the cell that sets it.
 
     Priority flood (Barnes, Lehman & Mulla, Computers & Geosciences 62, 2014):
     cells are popped lowest first from (i, j); the barrier is the highest
-    level popped up to the first edge cell. Exact on the grid. ``B`` is
-    anything with ``.shape`` and ``B[a, b]``: an ndarray, or a
-    _TiledFieldMap, which then evaluates only the tiles the flood reaches.
+    level popped up to the first edge cell. Exact on the grid.
     """
+    values = B.tolist()  # the heap compares Python floats faster than numpy scalars
     n_rho, n_z = B.shape
-    heap = [(B[i, j], i, j)]
+    heap = [(values[i][j], i, j)]
     seen = {(i, j)}
-    barrier = -math.inf
+    barrier = (-math.inf, None)
     while True:
         level, a, b = heapq.heappop(heap)
-        barrier = max(barrier, level)
+        if level > barrier[0]:
+            barrier = (level, (a, b))
         if a in (0, n_rho - 1) or b in (0, n_z - 1):
-            return float(barrier)
+            return barrier
         for cell in ((a - 1, b), (a + 1, b), (a, b - 1), (a, b + 1)):
             if cell not in seen:
                 seen.add(cell)
-                heapq.heappush(heap, (B[cell], *cell))
+                heapq.heappush(heap, (values[cell[0]][cell[1]], *cell))
 
 
 def _depth_field(geometry: GuideGeometry, min_pos, B_min) -> tuple:
-    """Escape barrier of |B| within the search box: the priority-flood
-    barrier of a DEPTH_GRID^2 map, flooded from the cell nearest the minimum,
-    less B_min.
+    """Escape barrier of |B| within the search box, less B_min.
 
-    The map is a _TiledFieldMap, so only the DEPTH_TILE^2 tiles the flood
-    touches are evaluated (28 of 1024 on the design guide). Returns
-    (depth, (d_rho, d_z) grid step, number of cells evaluated).
+    The coarse scan is flooded from the cell nearest the minimum. When the
+    barrier cell lies inside the grid, Newton's method on grad |B| refines
+    it to the escape saddle of |B|, and the depth is |B| there: no grid
+    limits it. When the barrier cell is on the edge of the box, the escape
+    leaves the box without a saddle, and the depth is that cell's |B|, a
+    value limited by the box. Returns (depth, saddle (rho, z) or None, Newton
+    iterations, last Newton step or None). Raises PhysicsError when Newton
+    fails or stops where the Hessian of |B| is not indefinite.
     """
-    (rho_lo, rho_hi), (_, z_hi) = _search_box(geometry)
-    rho = np.linspace(rho_lo, rho_hi, DEPTH_GRID)
-    z = np.linspace(z_hi / DEPTH_GRID, z_hi, DEPTH_GRID)
-    B = _TiledFieldMap(geometry, rho, z)
-
+    rho, z, B = _coarse_scan(geometry)
     i = int(np.argmin(np.abs(rho - min_pos[0])))
     j = int(np.argmin(np.abs(z - min_pos[1])))
-    depth = _flood_barrier(B, i, j) - B_min
-    return depth, (float(rho[1] - rho[0]), float(z[1] - z[0])), B.points
+    level, (a, b) = _flood_barrier(B, i, j)
+    if a in (0, rho.size - 1) or b in (0, z.size - 1):
+        return level - B_min, None, 0, None
+
+    x, hessian, iterations, step_size = _newton(
+        _modulus_gradient_hessian, np.array([rho[a], z[b]]), geometry, PhysicsError, "escape saddle"
+    )
+    low, high = np.linalg.eigvalsh(0.5 * (hessian + hessian.T))
+    saddle = (float(x[0]), float(x[1]))
+    if not low < 0.0 < high:
+        raise PhysicsError(f"escape saddle refinement ended at {saddle} m, where |B| has no saddle")
+    return float(field_modulus(geometry, *saddle)) - B_min, saddle, iterations, step_size
 
 
 def trap_potential(geometry: GuideGeometry, species: AtomSpecies, rho, z, offset_B0: float):
@@ -261,7 +257,7 @@ def characterize_guide(
     gradient = float(np.linalg.norm(jacobian, 2))
     radial_frequency = radial_frequency_quadrupole(gradient, math.hypot(B_min, offset_B0), species)
 
-    depth_field, depth_step, depth_points = _depth_field(geometry, (rho0, z0), B_min)
+    depth_field, saddle, saddle_iterations, saddle_step = _depth_field(geometry, (rho0, z0), B_min)
     depth_temperature = species.magnetic_moment * depth_field / K_B
 
     return GuideCharacterization(
@@ -274,8 +270,9 @@ def characterize_guide(
         depth_temperature=depth_temperature,
         minimizer_iterations=iterations,
         minimizer_step_m=step_size,
-        depth_grid_step=depth_step,
-        depth_map_points=depth_points,
+        saddle_position=saddle,
+        saddle_iterations=saddle_iterations,
+        saddle_step_m=saddle_step,
     )
 
 

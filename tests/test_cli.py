@@ -20,7 +20,7 @@ from chipgyro._scipy import compiled_module
 from chipgyro.cli import LOOP_FIELDS, SCHEMA, _csv, _write_files, load_config, main, resolve_config
 from chipgyro.constants import species_rb87
 from chipgyro.errors import ConfigError, PhysicsError
-from chipgyro.guide import POSITION_TOLERANCE, trap_potential
+from chipgyro.guide import JACOBIAN_STEP, NEWTON_MAX_ITERATIONS, POSITION_TOLERANCE, trap_potential
 from chipgyro.interferometer import rb87_config
 from chipgyro.magnetostatics import design_guide_geometry
 from chipgyro.noise import PowerSpectralDensity, dick_sum_allan
@@ -100,6 +100,29 @@ def test_missing_config_exit_1(tmp_path, capsys):
     code, summary = _run(capsys, "transfer", "--config", str(tmp_path / "nope.yaml"))
     assert code == 1
     assert summary["status"] == "config-error"
+
+
+def test_omitted_config_is_read_from_the_config_dir(tmp_path, config_path, capsys, monkeypatch):
+    """Without --config, chipgyro.yaml is read from $CHIPGYRO_CONFIG_DIR: the
+    same config as naming the file, and a config error naming the path the
+    directory lacks."""
+    config_dir = tmp_path / "configs"
+    config_dir.mkdir()
+    (config_dir / "chipgyro.yaml").write_text(Path(config_path).read_text())
+    monkeypatch.setenv("CHIPGYRO_CONFIG_DIR", str(config_dir))
+    hashes = []
+    for name, argv in (("named", ["--config", config_path]), ("from-dir", [])):
+        assert _run(capsys, "guide", *argv, "--out", str(tmp_path / name))[0] == 0, name
+        record = json.loads((tmp_path / name / "guide_characterization.json").read_text())
+        hashes.append(record["provenance"]["config_sha256"])
+    assert hashes[0] == hashes[1]
+
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    monkeypatch.setenv("CHIPGYRO_CONFIG_DIR", str(empty))
+    code, summary = _run(capsys, "guide", "--out", str(tmp_path / "none"))
+    assert (code, summary["status"]) == (1, "config-error")
+    assert str(empty / "chipgyro.yaml") in summary["error"]
 
 
 def test_invalid_pulse_duration_exit_1(tmp_path, config_path, capsys):
@@ -399,8 +422,10 @@ def test_guide_work_counters(tmp_path, config_path, capsys):
         record = json.loads((out / "guide_characterization.json").read_text())
         assert 0 < record["minimizer_iterations"] < 4000
         assert 0 < record["minimizer_step_m"] <= POSITION_TOLERANCE / 10
-        assert len(record["depth_grid_step_m"]) == 2
-        assert 0 < record["depth_map_points"] <= 0.05 * 1001 ** 2
+        assert len(record["saddle_position_m"]) == 2
+        assert 0 < record["saddle_iterations"] <= NEWTON_MAX_ITERATIONS
+        assert 0 < record["saddle_step_m"] <= POSITION_TOLERANCE / 10
+        assert record["jacobian_step_m"] == JACOBIAN_STEP
 
 
 def test_potential_map_text_matches_per_cell_rule(tmp_path, config_path, capsys):
@@ -1075,6 +1100,15 @@ def test_lazy_names_are_the_layers_own():
         "print(len(chipgyro.__all__))"
     )
     assert int(_python(probe)) == len(chipgyro.__all__) > 60
+
+
+def test_lazy_layers_in_process():
+    """In this process too, a layer read through the package is the module
+    imported under its own name, and dir() lists every public name. Once
+    imported, the layer is a package attribute, so the module __getattr__
+    is also called by name."""
+    assert chipgyro.noise is sys.modules["chipgyro.noise"] is chipgyro.__getattr__("noise")
+    assert set(chipgyro.__all__) <= set(dir(chipgyro))
 
 
 @pytest.mark.parametrize("name", ["scipy.special._no_such_module", "scipy.nosub._x"])

@@ -8,9 +8,10 @@ import scipy.optimize
 from chipgyro.constants import DEFAULT_OFFSET_B0, species_rb87
 from chipgyro.errors import ConfigError, NoGuideMinimumError, NonSmoothPotentialError, PhysicsError
 from chipgyro.guide import (
-    DEPTH_GRID,
-    DEPTH_TILE,
-    _TiledFieldMap,
+    COARSE_GRID,
+    JACOBIAN_STEP,
+    NEWTON_MAX_ITERATIONS,
+    POSITION_TOLERANCE,
     _depth_field,
     _field_jacobian,
     _flood_barrier,
@@ -205,20 +206,29 @@ def _bisection_barrier(B, i, j):
     return 0.5 * (lo + hi)
 
 
-def test_flood_barrier_on_design_map_matches_bisection(characterization):
-    geometry = design_guide_geometry()
+FINE_GRID = 1001  # cells per axis of the test-side fine |B| map of the search box
+
+
+def _box_map(geometry, min_position, n):
+    """rho, z and |B| of an n x n map of the search box, with the z axis of
+    the coarse scan (n = COARSE_GRID), and the cell (i, j) nearest the
+    minimum."""
     (rho_lo, rho_hi), (_, z_hi) = _search_box(geometry)
-    rho = np.linspace(rho_lo, rho_hi, DEPTH_GRID)
-    z = np.linspace(z_hi / DEPTH_GRID, z_hi, DEPTH_GRID)
-    B = field_modulus(geometry, rho[:, None], z[None, :])
-    rho0, z0 = characterization.min_position
-    i = int(np.argmin(np.abs(rho - rho0)))
-    j = int(np.argmin(np.abs(z - z0)))
-    flood = _flood_barrier(B, i, j)
+    rho = np.linspace(rho_lo, rho_hi, n)
+    z = np.linspace(z_hi / n, z_hi, n)
+    i = int(np.argmin(np.abs(rho - min_position[0])))
+    j = int(np.argmin(np.abs(z - min_position[1])))
+    return rho, z, field_modulus(geometry, rho[:, None], z[None, :]), i, j
+
+
+def test_flood_barrier_on_design_map_matches_bisection(characterization):
+    """On the 1001^2 map the flood equals the bisection oracle. The shipped
+    depth is |B| at the escape saddle, not a grid value: it lies within the
+    fine grid's resolution (2.5e-7 relative) of that map's barrier."""
+    _, _, B, i, j = _box_map(design_guide_geometry(), characterization.min_position, FINE_GRID)
+    flood, _ = _flood_barrier(B, i, j)
     assert flood == pytest.approx(_bisection_barrier(B, i, j), rel=1e-12, abs=0)
-    assert characterization.depth_field == pytest.approx(
-        flood - characterization.B_min, rel=1e-12, abs=0
-    )
+    assert characterization.depth_field == pytest.approx(flood - characterization.B_min, rel=1e-6, abs=0)
 
 
 def test_flood_barrier_double_well_saddle():
@@ -229,10 +239,12 @@ def test_flood_barrier_double_well_saddle():
     y = np.linspace(-1.0, 1.0, 201)
     f = (x[:, None] ** 2 - 1.0) ** 2 + 2.0 * y[None, :] ** 2
     i, j = 100, 100  # (x, y) = (-1, 0)
-    assert _flood_barrier(f, i, j) == pytest.approx(1.0, rel=1e-12, abs=0)
+    level, cell = _flood_barrier(f, i, j)
+    assert level == pytest.approx(1.0, rel=1e-12, abs=0)
+    assert (x[cell[0]], y[cell[1]]) == pytest.approx((0.0, 0.0), abs=1e-12)
     assert _bisection_barrier(f, i, j) == pytest.approx(1.0, rel=1e-12, abs=0)
     # a start on the edge is its own barrier
-    assert _flood_barrier(f, 300, 100) == f[300, 100]
+    assert _flood_barrier(f, 300, 100) == (f[300, 100], (300, 100))
 
 
 def test_flood_barrier_on_random_surface_matches_bisection():
@@ -241,101 +253,121 @@ def test_flood_barrier_on_random_surface_matches_bisection():
     rng = np.random.default_rng(5)
     B = rng.uniform(size=(40, 30))
     for i, j in [(20, 15), (1, 1), (38, 7), (10, 28)]:
-        assert _flood_barrier(B, i, j) == pytest.approx(
-            _bisection_barrier(B, i, j), rel=1e-12, abs=0
-        )
+        level, (a, b) = _flood_barrier(B, i, j)
+        assert level == B[a, b]
+        assert level == pytest.approx(_bisection_barrier(B, i, j), rel=1e-12, abs=0)
 
 
-def _depth_grid(geometry):
-    (rho_lo, rho_hi), (_, z_hi) = _search_box(geometry)
-    return np.linspace(rho_lo, rho_hi, DEPTH_GRID), np.linspace(z_hi / DEPTH_GRID, z_hi, DEPTH_GRID)
-
-
-def _assert_tiled_map_matches_full(geometry, rho, z):
-    rho0, z0, _, _ = find_guide_minimum(geometry)
-    i = int(np.argmin(np.abs(rho - rho0)))
-    j = int(np.argmin(np.abs(z - z0)))
-    full = field_modulus(geometry, rho[:, None], z[None, :])
-    tiled = _TiledFieldMap(geometry, rho, z)
-    assert _flood_barrier(tiled, i, j) == _flood_barrier(full, i, j)
-    for (ta, tb), tile in tiled.tiles.items():
-        rows = slice(ta * DEPTH_TILE, (ta + 1) * DEPTH_TILE)
-        cols = slice(tb * DEPTH_TILE, (tb + 1) * DEPTH_TILE)
-        assert np.array_equal(tile, full[rows, cols])
-    return tiled
+def _modulus_gradient_oracle(geometry, x, h=1e-7):
+    """Independent route to grad |B|: central differences of |B| itself,
+    not of the field vector."""
+    d = h * np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]])
+    east, west, north, south = field_modulus(geometry, *(np.asarray(x)[:, None] + d)).tolist()
+    return np.array([east - west, north - south]) / (2 * h)
 
 
 @GUIDES
-def test_tiled_map_barrier_equals_full_map(geometry):
-    tiled = _assert_tiled_map_matches_full(geometry, *_depth_grid(geometry))
-    assert tiled.points < DEPTH_GRID ** 2
-
-
-def test_tiled_map_partial_edge_tiles():
-    """75 x 50 = (2 * 32 + 11) x (32 + 18) cells with the minimum in the last,
-    partial row of tiles: the flood reads a tile that is partial on both axes."""
-    geometry = design_guide_geometry()
-    rho0, _, _, _ = find_guide_minimum(geometry)
-    rho = np.linspace(rho0 - 40e-6, rho0 + 6e-6, 75)
-    z = np.linspace(1e-6, 60e-6, 50)
-    tiled = _assert_tiled_map_matches_full(geometry, rho, z)
-    assert (11, 18) in {tile.shape for tile in tiled.tiles.values()}
-
-
-def test_tiled_map_reads_builtin_floats():
-    """A cell reads as a Python float, so that the flood's heap compares
-    floats, and equals the same cell of the full map."""
-    geometry = design_guide_geometry()
-    rho, z = _depth_grid(geometry)
-    rho, z = rho[:40], z[:40]
-    full = field_modulus(geometry, rho[:, None], z[None, :])
-    tiled = _TiledFieldMap(geometry, rho, z)
-    for a in range(rho.size):
-        for b in range(z.size):
-            cell = tiled[a, b]
-            assert type(cell) is float
-            assert cell == full[a, b]
-
-
-def test_tiled_map_rejects_a_field_past_the_float_range():
-    """Design currents times 1e155 overflow |B| 0.1 um above the inner wire:
-    the tile holding that cell raises PhysicsError naming the depth map,
-    without numpy's overflow warning."""
-    rho = np.linspace(4.77e-4, 4.97e-4, 41)  # cell 20 is the wire's radius
-    z = np.linspace(1e-7, 2e-5, 40)
-    tiled = _TiledFieldMap(design_guide_geometry().scaled(1e155), rho, z)
-    with pytest.raises(PhysicsError, match="depth map"):
-        tiled[20, 0]
-
-
-def test_depth_field_evaluates_few_map_points(monkeypatch, characterization):
-    """Guards against a silent return to the full DEPTH_GRID^2 map."""
-    import chipgyro.guide as guide
-
-    points = [0]
-
-    def counting_field_modulus(geometry, rho, z):
-        points[0] += np.broadcast(rho, z).size
-        return field_modulus(geometry, rho, z)
-
-    monkeypatch.setattr(guide, "field_modulus", counting_field_modulus)
-    depth, step, evaluated = _depth_field(
-        design_guide_geometry(), characterization.min_position, characterization.B_min
+def test_escape_saddle_against_root_oracle(geometry):
+    """scipy's root solve of the oracle's grad |B|, started from the 1001^2
+    map's barrier cell, finds the saddle to 1e-9 m and its |B| to rel 1e-9;
+    the depth is within rel 1e-6 of that map's barrier less B_min."""
+    ch = characterize_guide(geometry, species_rb87())
+    rho, z, B, i, j = _box_map(geometry, ch.min_position, FINE_GRID)
+    level, (a, b) = _flood_barrier(B, i, j)
+    zero = scipy.optimize.root(
+        lambda x: _modulus_gradient_oracle(geometry, x), x0=[rho[a], z[b]], options={"xtol": 1e-14}
     )
-    assert depth == characterization.depth_field
-    assert evaluated == points[0] == characterization.depth_map_points
-    assert points[0] <= 0.05 * DEPTH_GRID ** 2
+    assert zero.status in (1, 3), zero.message
+    assert math.dist(zero.x, ch.saddle_position) <= 1e-9
+    saddle_B = float(field_modulus(geometry, *zero.x))
+    assert ch.depth_field + ch.B_min == pytest.approx(saddle_B, rel=1e-9, abs=0)
+    assert ch.depth_field == pytest.approx(level - ch.B_min, rel=1e-6, abs=0)
+
+
+def test_seeded_guides_escape_through_a_saddle():
+    """Each seeded guide's escape is an interior saddle, reached within
+    NEWTON_MAX_ITERATIONS, where the oracle's Hessian stencil of |B| has one
+    negative and one positive eigenvalue."""
+    for geometry, _, _ in _seeded_guides():
+        rho0, z0, _, _ = find_guide_minimum(geometry)
+        B_min = float(field_modulus(geometry, rho0, z0))
+        depth, saddle, iterations, step = _depth_field(geometry, (rho0, z0), B_min)
+        assert saddle is not None and 0 < iterations <= NEWTON_MAX_ITERATIONS, geometry.loops
+        assert depth > 0 and 0 < step <= POSITION_TOLERANCE / 10, geometry.loops
+        hessian = _potential_hessian(lambda r, z: field_modulus(geometry, r, z), *saddle)
+        low, high = np.linalg.eigvalsh(hessian)
+        assert low < 0 < high, geometry.loops
+
+
+# a five-wire guide whose flood leaves the search box through its top
+EDGE_ESCAPE_GUIDE = GuideGeometry(
+    tuple(
+        WireLoop(1.8589004935624415e-3 + k * 2.05820425882867e-4, current, 0.0)
+        for k, current in enumerate(
+            (-0.10160220190601012, 0.14406977012949657, -0.08713474847618292, 0.13540995712322415,
+             -0.10044226364281375)
+        )
+    )
+)
+
+
+def test_escape_through_the_box_edge_has_no_saddle():
+    """The barrier cell of the coarse flood is on the box top, so there is no
+    saddle to refine: the saddle is null, and the depth is the coarse map's
+    barrier (the bisection oracle) less B_min, a value limited by the box."""
+    ch = characterize_guide(EDGE_ESCAPE_GUIDE, species_rb87())
+    assert (ch.saddle_position, ch.saddle_iterations, ch.saddle_step_m) == (None, 0, None)
+    assert ch.as_record()["saddle_position_m"] is None
+    _, _, B, i, j = _box_map(EDGE_ESCAPE_GUIDE, ch.min_position, COARSE_GRID)
+    assert _flood_barrier(B, i, j)[1][1] == COARSE_GRID - 1
+    assert ch.depth_field == pytest.approx(_bisection_barrier(B, i, j) - ch.B_min, rel=1e-12, abs=0)
+
+
+def _quadric_field(rho_c, z_c, sign):
+    """Stand-in field (1 + u^2 + sign v^2, 0), (u, v) = (rho - rho_c, z - z_c)
+    / 10 um: |B| has a minimum (sign +1) or a saddle (sign -1) at (rho_c, z_c)."""
+    def field(geometry, rho, z):
+        u, v = (rho - rho_c) / 1e-5, (z - z_c) / 1e-5
+        return 1.0 + u * u + sign * v * v, 0.0 * z
+    return field
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("one-iteration-cap", r"^escape saddle refinement did not converge in 1 Newton iterations$"),
+        ("saddle-past-the-box", r"^refined escape saddle escaped the search box$"),
+        ("minimum-not-saddle", r"^escape saddle refinement ended at \(.*\) m, where \|B\| has no saddle$"),
+    ],
+)
+def test_failed_saddle_refinement_raises(monkeypatch, characterization, case, message):
+    """The flood reads the true map; Newton is capped at one iteration, or
+    reads a stand-in field whose stationary point is a saddle past the box's
+    outer edge or a minimum. Each raises PhysicsError naming the escape saddle."""
+    geometry = design_guide_geometry()
+    rho0, z0 = characterization.min_position
+    (_, rho_hi), _ = _search_box(geometry)
+    if case == "one-iteration-cap":
+        monkeypatch.setattr("chipgyro.guide.NEWTON_MAX_ITERATIONS", 1)
+    else:
+        centre, sign = ((rho_hi + 1e-4, z0), -1.0) if case == "saddle-past-the-box" else ((rho0, z0), 1.0)
+        monkeypatch.setattr("chipgyro.guide.total_field_arrays", _quadric_field(*centre, sign))
+    with pytest.raises(PhysicsError, match=message) as raised:
+        _depth_field(geometry, (rho0, z0), characterization.B_min)
+    assert type(raised.value) is PhysicsError
 
 
 def test_work_counters(characterization):
-    rho, z = _depth_grid(design_guide_geometry())
-    assert characterization.depth_grid_step == (rho[1] - rho[0], z[1] - z[0])
     assert 0 < characterization.minimizer_iterations < 4000
+    assert 0 < characterization.saddle_iterations <= NEWTON_MAX_ITERATIONS
+    assert 0 < characterization.saddle_step_m <= POSITION_TOLERANCE / 10
     record = characterization.as_record()
     assert record["minimizer_iterations"] == characterization.minimizer_iterations
     assert record["minimizer_step_m"] == characterization.minimizer_step_m
-    assert record["depth_grid_step_m"] == list(characterization.depth_grid_step)
-    assert record["depth_map_points"] == characterization.depth_map_points
+    assert record["saddle_position_m"] == list(characterization.saddle_position)
+    assert record["saddle_iterations"] == characterization.saddle_iterations
+    assert record["saddle_step_m"] == characterization.saddle_step_m
+    assert record["jacobian_step_m"] == JACOBIAN_STEP == 1e-8
     assert characterize_guide(design_guide_geometry(), species_rb87()) == characterization
 
 
