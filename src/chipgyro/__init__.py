@@ -6,7 +6,7 @@ Layers, bottom up:
 * :mod:`chipgyro.constants` — physical constants, species data, the ARW unit
 * :mod:`chipgyro.magnetostatics` — circular-loop fields (closed form + oracle)
 * :mod:`chipgyro.guide` — guide minimum, trap frequency, gradient, depth
-* :mod:`chipgyro.interferometer` — scale factor, sensitivity, g(t), |H(f)|²
+* :mod:`chipgyro.interferometer` — scale factor, sensitivity, |H(f)|²
 * :mod:`chipgyro.noise` — PSD models, phase-variance quadrature, harmonic sum
 * :mod:`chipgyro.stability` — Allan deviation, mission solver
 * :mod:`chipgyro.cli` — the ``chipgyro`` command
@@ -61,9 +61,7 @@ _LAYERS = {
         "rb87_config",
         "rotation_gain",
         "scale_factor",
-        "sensitivity_function_g",
         "shot_noise_sensitivity",
-        "shot_noise_sensitivity_per_sqrt_hz",
         "transfer_H_abs2",
     ),
     "magnetostatics": (

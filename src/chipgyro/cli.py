@@ -402,10 +402,13 @@ def _transfer_grid(f_min: float, f_max: float, points_per_decade: int, config_ai
     decades_lo = math.log10(f_min)
     span = (math.log10(f_max) - decades_lo) * points_per_decade
     n_points = round(span) + 1 if math.isfinite(span) else math.inf
-    _check_rows(n_points, "run.transfer.f_min_hz, f_max_hz and points_per_decade")
+    keys = "run.transfer.f_min_hz, f_max_hz and points_per_decade"
+    _check_rows(n_points, keys)
     exponents = decades_lo + np.arange(n_points) / points_per_decade
     # pin the pulse-duration zeros onto the grid so the notch depth is exact
-    return band_grid(config_ai, f_min, f_max, 10.0 ** exponents)
+    grid = band_grid(config_ai, f_min, f_max, 10.0 ** exponents)
+    _check_rows(grid.size, f"{keys} with interferometer.pulse_duration_s")
+    return grid
 
 
 def cmd_transfer(config: dict) -> tuple:
@@ -431,7 +434,7 @@ def cmd_transfer(config: dict) -> tuple:
 
 def cmd_sensitivity(config: dict) -> tuple:
     from .interferometer import assumptions_record, shot_noise_sensitivity
-    from .interferometer import shot_noise_sensitivity_per_sqrt_hz
+    from .stability import projection_allan
 
     ai = _interferometer_from_config(config)
     two_t_min = config["run.sensitivity.two_t_min_s"]
@@ -445,7 +448,7 @@ def cmd_sensitivity(config: dict) -> tuple:
             cfg = replace(ai, interrogation_time=float(two_t), atom_number=n_atoms)
             per_shot = shot_noise_sensitivity(cfg)
             arw = per_shot * ARW_DEG_SQRT_H_PER_RAD_S_SQRT_HZ
-            rows.append((float(two_t), n_atoms, per_shot, shot_noise_sensitivity_per_sqrt_hz(cfg), arw))
+            rows.append((float(two_t), n_atoms, per_shot, projection_allan(cfg, 1.0), arw))
     meta = {f"assumption_{k}": v for k, v in assumptions_record(ai).items()}
     meta["convention"] = "per-shot reading; ARW converts the per-shot figure"
     columns = ["two_T_s", "atom_number", "delta_omega_rad_s", "delta_omega_rad_s_sqrt_hz", "arw_deg_sqrt_h"]

@@ -68,15 +68,17 @@ class GuideCharacterization:
 
 def _search_box(geometry: GuideGeometry):
     """(rho, z) box in which a guide minimum is looked for: rho in
-    [0.5 R, 1.5 R] around the central loop, z in (0, 10 s] with s the wire
-    spacing (falls back to 0.1 R for a single loop)."""
+    [0.5 R, 1.5 R] around the central loop, z in (h, h + 10 s] with h the
+    loop plane's height, or 0 below the chip, and s the wire spacing (falls
+    back to 0.1 R for a single loop); the mirror zero under the loops is out."""
     radii = [loop.radius for loop in geometry.loops]
     R = radii[len(radii) // 2]
     if len(radii) > 1:
         spacing = min(b - a for a, b in zip(radii, radii[1:]))
     else:
         spacing = 0.1 * R
-    return (0.5 * R, 1.5 * R), (0.0, 10.0 * spacing)
+    floor = max(geometry.loops[0].height, 0.0)
+    return (0.5 * R, 1.5 * R), (floor, floor + 10.0 * spacing)
 
 
 def _field_jacobian(geometry: GuideGeometry, x: np.ndarray) -> tuple:
@@ -100,9 +102,9 @@ def _modulus_gradient_hessian(geometry: GuideGeometry, x: np.ndarray) -> tuple:
 def _coarse_scan(geometry: GuideGeometry) -> tuple:
     """(rho, z, |B|) of the COARSE_GRID^2 scan of the search box. Raises
     NoGuideMinimumError when |B| on it is not finite."""
-    (rho_lo, rho_hi), (_, z_hi) = _search_box(geometry)
+    (rho_lo, rho_hi), (z_lo, z_hi) = _search_box(geometry)
     rho = np.linspace(rho_lo, rho_hi, COARSE_GRID)
-    z = np.linspace(z_hi / COARSE_GRID, z_hi, COARSE_GRID)
+    z = np.linspace(z_lo + (z_hi - z_lo) / COARSE_GRID, z_hi, COARSE_GRID)
     with np.errstate(over="ignore", invalid="ignore"):  # a field past the float range reads inf or nan
         B = field_modulus(geometry, rho[:, None], z[None, :])
     if not np.all(np.isfinite(B)):
@@ -131,7 +133,7 @@ def _newton(system, x: np.ndarray, geometry: GuideGeometry, error: type, name: s
 
 
 def find_guide_minimum(geometry: GuideGeometry) -> tuple:
-    """Locate the minimum of |B| above the chip.
+    """Locate the minimum of |B| above the chip and the loop plane.
 
     Coarse grid scan, then Newton's method on the field vector from the
     lowest interior local minimum of the scan: the minimum is the zero of

@@ -1,9 +1,9 @@
 """Two-pulse guided Sagnac interferometer.
 
-Scale factor, shot-noise-limited rotation sensitivity, the sensitivity
-function g(t) and the transfer function |H(f)|^2 of the two-beam-splitter
-sequence (the circular guide itself acts as the mirror). |H|^2, the pulse
-shape's factor in it and that factor's zeros are formed here only.
+Scale factor, shot-noise-limited rotation sensitivity and the transfer
+function |H(f)|^2 of the two-beam-splitter sequence (the circular guide
+itself acts as the mirror). |H|^2, the pulse shape's factor in it and that
+factor's zeros are formed here only.
 
 Conventions (reported in every CLI output):
   * the wave packets are launched azimuthally at ``launch_velocity``
@@ -14,7 +14,7 @@ Conventions (reported in every CLI output):
     which makes equal interrogation times equivalent regardless of how the
     loop count and radius are traded against each other;
   * the shot-noise sensitivity is quoted per shot; the per-sqrt(Hz) figure
-    multiplies by sqrt(cycle time).
+    (``stability.projection_allan`` at 1 s) multiplies by sqrt(cycle time).
 """
 
 from __future__ import annotations
@@ -74,11 +74,6 @@ class InterferometerConfig:
             raise ConfigError(f"cycle_dead_time must be finite and >= 0, got {self.cycle_dead_time!r}")
         if not abs(self.latitude) <= math.pi / 2.0:
             raise ConfigError(f"latitude must be finite and in [-pi/2, pi/2], got {self.latitude!r}")
-
-    @property
-    def half_time(self) -> float:
-        """T, half the interrogation time."""
-        return 0.5 * self.interrogation_time
 
     @property
     def cycle_time(self) -> float:
@@ -158,19 +153,6 @@ def shot_noise_sensitivity(config: InterferometerConfig) -> float:
     """
     slope = config.contrast * math.sqrt(0.5 * config.atom_number) * abs(scale_factor(config))
     return config.squeezing / slope
-
-
-def shot_noise_sensitivity_per_sqrt_hz(config: InterferometerConfig) -> float:
-    """Per-sqrt(Hz) reading: per-shot sensitivity times sqrt(cycle time)."""
-    return shot_noise_sensitivity(config) * math.sqrt(config.cycle_time)
-
-
-def sensitivity_function_g(t, config: InterferometerConfig):
-    """Response of the output phase to a phase jump at time t: 0 outside
-    [-T, T], linear ramps across the two pulses, 1 between them."""
-    t = np.asarray(t, dtype=float)
-    g = np.clip((config.half_time - np.abs(t)) / config.pulse_duration, 0.0, 1.0)
-    return float(g) if g.ndim == 0 else g
 
 
 def _pulse_factor(f, config: InterferometerConfig):

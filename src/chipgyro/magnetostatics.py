@@ -62,12 +62,6 @@ class GuideGeometry:
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise ConfigError("loop radii must be strictly increasing")
 
-    def scaled(self, factor: float) -> "GuideGeometry":
-        """Same geometry with every current multiplied by ``factor``."""
-        return GuideGeometry(
-            tuple(WireLoop(loop.radius, loop.current * factor, loop.height) for loop in self.loops)
-        )
-
 
 @dataclass(frozen=True)
 class FieldVector:

@@ -984,6 +984,21 @@ def test_table_over_max_rows_is_a_config_error(tmp_path, config_path, capsys, mo
     assert not out.exists()
 
 
+def test_transfer_table_with_pulse_zeros_over_max_rows(tmp_path, capsys, monkeypatch):
+    """The default transfer grid has 2001 log points, and the band merges the
+    zeros n / tau into them: at a cap of 2001 rows the written table would
+    hold 2003, so the run exits 1 naming the keys that set them."""
+    monkeypatch.setattr(chipgyro.cli, "MAX_TABLE_ROWS", 2001)
+    path = tmp_path / "empty.yaml"
+    path.write_text("{}\n")
+    out = tmp_path / "out"
+    code, summary = _run(capsys, "transfer", "--config", str(path), "--out", str(out))
+    assert (code, summary["status"]) == (1, "config-error")
+    keys = "run.transfer.f_min_hz, f_max_hz and points_per_decade with interferometer.pulse_duration_s"
+    assert summary["error"] == f"{keys} ask for 2003 table rows, over MAX_TABLE_ROWS = 2001"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad", ["record", "summary"])
 def test_non_finite_json_is_a_physics_error(tmp_path, config_path, capsys, monkeypatch, bad):
     """A stage whose JSON record or summary holds a NaN or an infinity, which
@@ -1099,7 +1114,9 @@ def test_lazy_names_are_the_layers_own():
         "    assert getattr(chipgyro, name) is own is star[name], name\n"
         "print(len(chipgyro.__all__))"
     )
-    assert int(_python(probe)) == len(chipgyro.__all__) > 60
+    # every layer and every name it lists is one public name: none is listed twice
+    table_size = sum(1 + len(names) for names in chipgyro._LAYERS.values())
+    assert int(_python(probe)) == len(chipgyro.__all__) == table_size
 
 
 def test_lazy_layers_in_process():
@@ -1174,10 +1191,7 @@ def test_every_public_name_has_a_user():
     """Each public name is referenced, other than where it is defined, in the
     package's modules, the README, the acceptance tests or the benchmark: a
     name that only its own tests use is deleted, not exported."""
-    exempt = {
-        "OMEGA_EARTH",  # the Earth-rate noise source (ROADMAP D13) needs it
-        "sensitivity_function_g",  # oracle: tests compare |H|^2 with its Fourier transform
-    }
+    exempt = {"OMEGA_EARTH"}  # the Earth-rate noise source (ROADMAP D13) needs it
     files = [path for path in (REPO / "src" / "chipgyro").glob("*.py") if path.name != "__init__.py"]
     files += [REPO / "README.md", REPO / "tests" / "test_acceptance.py"]
     files += [path for path in (REPO / "perfbench").glob("*") if path.suffix in (".py", ".md")]
@@ -1194,7 +1208,7 @@ def test_every_public_name_has_a_user():
 LAYER_ROWS = [
     ("guide", ["guide", "magnetostatics"], []),
     ("transfer", ["interferometer"], []),
-    ("sensitivity", ["interferometer"], []),
+    ("sensitivity", ["interferometer", "stability"], []),
     ("allan", ["interferometer", "noise", "stability"], []),
     ("allan", ["interferometer", "stability"], ["noise=null"]),
     ("mission", ["interferometer", "stability"], []),

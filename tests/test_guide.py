@@ -39,6 +39,16 @@ RING_1MM = GuideGeometry(
 )
 
 
+def _scaled(geometry, factor):
+    """``geometry`` with every current multiplied by ``factor``."""
+    return GuideGeometry(tuple(WireLoop(l.radius, l.current * factor, l.height) for l in geometry.loops))
+
+
+def _raised(geometry, height):
+    """``geometry`` with its loop plane at ``height``."""
+    return GuideGeometry(tuple(WireLoop(l.radius, l.current, height) for l in geometry.loops))
+
+
 GUIDES = pytest.mark.parametrize(
     "geometry", [design_guide_geometry(), RING_1MM], ids=["design", "ring"]
 )
@@ -75,14 +85,35 @@ def test_minimum_against_fine_grid_oracle():
 def test_current_scaling_leaves_minimum_position():
     geometry = design_guide_geometry()
     pos1 = find_guide_minimum(geometry)
-    pos2 = find_guide_minimum(geometry.scaled(2.0))
+    pos2 = find_guide_minimum(_scaled(geometry, 2.0))
     assert pos1[0] == pytest.approx(pos2[0], abs=2e-9)
     assert pos1[1] == pytest.approx(pos2[1], abs=2e-9)
 
 
 def test_gradient_scales_with_current(characterization):
-    doubled = characterize_guide(design_guide_geometry().scaled(2.0), species_rb87())
+    doubled = characterize_guide(_scaled(design_guide_geometry(), 2.0), species_rb87())
     assert doubled.gradient == pytest.approx(2.0 * characterization.gradient, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("height", [20e-6, 1e-3, -5e-6], ids=["20um", "1mm", "-5um"])
+def test_guide_moves_with_the_loop_plane(characterization, height):
+    """The guide sits above the loop plane h, not above the chip: loops at h
+    keep z0 - h, rho0, the radial frequency and the depth of loops at h = 0.
+    The mirror zero, as far below the loops as the guide is above them, is
+    not the guide. Loops 5 um under the chip keep their guide above it."""
+    moved = characterize_guide(_raised(design_guide_geometry(), height), species_rb87())
+    rho0, z0 = characterization.min_position
+    assert abs(moved.min_position[0] - rho0) <= 1e-12
+    assert abs(moved.min_position[1] - height - z0) <= 1e-12
+    assert moved.radial_frequency == pytest.approx(characterization.radial_frequency, rel=1e-9, abs=0)
+    assert moved.depth_field == pytest.approx(characterization.depth_field, rel=1e-9, abs=0)
+
+
+def test_guide_below_the_chip_is_not_found():
+    """Loops 20 um under the chip would put the guide below its surface,
+    where no atom can be, so there is none."""
+    with pytest.raises(NoGuideMinimumError):
+        find_guide_minimum(_raised(design_guide_geometry(), -20e-6))
 
 
 def test_depth_band(characterization):
@@ -213,9 +244,9 @@ def _box_map(geometry, min_position, n):
     """rho, z and |B| of an n x n map of the search box, with the z axis of
     the coarse scan (n = COARSE_GRID), and the cell (i, j) nearest the
     minimum."""
-    (rho_lo, rho_hi), (_, z_hi) = _search_box(geometry)
+    (rho_lo, rho_hi), (z_lo, z_hi) = _search_box(geometry)
     rho = np.linspace(rho_lo, rho_hi, n)
-    z = np.linspace(z_hi / n, z_hi, n)
+    z = np.linspace(z_lo + (z_hi - z_lo) / n, z_hi, n)
     i = int(np.argmin(np.abs(rho - min_position[0])))
     j = int(np.argmin(np.abs(z - min_position[1])))
     return rho, z, field_modulus(geometry, rho[:, None], z[None, :]), i, j
@@ -460,7 +491,7 @@ def test_unconverged_refinement_raises(monkeypatch):
 
 def test_zero_current_raises():
     with pytest.raises(NoGuideMinimumError):
-        find_guide_minimum(design_guide_geometry().scaled(0.0))
+        find_guide_minimum(_scaled(design_guide_geometry(), 0.0))
 
 
 def test_non_smooth_without_offset():

@@ -15,12 +15,11 @@ from chipgyro.interferometer import (
     guide_radius_for,
     rb87_config,
     scale_factor,
-    sensitivity_function_g,
     shot_noise_sensitivity,
-    shot_noise_sensitivity_per_sqrt_hz,
     transfer_H_abs2,
 )
 from chipgyro.noise import phase_sigma_to_rotation_sigma
+from chipgyro.stability import projection_allan
 
 LAT = math.radians(48.85)
 
@@ -40,6 +39,16 @@ def _transfer_H(f, config):
     with np.errstate(divide="ignore", invalid="ignore"):
         H = -2.0j / (np.pi * f * tau) * np.sin(np.pi * f * tau) * np.sin(np.pi * f * D)
     return np.where(f == 0.0, 0.0 + 0.0j, H)
+
+
+def _sensitivity_function_g(t, config):
+    """Oracle: the sensitivity function g(t), the response of the output
+    phase to a phase jump at time t: 0 outside [-T, T], linear ramps across
+    the two square pulses, 1 between them (Cheinet et al., IEEE Trans.
+    Instrum. Meas. 57, 1141 (2008)). |H| is 2 pi f times the modulus of its
+    Fourier transform."""
+    half_time = 0.5 * config.interrogation_time
+    return np.clip((half_time - np.abs(t)) / config.pulse_duration, 0.0, 1.0)
 
 
 def test_scale_factor_and_sagnac_phase():
@@ -106,10 +115,10 @@ def test_shot_noise_against_explicit_closed_form(v_over_vr, latitude_deg):
 
 
 def test_per_sqrt_hz_uses_cycle_time():
+    """The per-sqrt(Hz) figure, the projection Allan deviation at 1 s,
+    multiplies the per-shot one by sqrt(2T + dead time), with no rounding."""
     cfg = _config(cycle_dead_time=1.0)
-    assert shot_noise_sensitivity_per_sqrt_hz(cfg) == pytest.approx(
-        shot_noise_sensitivity(cfg) * math.sqrt(5.0), rel=1e-12, abs=0
-    )
+    assert projection_allan(cfg, 1.0) == shot_noise_sensitivity(cfg) * math.sqrt(5.0)
 
 
 def test_degenerate_latitude_raises():
@@ -215,19 +224,19 @@ def test_config_validation():
 
 def test_sensitivity_function_shape():
     cfg = _config()
-    T = cfg.half_time
+    T = 0.5 * cfg.interrogation_time
     tau = cfg.pulse_duration
-    assert sensitivity_function_g(-T - 1e-9, cfg) == 0.0
-    assert sensitivity_function_g(T + 1e-9, cfg) == 0.0
-    assert sensitivity_function_g(0.0, cfg) == 1.0
-    assert sensitivity_function_g(-T + tau / 2, cfg) == pytest.approx(0.5)
-    assert sensitivity_function_g(T - tau / 2, cfg) == pytest.approx(0.5)
+    assert _sensitivity_function_g(-T - 1e-9, cfg) == 0.0
+    assert _sensitivity_function_g(T + 1e-9, cfg) == 0.0
+    assert _sensitivity_function_g(0.0, cfg) == 1.0
+    assert _sensitivity_function_g(-T + tau / 2, cfg) == pytest.approx(0.5)
+    assert _sensitivity_function_g(T - tau / 2, cfg) == pytest.approx(0.5)
 
 
 def test_h_integrals():
     cfg = rb87_config(pulse_duration=0.01, interrogation_time=1.0)
     t = np.linspace(-0.6, 0.6, 1200001)
-    g = sensitivity_function_g(t, cfg)
+    g = _sensitivity_function_g(t, cfg)
     assert trapezoid(g, t) == pytest.approx(
         cfg.interrogation_time - cfg.pulse_duration, rel=1e-6, abs=0
     )
@@ -268,7 +277,7 @@ def test_H_equals_omega_G():
     """|H(f)| = 2 pi f |G(f)| with G the numerical Fourier integral of g."""
     cfg = rb87_config(pulse_duration=0.05, interrogation_time=1.0)
     t = np.linspace(-0.5, 0.5, 200001)
-    g = sensitivity_function_g(t, cfg)
+    g = _sensitivity_function_g(t, cfg)
     for f in (0.3, 0.7, 1.3, 2.7, 6.1):
         G = trapezoid(g * np.exp(-2j * math.pi * f * t), t)
         assert 2 * math.pi * f * abs(G) == pytest.approx(
