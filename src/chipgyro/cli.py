@@ -382,8 +382,8 @@ def cmd_guide(config: dict) -> tuple:
         U = trap_potential(geometry, species, rho[:, None], z[None, :], offset_b0)
     if not np.all(np.isfinite(U)):
         raise PhysicsError(
-            "|B| or U is not finite in the potential map: a loop current or geometry.offset_B0_T "
-            "is past the float range there"
+            "|B| or U is not finite in the potential map: a loop radius or current, or "
+            "species.magnetic_moment_J_T, is past the float range there"
         )
     # rows run over rho, then z; each axis value is formatted once, not once per row
     cells = itertools.product(["%.17g" % v for v in rho.tolist()], ["%.17g" % v for v in z.tolist()])
@@ -439,6 +439,9 @@ def cmd_sensitivity(config: dict) -> tuple:
     ai = _interferometer_from_config(config)
     two_t_min = config["run.sensitivity.two_t_min_s"]
     two_t_max = config["run.sensitivity.two_t_max_s"]
+    if ai.pulse_duration >= two_t_min:
+        raise ConfigError("run.sensitivity.two_t_min_s must be > interferometer.pulse_duration_s, "
+                          f"got {two_t_min} <= {ai.pulse_duration}")
     n_points, atom_numbers = config["run.sensitivity.n_points"], config["run.sensitivity.atom_numbers"]
     _check_rows(n_points * len(atom_numbers), "run.sensitivity.n_points x len(atom_numbers)")
     two_t_grid = np.geomspace(two_t_min, two_t_max, n_points)
@@ -495,6 +498,9 @@ def cmd_mission(config: dict) -> tuple:
     from .stability import INTERROGATION_BRACKET, feasibility_boundary
 
     ai = _interferometer_from_config(config)
+    if ai.pulse_duration >= INTERROGATION_BRACKET[0]:
+        raise ConfigError("interferometer.pulse_duration_s must be < the mission's 2T floor, "
+                          f"{INTERROGATION_BRACKET[0]} s, got {ai.pulse_duration}")
     target = config["run.mission.target_sigma_rad_s"]
     integration = config["run.mission.integration_time_s"]
     ratios = config["run.mission.v_over_vr"]

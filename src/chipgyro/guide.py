@@ -228,8 +228,7 @@ def _depth_field(geometry: GuideGeometry, min_pos, B_min) -> tuple:
 def trap_potential(geometry: GuideGeometry, species: AtomSpecies, rho, z, offset_B0: float):
     """Trap potential U = mu sqrt(|B|^2 + B0^2) over point grids, with the
     longitudinal offset field B0 added to |B| in quadrature."""
-    modulus = field_modulus(geometry, rho, z)
-    return species.magnetic_moment * np.sqrt(modulus * modulus + offset_B0 * offset_B0)
+    return species.magnetic_moment * np.hypot(field_modulus(geometry, rho, z), offset_B0)
 
 
 def characterize_guide(
@@ -253,9 +252,8 @@ def characterize_guide(
             "trap frequency; give an offset field B0 > 0"
         )
     rho0, z0, iterations, step_size = find_guide_minimum(geometry)
-    B_min = float(field_modulus(geometry, rho0, z0))
-
-    _, jacobian = _field_jacobian(geometry, np.array([rho0, z0]))
+    B, jacobian = _field_jacobian(geometry, np.array([rho0, z0]))
+    B_min = float(np.hypot(*B))
     gradient = float(np.linalg.norm(jacobian, 2))
     radial_frequency = radial_frequency_quadrupole(gradient, math.hypot(B_min, offset_B0), species)
 

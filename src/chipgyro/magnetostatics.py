@@ -152,7 +152,7 @@ def total_field_arrays(geometry: GuideGeometry, rho, z):
 def field_modulus(geometry: GuideGeometry, rho, z):
     """|B| over point grids."""
     Brho, Bz = total_field_arrays(geometry, rho, z)
-    return np.sqrt(Brho * Brho + Bz * Bz)
+    return np.hypot(Brho, Bz)
 
 
 def design_guide_geometry() -> GuideGeometry:

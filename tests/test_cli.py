@@ -645,12 +645,43 @@ def test_mission_output(tmp_path, config_path, capsys):
     )
 
 
-# the design guide's loops with currents near 1e154 A: the coarse scan stays finite
+@pytest.mark.parametrize(
+    "command, tau, keys",
+    [
+        ("mission", "0.05", ["interferometer.pulse_duration_s", "0.01 s"]),
+        ("sensitivity", "0.2", ["run.sensitivity.two_t_min_s", "interferometer.pulse_duration_s"]),
+    ],
+)
+def test_a_pulse_past_the_shortest_2t_of_a_stage_names_its_keys(tmp_path, config_path, capsys, command, tau, keys):
+    """A pulse shorter than the config's 2T but not shorter than the mission's
+    2T floor or the sensitivity sweep's first 2T: exit 1 naming the keys
+    (and the floor), not the rebuilt config's interrogation_time, and no file."""
+    out = tmp_path / "out"
+    argv = [command, "--config", config_path, "--out", str(out)]
+    code, summary = _run(capsys, *argv, "--override", f"interferometer.pulse_duration_s={tau}")
+    assert (code, summary["status"]) == (1, "config-error")
+    assert all(key in summary["error"] for key in keys) and "interrogation_time" not in summary["error"]
+    assert not out.exists()
+
+
+# the design guide's loops with currents near 1e154 A: |B| squared overflows,
+# |B| itself does not
 LOOPS_1E154 = (
     "geometry.loops=[{radius_m: 4.87e-4, current_A: -1.23e154}, {radius_m: 5e-4, current_A: 1.21e154}, "
     "{radius_m: 5.13e-4, current_A: -1.23e154}]"
 )
+# the design currents x 1e156: |B| on the coarse scan reaches 3.7e154 T, past
+# the square root of the float range
+LOOPS_1E156 = (
+    "geometry.loops=[{radius_m: 4.87e-4, current_A: -1.23e155}, {radius_m: 5e-4, current_A: 1.21e155}, "
+    "{radius_m: 5.13e-4, current_A: -1.23e155}]"
+)
 ROTATION_NOISE = ("noise.domain=rotation", "noise.model.white=1e-8")
+
+
+def _reject_constant(name):
+    """json.loads hook for NaN and Infinity, which strict JSON does not have."""
+    raise ValueError(f"{name} is not JSON")
 
 
 @pytest.mark.parametrize(
@@ -673,13 +704,20 @@ ROTATION_NOISE = ("noise.domain=rotation", "noise.model.white=1e-8")
             0,
         ),
         ("guide", ["geometry.offset_B0_T=1e-6"], 0),
-        ("guide", ["geometry.offset_B0_T=1e155"], 2),
+        ("guide", ["geometry.offset_B0_T=1e155"], 0),
         (
             "guide",
             [LOOPS_1E154, "geometry.offset_B0_T=1.5e152", "run.guide.map_n_rho=101", "run.guide.map_n_z=101"],
+            0,
+        ),
+        ("guide", ["geometry.offset_B0_T=1e155", LOOPS_1E154], 0),
+        ("guide", [LOOPS_1E156], 0),
+        (
+            "guide",
+            ["species.magnetic_moment_J_T=1e300", "species.name=x", "species.mass_kg=1.4e-25",
+             "species.wavelength_m=7.8e-7", "geometry.offset_B0_T=1e10"],
             2,
         ),
-        ("guide", ["geometry.offset_B0_T=1e155", LOOPS_1E154], 2),
         ("allan", [*ROTATION_NOISE, "interferometer.latitude_deg=1e-300"], 2),
         ("allan", [*ROTATION_NOISE, "interferometer.v_launch_over_vr=1e300"], 2),
         ("noise", [*ROTATION_NOISE, "interferometer.v_launch_over_vr=1e300"], 2),
@@ -699,6 +737,7 @@ ROTATION_NOISE = ("noise.domain=rotation", "noise.model.white=1e-8")
         "noise-band-top-1e300", "allan-band-top-1e300", "transfer-band-top-1e300",
         "guide-loop-radius-1e300", "guide-loop-current-1e300", "guide-currents-1e150", "guide-offset-1e-6",
         "guide-offset-1e155", "guide-currents-1e154-map-overflow", "guide-currents-1e154-offset-1e155",
+        "guide-currents-1e156", "guide-moment-1e300-map-overflow",
         "allan-latitude-1e-300", "allan-launch-1e300", "noise-launch-1e300", "noise-wavelength-1e-200",
         "noise-2T-1e200", "sensitivity-2T-1e200", "allan-atoms-and-launch-1e-300", "allan-phase-white-1e308",
     ],
@@ -706,13 +745,15 @@ ROTATION_NOISE = ("noise.domain=rotation", "noise.model.white=1e-8")
 def test_edge_inputs_end_in_a_json_status(tmp_path, config_path, capfd, command, overrides, code):
     """Two launch speeds an ulp apart that tie on their 2T, a subnormal PSD,
     a band top with more zeros n / tau than MAX_PULSE_ZEROS, a loop whose
-    field overflows, currents of 1e150 A, a small offset field, currents whose
-    field overflows in the potential map only, and an offset whose square
-    overflows U there, and inputs whose rotation chain (scale factor, its
-    square, k_eff^2, tau SF^2, the shot-noise slope, the Dick sum) leaves the
-    float range: each ends in its exit code and a JSON last line, with
-    nothing on stderr, on an error no file, and on success the files. An
-    offset error names its key."""
+    field overflows, currents of 1e150 A, a small offset field, offsets and
+    currents of 1e154 to 1e156 whose |B| or U only squared would leave the
+    float range (hypot keeps them finite), a magnetic moment that takes U
+    past it in the potential map, and inputs whose rotation chain (scale
+    factor, its square, k_eff^2, tau SF^2, the shot-noise slope, the Dick
+    sum) leaves the float range: each ends in its exit code and a JSON last
+    line, with nothing on stderr, on an error no file, and on success the
+    files, a guide's with a finite potential map and strict JSON. A moment
+    error names its key."""
     out = tmp_path / "out"
     argv = [command, "--config", config_path, "--out", str(out)]
     assert main(argv + [arg for item in overrides for arg in ("--override", item)]) == code
@@ -722,10 +763,17 @@ def test_edge_inputs_end_in_a_json_status(tmp_path, config_path, capfd, command,
     assert summary["status"] == {0: "ok", 1: "config-error", 2: "physics-error"}[code]
     if code:
         assert not out.exists()
-        if "offset_B0_T" in overrides[0]:
-            assert "geometry.offset_B0_T" in summary["error"]
+        if "magnetic_moment_J_T" in overrides[0]:
+            assert "species.magnetic_moment_J_T" in summary["error"]
     elif command == "guide":
         assert sorted(path.name for path in out.iterdir()) == ["guide_characterization.json", "potential_map.csv"]
+        record = json.loads((out / "guide_characterization.json").read_text(), parse_constant=_reject_constant)
+        resolved = record["provenance"]["config"]
+        lines = (out / "potential_map.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines if not line.startswith("#")]
+        assert rows[0] == ["rho_m", "z_m", "potential_J"]
+        assert len(rows) == 1 + resolved["run.guide.map_n_rho"] * resolved["run.guide.map_n_z"]
+        assert all(math.isfinite(float(row[2])) for row in rows[1:])
     elif command == "mission":
         data = np.genfromtxt(out / "mission.csv", delimiter=",", names=True, skip_header=15)
         assert data.size == 2

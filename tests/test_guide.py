@@ -209,6 +209,20 @@ def test_trap_potential_offset_in_quadrature():
     assert u == pytest.approx(species.magnetic_moment * math.hypot(b, b0), rel=1e-12, abs=0)
 
 
+def test_trap_potential_of_an_offset_past_the_square_root_of_the_float_range(characterization):
+    """U = mu hypot(|B|, B0) stays finite where B0^2 overflows: at the
+    minimum, where |B| is about 1e-17 T, B0 = 1e300 T gives mu 1e300."""
+    species = species_rb87()
+    u = float(trap_potential(design_guide_geometry(), species, *characterization.min_position, 1e300))
+    assert u == pytest.approx(species.magnetic_moment * 1e300, rel=1e-15, abs=0)
+
+
+def test_B_min_is_the_modulus_at_the_minimum(characterization):
+    """B_min comes from the Jacobian's field call at the minimum: the same
+    float as a field_modulus call there."""
+    assert characterization.B_min == float(field_modulus(design_guide_geometry(), *characterization.min_position))
+
+
 def test_hessian_symmetric():
     def potential(r, z):
         return (r - 1e-4) ** 2 + 3.0 * (z - 2e-5) ** 2 + 0.5 * (r - 1e-4) * (z - 2e-5)

@@ -202,6 +202,20 @@ def test_vectorized_matches_scalar():
         assert mods[i] == pytest.approx(float(field_modulus(geometry, rho[i], z[i])), rel=1e-12, abs=0)
 
 
+def test_modulus_scales_with_currents_past_the_square_root_of_the_float_range():
+    """|B| is linear in the currents, also where |B|^2 overflows: currents
+    x 2^700 (about 5.3e210; a power of two, so that the currents scale
+    exactly) give 2^700 |B|, from 5e204 to 3e207 T, on a 5 x 5 grid around
+    the design guide's minimum."""
+    geometry = design_guide_geometry()
+    factor = 2.0**700
+    scaled = GuideGeometry(tuple(WireLoop(l.radius, l.current * factor, l.height) for l in geometry.loops))
+    offsets = np.linspace(-2e-6, 2e-6, 5)
+    rho, z = 499.17e-6 + offsets[:, None], 12.73e-6 + offsets[None, :]
+    expected = factor * field_modulus(geometry, rho, z)
+    np.testing.assert_allclose(field_modulus(scaled, rho, z), expected, rtol=1e-15, atol=0)
+
+
 def test_oracle_needs_eight_segments():
     with pytest.raises(ConfigError, match="^n_segments must be >= 8, got 7"):
         loop_field_oracle(WireLoop(radius=5e-4, current=0.1, height=0.0), 4e-4, 1e-5, n_segments=7)
