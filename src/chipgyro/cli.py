@@ -385,12 +385,12 @@ def cmd_guide(config: dict) -> tuple:
             "|B| or U is not finite in the potential map: a loop radius or current, or "
             "species.magnetic_moment_J_T, is past the float range there"
         )
-    # rows run over rho, then z; each axis value is formatted once, not once per row
-    cells = itertools.product(["%.17g" % v for v in rho.tolist()], ["%.17g" % v for v in z.tolist()])
+    # rows run over rho, then z: one "%" per rho row, on the z column's text joined by rho's
+    z_cells, rho_text = [",%.17g,%%.17g\n" % v for v in z.tolist()], ["%.17g" % v for v in rho.tolist()]
     potential_map = (
         {"offset_B0_T": _fmt(offset_b0), "species": species.name},
         ["rho_m", "z_m", "potential_J"],
-        ("%s,%s,%.17g\n" % (r, zz, u) for (r, zz), u in zip(cells, U.ravel().tolist())),
+        ((r + r.join(z_cells)) % tuple(u) for r, u in zip(rho_text, U.tolist())),
     )
     files = {"guide_characterization.json": record, "potential_map.csv": potential_map}
     return files, {"z0_m": z0, "radial_frequency_Hz": characterization.radial_frequency}

@@ -27,7 +27,7 @@ from .magnetostatics import GuideGeometry, field_modulus, total_field_arrays
 JACOBIAN_STEP = 1e-8         # m, central-difference step of the field Jacobian
 POSITION_TOLERANCE = 1e-9    # m, Newton stops at a step of at most a tenth of it
 NEWTON_MAX_ITERATIONS = 10   # cap of the minimum and of the saddle refinement
-COARSE_GRID = 201            # coarse scan resolution per axis, also flooded for the depth
+COARSE_GRID = 201            # coarse scan resolution per axis; one scan serves minimum and depth
 # x, x +- h e_rho and x +- h e_z, h = JACOBIAN_STEP: the central-difference stencil
 _STENCIL = JACOBIAN_STEP * np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
 
@@ -99,21 +99,6 @@ def _modulus_gradient_hessian(geometry: GuideGeometry, x: np.ndarray) -> tuple:
     return gradient[:, 0], (gradient[:, 1::2] - gradient[:, 2::2]) / (2.0 * JACOBIAN_STEP)
 
 
-def _coarse_scan(geometry: GuideGeometry) -> tuple:
-    """(rho, z, |B|) of the COARSE_GRID^2 scan of the search box. Raises
-    NoGuideMinimumError when |B| on it is not finite."""
-    (rho_lo, rho_hi), (z_lo, z_hi) = _search_box(geometry)
-    rho = np.linspace(rho_lo, rho_hi, COARSE_GRID)
-    z = np.linspace(z_lo + (z_hi - z_lo) / COARSE_GRID, z_hi, COARSE_GRID)
-    with np.errstate(over="ignore", invalid="ignore"):  # a field past the float range reads inf or nan
-        B = field_modulus(geometry, rho[:, None], z[None, :])
-    if not np.all(np.isfinite(B)):
-        raise NoGuideMinimumError(
-            "|B| is not finite in the search box: a loop radius or current is past the float range"
-        )
-    return rho, z, B
-
-
 def _newton(system, x: np.ndarray, geometry: GuideGeometry, error: type, name: str) -> tuple:
     """Newton's method on system(geometry, x) -> (F, dF/dx) from x, until a
     step is at most POSITION_TOLERANCE / 10. Returns (x, the last dF/dx,
@@ -135,19 +120,30 @@ def _newton(system, x: np.ndarray, geometry: GuideGeometry, error: type, name: s
 def find_guide_minimum(geometry: GuideGeometry) -> tuple:
     """Locate the minimum of |B| above the chip and the loop plane.
 
-    Coarse grid scan, then Newton's method on the field vector from the
-    lowest interior local minimum of the scan: the minimum is the zero of
-    (B_rho, B_z). Deterministic for a fixed geometry. Newton stops once a
-    step is at most POSITION_TOLERANCE / 10; near the zero it converges
-    quadratically, so that last step bounds the position error. Returns
-    (rho0, z0, iterations, last step size). Raises NoGuideMinimumError when
-    |B| on the scan is not finite, when the box contains no interior minimum
-    (e.g. all currents zero or non-trapping signs), or when Newton leaves the
-    search box or does not converge within NEWTON_MAX_ITERATIONS.
+    A COARSE_GRID^2 scan of the search box, then Newton's method on the
+    field vector from the lowest interior local minimum of the scan: the
+    minimum is the zero of (B_rho, B_z). Deterministic for a fixed geometry.
+    Newton stops once a step is at most POSITION_TOLERANCE / 10; near the
+    zero it converges quadratically, so that last step bounds the position
+    error. Returns
+    (rho0, z0, iterations, last step size, scan), with scan the coarse
+    scan's (rho, z, |B|), which _depth_field floods. Raises
+    NoGuideMinimumError when |B| on the scan is not finite, when the box
+    contains no interior minimum (e.g. all currents zero or non-trapping
+    signs), or when Newton leaves the search box or does not converge within
+    NEWTON_MAX_ITERATIONS.
     """
     if all(loop.current == 0.0 for loop in geometry.loops):
         raise NoGuideMinimumError("all currents are zero: no field, no guide")
-    rho, z, B = _coarse_scan(geometry)
+    (rho_lo, rho_hi), (z_lo, z_hi) = _search_box(geometry)
+    rho = np.linspace(rho_lo, rho_hi, COARSE_GRID)
+    z = np.linspace(z_lo + (z_hi - z_lo) / COARSE_GRID, z_hi, COARSE_GRID)
+    with np.errstate(over="ignore", invalid="ignore"):  # a field past the float range reads inf or nan
+        B = field_modulus(geometry, rho[:, None], z[None, :])
+    if not np.all(np.isfinite(B)):
+        raise NoGuideMinimumError(
+            "|B| is not finite in the search box: a loop radius or current is past the float range"
+        )
 
     # interior local minima of the coarse map (the global box minimum can sit
     # on the boundary where the far field decays; that is escape, not trapping)
@@ -167,7 +163,7 @@ def find_guide_minimum(geometry: GuideGeometry) -> tuple:
 
     start = np.array([rho[i + 1], z[j + 1]])
     x, _, iterations, step_size = _newton(_field_jacobian, start, geometry, NoGuideMinimumError, "minimum")
-    return float(x[0]), float(x[1]), iterations, step_size
+    return float(x[0]), float(x[1]), iterations, step_size, (rho, z, B)
 
 
 def _flood_barrier(B: np.ndarray, i: int, j: int) -> tuple:
@@ -196,19 +192,21 @@ def _flood_barrier(B: np.ndarray, i: int, j: int) -> tuple:
                 heapq.heappush(heap, (values[cell[0]][cell[1]], *cell))
 
 
-def _depth_field(geometry: GuideGeometry, min_pos, B_min) -> tuple:
+def _depth_field(geometry: GuideGeometry, scan: tuple, min_pos, B_min) -> tuple:
     """Escape barrier of |B| within the search box, less B_min.
 
-    The coarse scan is flooded from the cell nearest the minimum. When the
-    barrier cell lies inside the grid, Newton's method on grad |B| refines
-    it to the escape saddle of |B|, and the depth is |B| there: no grid
-    limits it. When the barrier cell is on the edge of the box, the escape
-    leaves the box without a saddle, and the depth is that cell's |B|, a
-    value limited by the box. Returns (depth, saddle (rho, z) or None, Newton
-    iterations, last Newton step or None). Raises PhysicsError when Newton
-    fails or stops where the Hessian of |B| is not indefinite.
+    ``scan`` is the coarse scan (rho, z, |B|) that find_guide_minimum
+    searched; it is flooded from the cell nearest the minimum, and no scan
+    is made here. When the barrier cell lies inside the grid, Newton's
+    method on grad |B| refines it to the escape saddle of |B|, and the depth
+    is |B| there: no grid limits it. When the barrier cell is on the edge of
+    the box, the escape leaves the box without a saddle, and the depth is
+    that cell's |B|, a value limited by the box. Returns (depth, saddle
+    (rho, z) or None, Newton iterations, last Newton step or None). Raises
+    PhysicsError when Newton fails or stops where the Hessian of |B| is not
+    indefinite.
     """
-    rho, z, B = _coarse_scan(geometry)
+    rho, z, B = scan
     i = int(np.argmin(np.abs(rho - min_pos[0])))
     j = int(np.argmin(np.abs(z - min_pos[1])))
     level, (a, b) = _flood_barrier(B, i, j)
@@ -251,13 +249,13 @@ def characterize_guide(
             "geometry.offset_B0_T = 0: U = mu |B| is a cone at the field zero, with no "
             "trap frequency; give an offset field B0 > 0"
         )
-    rho0, z0, iterations, step_size = find_guide_minimum(geometry)
+    rho0, z0, iterations, step_size, scan = find_guide_minimum(geometry)
     B, jacobian = _field_jacobian(geometry, np.array([rho0, z0]))
     B_min = float(np.hypot(*B))
     gradient = float(np.linalg.norm(jacobian, 2))
     radial_frequency = radial_frequency_quadrupole(gradient, math.hypot(B_min, offset_B0), species)
 
-    depth_field, saddle, saddle_iterations, saddle_step = _depth_field(geometry, (rho0, z0), B_min)
+    depth_field, saddle, saddle_iterations, saddle_step = _depth_field(geometry, scan, (rho0, z0), B_min)
     depth_temperature = species.magnetic_moment * depth_field / K_B
 
     return GuideCharacterization(

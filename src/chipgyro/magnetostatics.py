@@ -77,29 +77,34 @@ class FieldVector:
 
 def _loop_field_arrays(loop: WireLoop, rho, z):
     """Vectorized closed-form loop field; returns (B_rho, B_z) arrays."""
-    special = compiled_module("scipy.special._special_ufuncs")
     rho = np.asarray(rho, dtype=float)
     zp = np.asarray(z, dtype=float) - loop.height
+    # x * x, not x ** 2: a numpy scalar's ** 2 calls pow, which can differ by an ulp
+    return _coplanar_loop_field(loop, rho, rho * rho, zp, zp * zp)
+
+
+def _coplanar_loop_field(loop: WireLoop, rho, rho2, zp, zp2):
+    """(B_rho, B_z) of ``loop`` from rho, rho2 = rho^2, zp = z - height and zp2 = zp^2."""
+    special = compiled_module("scipy.special._special_ufuncs")
     a = loop.radius
 
-    # x * x, not x ** 2: a numpy scalar's ** 2 calls pow, which can differ by an ulp
     gap = rho - a
-    dist2 = gap * gap + zp * zp
+    dist2 = gap * gap + zp2
     if np.any(dist2 <= FILAMENT_EXCLUSION ** 2):
         raise SingularPointError(
             f"field evaluation on the filament of loop radius {a} (distance <= {FILAMENT_EXCLUSION} m)"
         )
 
     reach = a + rho
-    denom_plus = reach * reach + zp * zp
+    denom_plus = reach * reach + zp2
     m = 4.0 * a * rho / denom_plus
     K, E = special.ellipk(m), special.ellipe(m)
 
     pref = MU_0 * loop.current / (2.0 * np.pi)
     root = np.sqrt(denom_plus)
-    Bz = pref / root * (K + (a * a - rho * rho - zp * zp) / dist2 * E)
+    Bz = pref / root * (K + (a * a - rho2 - zp2) / dist2 * E)
     with np.errstate(divide="ignore", invalid="ignore"):
-        Brho = pref * zp / (rho * root) * (-K + (a * a + rho * rho + zp * zp) / dist2 * E)
+        Brho = pref * zp / (rho * root) * (-K + (a * a + rho2 + zp2) / dist2 * E)
     Brho = np.where(rho == 0.0, 0.0, Brho)
     return Brho, Bz
 
@@ -134,14 +139,16 @@ def loop_field_oracle(loop: WireLoop, rho: float, z: float, n_segments: int) -> 
 
 
 def total_field_arrays(geometry: GuideGeometry, rho, z):
-    """Vectorized superposition over point grids; returns (B_rho, B_z)."""
+    """Vectorized superposition over point grids; returns (B_rho, B_z).
+    The loops are coplanar, so rho^2, zp = z - height and zp^2 are formed once."""
     rho = np.asarray(rho, dtype=float)
-    z = np.asarray(z, dtype=float)
-    Brho = np.zeros(np.broadcast(rho, z).shape)
+    zp = np.asarray(z, dtype=float) - geometry.loops[0].height
+    rho2, zp2 = rho * rho, zp * zp
+    Brho = np.zeros(np.broadcast(rho, zp).shape)
     Bz = np.zeros_like(Brho)
     for i, loop in enumerate(geometry.loops):
         try:
-            br, bz = _loop_field_arrays(loop, rho, z)
+            br, bz = _coplanar_loop_field(loop, rho, rho2, zp, zp2)
         except SingularPointError as exc:
             raise SingularPointError(f"loop index {i}: {exc}") from None
         Brho = Brho + br

@@ -70,7 +70,7 @@ def test_minimum_against_fine_grid_oracle():
     """Independent check: a dense brute-force grid around the reported minimum
     finds no lower modulus, and its argmin agrees to the grid spacing."""
     geometry = design_guide_geometry()
-    rho0, z0, _, _ = find_guide_minimum(geometry)
+    rho0, z0, _, _, _ = find_guide_minimum(geometry)
     rho = np.linspace(rho0 - 5e-6, rho0 + 5e-6, 501)
     z = np.linspace(z0 - 5e-6, z0 + 5e-6, 501)
     RR, ZZ = np.meshgrid(rho, z, indexing="ij")
@@ -334,9 +334,9 @@ def test_seeded_guides_escape_through_a_saddle():
     NEWTON_MAX_ITERATIONS, where the oracle's Hessian stencil of |B| has one
     negative and one positive eigenvalue."""
     for geometry, _, _ in _seeded_guides():
-        rho0, z0, _, _ = find_guide_minimum(geometry)
+        rho0, z0, _, _, scan = find_guide_minimum(geometry)
         B_min = float(field_modulus(geometry, rho0, z0))
-        depth, saddle, iterations, step = _depth_field(geometry, (rho0, z0), B_min)
+        depth, saddle, iterations, step = _depth_field(geometry, scan, (rho0, z0), B_min)
         assert saddle is not None and 0 < iterations <= NEWTON_MAX_ITERATIONS, geometry.loops
         assert depth > 0 and 0 < step <= POSITION_TOLERANCE / 10, geometry.loops
         hessian = _potential_hessian(lambda r, z: field_modulus(geometry, r, z), *saddle)
@@ -391,6 +391,7 @@ def test_failed_saddle_refinement_raises(monkeypatch, characterization, case, me
     outer edge or a minimum. Each raises PhysicsError naming the escape saddle."""
     geometry = design_guide_geometry()
     rho0, z0 = characterization.min_position
+    scan = find_guide_minimum(geometry)[4]
     (_, rho_hi), _ = _search_box(geometry)
     if case == "one-iteration-cap":
         monkeypatch.setattr("chipgyro.guide.NEWTON_MAX_ITERATIONS", 1)
@@ -398,8 +399,23 @@ def test_failed_saddle_refinement_raises(monkeypatch, characterization, case, me
         centre, sign = ((rho_hi + 1e-4, z0), -1.0) if case == "saddle-past-the-box" else ((rho0, z0), 1.0)
         monkeypatch.setattr("chipgyro.guide.total_field_arrays", _quadric_field(*centre, sign))
     with pytest.raises(PhysicsError, match=message) as raised:
-        _depth_field(geometry, (rho0, z0), characterization.B_min)
+        _depth_field(geometry, scan, (rho0, z0), characterization.B_min)
     assert type(raised.value) is PhysicsError
+
+
+def test_characterization_scans_the_box_once(monkeypatch, characterization):
+    """One characterize_guide on the design guide makes exactly one
+    field_modulus call of COARSE_GRID^2 points: the depth search floods the
+    scan that the minimum search made, and the result does not change."""
+    sizes = []
+
+    def counted(geometry, rho, z):
+        sizes.append(np.broadcast(rho, z).size)
+        return field_modulus(geometry, rho, z)
+
+    monkeypatch.setattr("chipgyro.guide.field_modulus", counted)
+    assert characterize_guide(design_guide_geometry(), species_rb87()) == characterization
+    assert sizes.count(COARSE_GRID**2) == 1
 
 
 def test_work_counters(characterization):
@@ -438,7 +454,7 @@ def test_imbalanced_ring_minimum_converges():
             WireLoop(radius=1026e-6, current=-0.123, height=0.0),
         )
     )
-    rho0, z0, iterations, _ = find_guide_minimum(ring)
+    rho0, z0, iterations, _, _ = find_guide_minimum(ring)
     assert iterations <= 8
 
     zero = _field_zero(ring, [1e-3, 2.5e-5])
@@ -462,7 +478,7 @@ def test_minimum_matches_root_oracle_on_seeded_guides():
     """On the seeded guides the minimum is the field zero of the root solve
     to 1e-12 m, reached in at most 8 Newton iterations."""
     for geometry, R, s in _seeded_guides():
-        rho0, z0, iterations, _ = find_guide_minimum(geometry)
+        rho0, z0, iterations, _, _ = find_guide_minimum(geometry)
         assert iterations <= 8
         zero = _field_zero(geometry, [R, s])
         assert abs(rho0 - zero[0]) <= 1e-12 and abs(z0 - zero[1]) <= 1e-12, geometry.loops
@@ -477,7 +493,7 @@ def test_scalar_and_array_routes_agree_on_hessian_stencils():
     d_rho = np.array([0.0, h, -h, 0.0, 0.0, h, h, -h, -h])
     d_z = np.array([0.0, 0.0, 0.0, h, -h, h, -h, h, -h])
     for geometry in (design_guide_geometry(), RING_1MM, *(g for g, _, _ in _seeded_guides())):
-        rho0, z0, _, _ = find_guide_minimum(geometry)
+        rho0, z0, _, _, _ = find_guide_minimum(geometry)
         rho, z = rho0 + d_rho, z0 + d_z
         points = list(zip(rho.tolist(), z.tolist()))
         assert field_modulus(geometry, rho, z).tolist() == [
@@ -493,7 +509,7 @@ def test_unconverged_refinement_raises(monkeypatch):
     and Newton's iterates in rho, u = (rho - c) / w, follow
     u -> (u^2 - 1) / (2 u) without settling (each step is at least w)."""
     geometry = design_guide_geometry()
-    rho_c, z_c, _, _ = find_guide_minimum(geometry)
+    rho_c, z_c, _, _, _ = find_guide_minimum(geometry)
 
     def no_zero(geometry, rho, z):
         return 1.0 + ((rho - rho_c) / 1e-6) ** 2, z - z_c
