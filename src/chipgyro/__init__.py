@@ -80,7 +80,6 @@ _LAYERS = {
         "convert_psd",
         "dick_sum_allan",
         "phase_kernel",
-        "phase_sigma_to_rotation_sigma",
         "phase_variance",
     ),
     "stability": (

@@ -132,6 +132,19 @@ def _write_files(out_dir: str, files: dict, config: dict) -> None:
 # config handling
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """yaml.SafeLoader that refuses a mapping key given twice; keys a merge key (<<) brings in aside."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = []
+        for key_node in (key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"):
+            seen.append(self.construct_object(key_node, deep=deep))
+            if seen[-1] in seen[:-1]:
+                problem = f"found duplicate key {seen[-1]!r}"
+                raise yaml.constructor.ConstructorError(None, None, problem, key_node.start_mark)
+        return super().construct_mapping(node, deep)
+
+
 def _set_dotted(config: dict, dotted: str, raw_value: str) -> None:
     keys = dotted.split(".")
     node = config
@@ -143,7 +156,7 @@ def _set_dotted(config: dict, dotted: str, raw_value: str) -> None:
         if not isinstance(node, dict):
             raise ConfigError(f"override path {dotted!r} crosses a non-mapping node at {key!r}")
     try:
-        node[keys[-1]] = yaml.safe_load(raw_value)
+        node[keys[-1]] = yaml.load(raw_value, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"override {dotted}={raw_value} is not valid YAML: {exc}") from None
 
@@ -151,7 +164,7 @@ def _set_dotted(config: dict, dotted: str, raw_value: str) -> None:
 def load_config(path: str, overrides=()) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
-            config = yaml.safe_load(handle)
+            config = yaml.load(handle, Loader=_UniqueKeyLoader)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:
@@ -369,13 +382,13 @@ def cmd_guide(config: dict) -> tuple:
     span = config["run.guide.map_span_m"]
     characterization = characterize_guide(geometry, species, offset_B0=offset_b0)
 
-    record = characterization.as_record()
+    record = asdict(characterization)
     record["species"] = species.name
     record["loops"] = [
         {"radius_m": l.radius, "current_A": l.current, "height_m": l.height}
         for l in geometry.loops
     ]
-    rho0, z0 = characterization.min_position
+    rho0, z0 = characterization.rho0_m, characterization.z0_m
     rho = np.linspace(rho0 - span, rho0 + span, config["run.guide.map_n_rho"])
     z = np.linspace(max(z0 - span, 1e-7), z0 + span, config["run.guide.map_n_z"])
     with np.errstate(over="ignore", invalid="ignore"):  # a field past the float range reads inf or nan
@@ -393,7 +406,7 @@ def cmd_guide(config: dict) -> tuple:
         ((r + r.join(z_cells)) % tuple(u) for r, u in zip(rho_text, U.tolist())),
     )
     files = {"guide_characterization.json": record, "potential_map.csv": potential_map}
-    return files, {"z0_m": z0, "radial_frequency_Hz": characterization.radial_frequency}
+    return files, {"z0_m": z0, "radial_frequency_Hz": characterization.radial_frequency_Hz}
 
 
 def _transfer_grid(f_min: float, f_max: float, points_per_decade: int, config_ai) -> np.ndarray:
@@ -535,8 +548,8 @@ def _psd_from_config(config: dict):
 
 
 def cmd_noise(config: dict) -> tuple:
-    from .interferometer import assumptions_record
-    from .noise import phase_sigma_to_rotation_sigma, phase_variance
+    from .interferometer import assumptions_record, scale_factor
+    from .noise import phase_variance
 
     ai = _interferometer_from_config(config)
     result = phase_variance(
@@ -549,7 +562,7 @@ def cmd_noise(config: dict) -> tuple:
                 "domain": result.domain,
                 "variance_rad2": result.value,
                 "sigma_phi_rad": sigma_phi,
-                "sigma_omega_rad_s": phase_sigma_to_rotation_sigma(sigma_phi, ai),
+                "sigma_omega_rad_s": sigma_phi / abs(scale_factor(ai)),
                 "result": asdict(result),
             }
         ],

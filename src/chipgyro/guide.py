@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,36 +34,22 @@ _STENCIL = JACOBIAN_STEP * np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 
 
 @dataclass(frozen=True)
 class GuideCharacterization:
-    min_position: tuple        # (rho0, z0) in m
-    B_min: float               # T, bare modulus at the minimum
-    gradient: float            # T/m, steepest slope of |B| out of the zero
-    offset_B0: float           # T
-    radial_frequency: float    # Hz
-    depth_field: float         # T
-    depth_temperature: float   # K
-    minimizer_iterations: int  # Newton iterations of the minimum refinement
-    minimizer_step_m: float    # m, last Newton step, a bound on the position error
-    saddle_position: tuple | None  # (rho, z) in m of the escape saddle; None when the escape is the box edge
-    saddle_iterations: int     # Newton iterations of the saddle refinement (0 without a saddle)
-    saddle_step_m: float | None    # m, last saddle Newton step (None without a saddle)
+    """The guide's figures, named as guide_characterization.json writes them."""
 
-    def as_record(self) -> dict:
-        return {
-            "rho0_m": self.min_position[0],
-            "z0_m": self.min_position[1],
-            "B_min_T": self.B_min,
-            "gradient_T_m": self.gradient,
-            "offset_B0_T": self.offset_B0,
-            "radial_frequency_Hz": self.radial_frequency,
-            "depth_field_T": self.depth_field,
-            "depth_temperature_K": self.depth_temperature,
-            "minimizer_iterations": self.minimizer_iterations,
-            "minimizer_step_m": self.minimizer_step_m,
-            "saddle_position_m": None if self.saddle_position is None else list(self.saddle_position),
-            "saddle_iterations": self.saddle_iterations,
-            "saddle_step_m": self.saddle_step_m,
-            "jacobian_step_m": JACOBIAN_STEP,
-        }
+    rho0_m: float                # m, position of the minimum
+    z0_m: float                  # m
+    B_min_T: float               # T, bare modulus at the minimum
+    gradient_T_m: float          # T/m, steepest slope of |B| out of the zero
+    offset_B0_T: float           # T
+    radial_frequency_Hz: float   # Hz
+    depth_field_T: float         # T
+    depth_temperature_K: float   # K
+    minimizer_iterations: int    # Newton iterations of the minimum refinement
+    minimizer_step_m: float      # m, last Newton step, a bound on the position error
+    saddle_position_m: tuple | None  # (rho, z) in m of the escape saddle; None when the escape is the box edge
+    saddle_iterations: int       # Newton iterations of the saddle refinement (0 without a saddle)
+    saddle_step_m: float | None  # m, last saddle Newton step (None without a saddle)
+    jacobian_step_m: float = field(default=JACOBIAN_STEP, init=False)
 
 
 def _search_box(geometry: GuideGeometry):
@@ -259,16 +245,17 @@ def characterize_guide(
     depth_temperature = species.magnetic_moment * depth_field / K_B
 
     return GuideCharacterization(
-        min_position=(rho0, z0),
-        B_min=B_min,
-        gradient=gradient,
-        offset_B0=offset_B0,
-        radial_frequency=radial_frequency,
-        depth_field=depth_field,
-        depth_temperature=depth_temperature,
+        rho0_m=rho0,
+        z0_m=z0,
+        B_min_T=B_min,
+        gradient_T_m=gradient,
+        offset_B0_T=offset_B0,
+        radial_frequency_Hz=radial_frequency,
+        depth_field_T=depth_field,
+        depth_temperature_K=depth_temperature,
         minimizer_iterations=iterations,
         minimizer_step_m=step_size,
-        saddle_position=saddle,
+        saddle_position_m=saddle,
         saddle_iterations=saddle_iterations,
         saddle_step_m=saddle_step,
     )

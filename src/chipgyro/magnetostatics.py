@@ -5,11 +5,11 @@ is z = 0 and the loop plane sits at ``height``. Azimuthal symmetry makes the
 problem two-dimensional in (rho, z); the azimuthal field component is
 identically zero.
 
-The closed form uses the complete elliptic integrals K(m) and E(m): the
-``ellipk``/``ellipe`` ufuncs of scipy's compiled ``_special_ufuncs`` module,
-loaded without importing the ``scipy.special`` package. A straight-segment
-Biot-Savart sum (``loop_field_oracle``) provides an independent slow route
-for validation.
+The closed form, written once in ``total_field_arrays``, uses the complete
+elliptic integrals K(m) and E(m): the ``ellipk``/``ellipe`` ufuncs of scipy's
+compiled ``_special_ufuncs`` module, loaded without importing the
+``scipy.special`` package. A straight-segment Biot-Savart sum
+(``loop_field_oracle``) provides an independent slow route for validation.
 """
 
 from __future__ import annotations
@@ -75,44 +75,9 @@ class FieldVector:
         return math.hypot(self.B_rho, self.B_z)
 
 
-def _loop_field_arrays(loop: WireLoop, rho, z):
-    """Vectorized closed-form loop field; returns (B_rho, B_z) arrays."""
-    rho = np.asarray(rho, dtype=float)
-    zp = np.asarray(z, dtype=float) - loop.height
-    # x * x, not x ** 2: a numpy scalar's ** 2 calls pow, which can differ by an ulp
-    return _coplanar_loop_field(loop, rho, rho * rho, zp, zp * zp)
-
-
-def _coplanar_loop_field(loop: WireLoop, rho, rho2, zp, zp2):
-    """(B_rho, B_z) of ``loop`` from rho, rho2 = rho^2, zp = z - height and zp2 = zp^2."""
-    special = compiled_module("scipy.special._special_ufuncs")
-    a = loop.radius
-
-    gap = rho - a
-    dist2 = gap * gap + zp2
-    if np.any(dist2 <= FILAMENT_EXCLUSION ** 2):
-        raise SingularPointError(
-            f"field evaluation on the filament of loop radius {a} (distance <= {FILAMENT_EXCLUSION} m)"
-        )
-
-    reach = a + rho
-    denom_plus = reach * reach + zp2
-    m = 4.0 * a * rho / denom_plus
-    K, E = special.ellipk(m), special.ellipe(m)
-
-    pref = MU_0 * loop.current / (2.0 * np.pi)
-    root = np.sqrt(denom_plus)
-    Bz = pref / root * (K + (a * a - rho2 - zp2) / dist2 * E)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        Brho = pref * zp / (rho * root) * (-K + (a * a + rho2 + zp2) / dist2 * E)
-    Brho = np.where(rho == 0.0, 0.0, Brho)
-    return Brho, Bz
-
-
 def loop_field(loop: WireLoop, rho: float, z: float) -> FieldVector:
     """Closed-form field of a single circular loop at (rho, z)."""
-    Brho, Bz = _loop_field_arrays(loop, rho, z)
-    return FieldVector(B_rho=float(Brho), B_z=float(Bz))
+    return FieldVector(*map(float, total_field_arrays(GuideGeometry((loop,)), rho, z)))
 
 
 def loop_field_oracle(loop: WireLoop, rho: float, z: float, n_segments: int) -> FieldVector:
@@ -139,20 +104,34 @@ def loop_field_oracle(loop: WireLoop, rho: float, z: float, n_segments: int) -> 
 
 
 def total_field_arrays(geometry: GuideGeometry, rho, z):
-    """Vectorized superposition over point grids; returns (B_rho, B_z).
+    """Closed-form field of the loops over point grids, summed: (B_rho, B_z).
     The loops are coplanar, so rho^2, zp = z - height and zp^2 are formed once."""
+    special = compiled_module("scipy.special._special_ufuncs")
     rho = np.asarray(rho, dtype=float)
     zp = np.asarray(z, dtype=float) - geometry.loops[0].height
+    # x * x, not x ** 2: a numpy scalar's ** 2 calls pow, which can differ by an ulp
     rho2, zp2 = rho * rho, zp * zp
     Brho = np.zeros(np.broadcast(rho, zp).shape)
     Bz = np.zeros_like(Brho)
     for i, loop in enumerate(geometry.loops):
-        try:
-            br, bz = _coplanar_loop_field(loop, rho, rho2, zp, zp2)
-        except SingularPointError as exc:
-            raise SingularPointError(f"loop index {i}: {exc}") from None
-        Brho = Brho + br
-        Bz = Bz + bz
+        a = loop.radius
+        gap = rho - a
+        dist2 = gap * gap + zp2
+        if np.any(dist2 <= FILAMENT_EXCLUSION ** 2):
+            raise SingularPointError(
+                f"loop index {i}: field evaluation on the filament of loop radius {a} "
+                f"(distance <= {FILAMENT_EXCLUSION} m)"
+            )
+        reach = a + rho
+        denom_plus = reach * reach + zp2
+        m = 4.0 * a * rho / denom_plus
+        K, E = special.ellipk(m), special.ellipe(m)
+        pref = MU_0 * loop.current / (2.0 * np.pi)
+        root = np.sqrt(denom_plus)
+        Bz = Bz + pref / root * (K + (a * a - rho2 - zp2) / dist2 * E)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            br = pref * zp / (rho * root) * (-K + (a * a + rho2 + zp2) / dist2 * E)
+        Brho = Brho + np.where(rho == 0.0, 0.0, br)
     return Brho, Bz
 
 

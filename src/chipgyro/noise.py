@@ -67,6 +67,8 @@ class PowerSpectralDensity:
         if (self.frequencies is None) != (self.values is None):
             raise ConfigError("tabulated PSD needs both frequencies and values")
         if self.frequencies is not None:
+            if self.white or self.flicker or self.random_walk:
+                raise ConfigError("a tabulated PSD takes no white, flicker or random_walk component")
             f = np.asarray(self.frequencies, dtype=float)
             s = np.asarray(self.values, dtype=float)
             if f.ndim != 1 or f.size < 2 or f.shape != s.shape:
@@ -367,11 +369,6 @@ def phase_variance(
         n_evals=n_evals,
         converged=converged,
     )
-
-
-def phase_sigma_to_rotation_sigma(sigma_phi: float, config: InterferometerConfig) -> float:
-    """Rms output phase to rms rotation rate: sigma_phi over |``scale_factor``|."""
-    return sigma_phi / abs(scale_factor(config))
 
 
 @dataclass(frozen=True)

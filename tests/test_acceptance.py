@@ -112,15 +112,15 @@ def test_criterion_5_guide_characterization():
     """Three-wire guide: minimum height 13 um +/- 20%, trap depth in
     [100, 900] uK, radial frequency in [0.5, 4.5] kHz."""
     ch = cg.characterize_guide(cg.design_guide_geometry(), cg.species_rb87())
-    z0 = ch.min_position[1]
-    depth_uk = ch.depth_temperature * 1e6
-    f_khz = ch.radial_frequency / 1e3
+    z0 = ch.z0_m
+    depth_uk = ch.depth_temperature_K * 1e6
+    f_khz = ch.radial_frequency_Hz / 1e3
     ok = abs(z0 - 13e-6) <= 0.2 * 13e-6 and 100 <= depth_uk <= 900 and 0.5 <= f_khz <= 4.5
     _report(
         "5 guide characterization (20% / [100,900] uK / [0.5,4.5] kHz)",
         ok,
         f"z0={z0 * 1e6:.4g} um, depth={depth_uk:.4g} uK, "
-        f"f={f_khz:.4g} kHz at B0={ch.offset_B0} T",
+        f"f={f_khz:.4g} kHz at B0={ch.offset_B0_T} T",
     )
 
 

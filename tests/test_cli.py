@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import importlib
@@ -17,11 +18,26 @@ import yaml
 
 import chipgyro
 from chipgyro._scipy import compiled_module
-from chipgyro.cli import LOOP_FIELDS, SCHEMA, _csv, _write_files, load_config, main, resolve_config
+from chipgyro.cli import (
+    LOOP_FIELDS,
+    SCHEMA,
+    _csv,
+    _interferometer_from_config,
+    _write_files,
+    load_config,
+    main,
+    resolve_config,
+)
 from chipgyro.constants import species_rb87
 from chipgyro.errors import ConfigError, PhysicsError
-from chipgyro.guide import JACOBIAN_STEP, NEWTON_MAX_ITERATIONS, POSITION_TOLERANCE, trap_potential
-from chipgyro.interferometer import rb87_config
+from chipgyro.guide import (
+    JACOBIAN_STEP,
+    NEWTON_MAX_ITERATIONS,
+    POSITION_TOLERANCE,
+    GuideCharacterization,
+    trap_potential,
+)
+from chipgyro.interferometer import rb87_config, scale_factor
 from chipgyro.magnetostatics import design_guide_geometry
 from chipgyro.noise import PowerSpectralDensity, dick_sum_allan
 
@@ -295,6 +311,40 @@ def test_unreadable_input_exit_1(tmp_path, config_path, capsys, case):
         assert "Line #3" in summary["error"]
 
 
+@pytest.mark.parametrize(
+    "text, override, named",
+    [
+        ("interferometer:\n  interrogation_time_s: 8.0\n  interrogation_time_s: 4.0\n", None,
+         "found duplicate key 'interrogation_time_s'\n  in \"{path}\", line 3"),
+        ("interferometer:\n  interrogation_time_s: 8.0\nrun:\ninterferometer:\n  latitude_deg: 45.0\n", None,
+         "found duplicate key 'interferometer'\n  in \"{path}\", line 4"),
+        ("", "geometry.loops=[{radius_m: 1, radius_m: 2}]", "found duplicate key 'radius_m'"),
+    ],
+    ids=["key", "section", "override-flow-mapping"],
+)
+def test_repeated_yaml_key_exits_1(tmp_path, capsys, text, override, named):
+    """A key given twice in one mapping is refused, naming it and its line,
+    instead of the last one silently winning; no file is written."""
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text)
+    out = tmp_path / "out"
+    overrides = ["--override", override] if override else []
+    code, summary = _run(capsys, "guide", "--config", str(path), "--out", str(out), *overrides)
+    assert (code, summary["status"]) == (1, "config-error")
+    assert named.format(path=path) in summary["error"]
+    assert not out.exists()
+
+
+def test_keys_a_merge_key_brings_in_may_be_given_again(tmp_path):
+    """A YAML merge key (<<) is no repeated key: the mapping's own value
+    overrides the merged one, as yaml.safe_load reads it."""
+    text = "base: &b {white: 1.0e-8, flicker: 1.0e-9}\nnoise:\n  model:\n    <<: *b\n    white: 2.0e-8\n"
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text)
+    assert load_config(str(path)) == yaml.safe_load(text)
+    assert load_config(str(path))["noise"]["model"] == {"white": 2.0e-8, "flicker": 1.0e-9}
+
+
 def test_misspelled_key_suggests_the_right_one(config_path, capsys):
     code, summary = _run(
         capsys, "transfer", "--config", config_path,
@@ -426,6 +476,16 @@ def test_guide_work_counters(tmp_path, config_path, capsys):
         assert 0 < record["saddle_iterations"] <= NEWTON_MAX_ITERATIONS
         assert 0 < record["saddle_step_m"] <= POSITION_TOLERANCE / 10
         assert record["jacobian_step_m"] == JACOBIAN_STEP
+
+
+def test_guide_record_is_the_characterization(tmp_path, config_path, capsys):
+    """guide_characterization.json holds the GuideCharacterization fields
+    under their own names, plus the species, the loops and the provenance."""
+    code, _ = _run(capsys, "guide", "--config", config_path, "--out", str(tmp_path))
+    assert code == 0
+    record = json.loads((tmp_path / "guide_characterization.json").read_text())
+    names = {field.name for field in dataclasses.fields(GuideCharacterization)}
+    assert set(record) == names | {"species", "loops", "provenance"}
 
 
 def test_potential_map_text_matches_per_cell_rule(tmp_path, config_path, capsys):
@@ -1454,6 +1514,8 @@ def test_noise_calls_the_variance_function_bound_at_call_time(
     assert entry["result"]["n_evals"] == results[0].n_evals > 0
     assert entry["result"]["notes"] == notes
     assert entry["result"]["converged"] is True
+    ai = _interferometer_from_config(resolve_config(load_config(config_path)))
+    assert entry["sigma_omega_rad_s"] == entry["sigma_phi_rad"] / abs(scale_factor(ai)) > 0
 
 
 def _cli(*argv):

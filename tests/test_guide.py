@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -60,10 +61,10 @@ def characterization():
 
 
 def test_minimum_height(characterization):
-    rho0, z0 = characterization.min_position
+    rho0, z0 = characterization.rho0_m, characterization.z0_m
     assert abs(z0 - 13e-6) <= 0.2 * 13e-6
     assert rho0 == pytest.approx(500e-6, rel=0.03, abs=0)
-    assert characterization.B_min < 1e-9  # true quadrupole zero line
+    assert characterization.B_min_T < 1e-9  # true quadrupole zero line
 
 
 def test_minimum_against_fine_grid_oracle():
@@ -92,7 +93,7 @@ def test_current_scaling_leaves_minimum_position():
 
 def test_gradient_scales_with_current(characterization):
     doubled = characterize_guide(_scaled(design_guide_geometry(), 2.0), species_rb87())
-    assert doubled.gradient == pytest.approx(2.0 * characterization.gradient, rel=1e-12, abs=0)
+    assert doubled.gradient_T_m == pytest.approx(2.0 * characterization.gradient_T_m, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("height", [20e-6, 1e-3, -5e-6], ids=["20um", "1mm", "-5um"])
@@ -102,11 +103,11 @@ def test_guide_moves_with_the_loop_plane(characterization, height):
     The mirror zero, as far below the loops as the guide is above them, is
     not the guide. Loops 5 um under the chip keep their guide above it."""
     moved = characterize_guide(_raised(design_guide_geometry(), height), species_rb87())
-    rho0, z0 = characterization.min_position
-    assert abs(moved.min_position[0] - rho0) <= 1e-12
-    assert abs(moved.min_position[1] - height - z0) <= 1e-12
-    assert moved.radial_frequency == pytest.approx(characterization.radial_frequency, rel=1e-9, abs=0)
-    assert moved.depth_field == pytest.approx(characterization.depth_field, rel=1e-9, abs=0)
+    rho0, z0 = characterization.rho0_m, characterization.z0_m
+    assert abs(moved.rho0_m - rho0) <= 1e-12
+    assert abs(moved.z0_m - height - z0) <= 1e-12
+    assert moved.radial_frequency_Hz == pytest.approx(characterization.radial_frequency_Hz, rel=1e-9, abs=0)
+    assert moved.depth_field_T == pytest.approx(characterization.depth_field_T, rel=1e-9, abs=0)
 
 
 def test_guide_below_the_chip_is_not_found():
@@ -117,12 +118,12 @@ def test_guide_below_the_chip_is_not_found():
 
 
 def test_depth_band(characterization):
-    assert 100e-6 <= characterization.depth_temperature <= 900e-6
-    assert characterization.depth_field > 0
+    assert 100e-6 <= characterization.depth_temperature_K <= 900e-6
+    assert characterization.depth_field_T > 0
 
 
 def test_radial_frequency_band(characterization):
-    assert 500.0 <= characterization.radial_frequency <= 4500.0
+    assert 500.0 <= characterization.radial_frequency_Hz <= 4500.0
 
 
 HESSIAN_STEP = 1e-8  # m, default step of the oracle's potential stencil
@@ -148,8 +149,8 @@ def test_radial_frequency_against_quadrupole_oracle(characterization):
     """The oracle's Hessian stencil applied to an ideal 2D quadrupole
     potential reproduces the analytic small-oscillation frequency."""
     rb = species_rb87()
-    gradient = characterization.gradient
-    b0 = characterization.offset_B0
+    gradient = characterization.gradient_T_m
+    b0 = characterization.offset_B0_T
     mu = rb.magnetic_moment
 
     def potential(r, z):
@@ -165,12 +166,12 @@ def test_gradient_against_symmetric_slope_oracle(geometry):
     singular vector v: (|B|(x0 + eps v) + |B|(x0 - eps v)) / (2 eps), whose
     symmetric sum cancels the curvature of |B|."""
     ch = characterize_guide(geometry, species_rb87())
-    x0 = np.array(ch.min_position)
+    x0 = np.array([ch.rho0_m, ch.z0_m])
     _, jacobian = _field_jacobian(geometry, x0)
     v = np.linalg.svd(jacobian)[2][0]
     eps = 1e-8
     plus, minus = field_modulus(geometry, *(x0[:, None] + eps * np.outer(v, [1.0, -1.0]))).tolist()
-    assert (plus + minus) / (2 * eps) == pytest.approx(ch.gradient, rel=1e-8, abs=0)
+    assert (plus + minus) / (2 * eps) == pytest.approx(ch.gradient_T_m, rel=1e-8, abs=0)
 
 
 @GUIDES
@@ -187,15 +188,15 @@ def test_radial_frequency_against_potential_stencil_oracle(geometry):
             modulus = field_modulus(geometry, r, z)
             return mu * modulus * modulus / (np.hypot(modulus, b0) + b0)
 
-        h = min(1e-3 * b0 / ch.gradient, 1e-8)
-        hessian = _potential_hessian(potential, *ch.min_position, h)
-        assert _stencil_frequency(hessian, rb) == pytest.approx(ch.radial_frequency, rel=5e-6, abs=0), b0
+        h = min(1e-3 * b0 / ch.gradient_T_m, 1e-8)
+        hessian = _potential_hessian(potential, ch.rho0_m, ch.z0_m, h)
+        assert _stencil_frequency(hessian, rb) == pytest.approx(ch.radial_frequency_Hz, rel=5e-6, abs=0), b0
 
 
 def test_gradient_does_not_depend_on_the_offset():
     """The gradient is a property of the field alone: the same float for any B0."""
     gradients = {
-        characterize_guide(design_guide_geometry(), species_rb87(), offset_B0=b0).gradient
+        characterize_guide(design_guide_geometry(), species_rb87(), offset_B0=b0).gradient_T_m
         for b0 in (2e-5, 1.5e-2, 30.0)
     }
     assert len(gradients) == 1
@@ -213,14 +214,16 @@ def test_trap_potential_of_an_offset_past_the_square_root_of_the_float_range(cha
     """U = mu hypot(|B|, B0) stays finite where B0^2 overflows: at the
     minimum, where |B| is about 1e-17 T, B0 = 1e300 T gives mu 1e300."""
     species = species_rb87()
-    u = float(trap_potential(design_guide_geometry(), species, *characterization.min_position, 1e300))
+    rho0, z0 = characterization.rho0_m, characterization.z0_m
+    u = float(trap_potential(design_guide_geometry(), species, rho0, z0, 1e300))
     assert u == pytest.approx(species.magnetic_moment * 1e300, rel=1e-15, abs=0)
 
 
 def test_B_min_is_the_modulus_at_the_minimum(characterization):
     """B_min comes from the Jacobian's field call at the minimum: the same
     float as a field_modulus call there."""
-    assert characterization.B_min == float(field_modulus(design_guide_geometry(), *characterization.min_position))
+    rho0, z0 = characterization.rho0_m, characterization.z0_m
+    assert characterization.B_min_T == float(field_modulus(design_guide_geometry(), rho0, z0))
 
 
 def test_hessian_symmetric():
@@ -270,10 +273,10 @@ def test_flood_barrier_on_design_map_matches_bisection(characterization):
     """On the 1001^2 map the flood equals the bisection oracle. The shipped
     depth is |B| at the escape saddle, not a grid value: it lies within the
     fine grid's resolution (2.5e-7 relative) of that map's barrier."""
-    _, _, B, i, j = _box_map(design_guide_geometry(), characterization.min_position, FINE_GRID)
+    _, _, B, i, j = _box_map(design_guide_geometry(), (characterization.rho0_m, characterization.z0_m), FINE_GRID)
     flood, _ = _flood_barrier(B, i, j)
     assert flood == pytest.approx(_bisection_barrier(B, i, j), rel=1e-12, abs=0)
-    assert characterization.depth_field == pytest.approx(flood - characterization.B_min, rel=1e-6, abs=0)
+    assert characterization.depth_field_T == pytest.approx(flood - characterization.B_min_T, rel=1e-6, abs=0)
 
 
 def test_flood_barrier_double_well_saddle():
@@ -317,16 +320,16 @@ def test_escape_saddle_against_root_oracle(geometry):
     map's barrier cell, finds the saddle to 1e-9 m and its |B| to rel 1e-9;
     the depth is within rel 1e-6 of that map's barrier less B_min."""
     ch = characterize_guide(geometry, species_rb87())
-    rho, z, B, i, j = _box_map(geometry, ch.min_position, FINE_GRID)
+    rho, z, B, i, j = _box_map(geometry, (ch.rho0_m, ch.z0_m), FINE_GRID)
     level, (a, b) = _flood_barrier(B, i, j)
     zero = scipy.optimize.root(
         lambda x: _modulus_gradient_oracle(geometry, x), x0=[rho[a], z[b]], options={"xtol": 1e-14}
     )
     assert zero.status in (1, 3), zero.message
-    assert math.dist(zero.x, ch.saddle_position) <= 1e-9
+    assert math.dist(zero.x, ch.saddle_position_m) <= 1e-9
     saddle_B = float(field_modulus(geometry, *zero.x))
-    assert ch.depth_field + ch.B_min == pytest.approx(saddle_B, rel=1e-9, abs=0)
-    assert ch.depth_field == pytest.approx(level - ch.B_min, rel=1e-6, abs=0)
+    assert ch.depth_field_T + ch.B_min_T == pytest.approx(saddle_B, rel=1e-9, abs=0)
+    assert ch.depth_field_T == pytest.approx(level - ch.B_min_T, rel=1e-6, abs=0)
 
 
 def test_seeded_guides_escape_through_a_saddle():
@@ -361,11 +364,11 @@ def test_escape_through_the_box_edge_has_no_saddle():
     saddle to refine: the saddle is null, and the depth is the coarse map's
     barrier (the bisection oracle) less B_min, a value limited by the box."""
     ch = characterize_guide(EDGE_ESCAPE_GUIDE, species_rb87())
-    assert (ch.saddle_position, ch.saddle_iterations, ch.saddle_step_m) == (None, 0, None)
-    assert ch.as_record()["saddle_position_m"] is None
-    _, _, B, i, j = _box_map(EDGE_ESCAPE_GUIDE, ch.min_position, COARSE_GRID)
+    assert (ch.saddle_position_m, ch.saddle_iterations, ch.saddle_step_m) == (None, 0, None)
+    assert asdict(ch)["saddle_position_m"] is None
+    _, _, B, i, j = _box_map(EDGE_ESCAPE_GUIDE, (ch.rho0_m, ch.z0_m), COARSE_GRID)
     assert _flood_barrier(B, i, j)[1][1] == COARSE_GRID - 1
-    assert ch.depth_field == pytest.approx(_bisection_barrier(B, i, j) - ch.B_min, rel=1e-12, abs=0)
+    assert ch.depth_field_T == pytest.approx(_bisection_barrier(B, i, j) - ch.B_min_T, rel=1e-12, abs=0)
 
 
 def _quadric_field(rho_c, z_c, sign):
@@ -390,7 +393,7 @@ def test_failed_saddle_refinement_raises(monkeypatch, characterization, case, me
     reads a stand-in field whose stationary point is a saddle past the box's
     outer edge or a minimum. Each raises PhysicsError naming the escape saddle."""
     geometry = design_guide_geometry()
-    rho0, z0 = characterization.min_position
+    rho0, z0 = characterization.rho0_m, characterization.z0_m
     scan = find_guide_minimum(geometry)[4]
     (_, rho_hi), _ = _search_box(geometry)
     if case == "one-iteration-cap":
@@ -399,7 +402,7 @@ def test_failed_saddle_refinement_raises(monkeypatch, characterization, case, me
         centre, sign = ((rho_hi + 1e-4, z0), -1.0) if case == "saddle-past-the-box" else ((rho0, z0), 1.0)
         monkeypatch.setattr("chipgyro.guide.total_field_arrays", _quadric_field(*centre, sign))
     with pytest.raises(PhysicsError, match=message) as raised:
-        _depth_field(geometry, scan, (rho0, z0), characterization.B_min)
+        _depth_field(geometry, scan, (rho0, z0), characterization.B_min_T)
     assert type(raised.value) is PhysicsError
 
 
@@ -422,10 +425,10 @@ def test_work_counters(characterization):
     assert 0 < characterization.minimizer_iterations < 4000
     assert 0 < characterization.saddle_iterations <= NEWTON_MAX_ITERATIONS
     assert 0 < characterization.saddle_step_m <= POSITION_TOLERANCE / 10
-    record = characterization.as_record()
+    record = asdict(characterization)
     assert record["minimizer_iterations"] == characterization.minimizer_iterations
     assert record["minimizer_step_m"] == characterization.minimizer_step_m
-    assert record["saddle_position_m"] == list(characterization.saddle_position)
+    assert list(record["saddle_position_m"]) == list(characterization.saddle_position_m)
     assert record["saddle_iterations"] == characterization.saddle_iterations
     assert record["saddle_step_m"] == characterization.saddle_step_m
     assert record["jacobian_step_m"] == JACOBIAN_STEP == 1e-8

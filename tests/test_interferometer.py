@@ -18,7 +18,6 @@ from chipgyro.interferometer import (
     shot_noise_sensitivity,
     transfer_H_abs2,
 )
-from chipgyro.noise import phase_sigma_to_rotation_sigma
 from chipgyro.stability import projection_allan
 
 LAT = math.radians(48.85)
@@ -129,7 +128,7 @@ def test_degenerate_latitude_raises():
         with pytest.raises(DegenerateOrientationError):
             figure(cfg)
     with pytest.raises(DegenerateOrientationError):
-        phase_sigma_to_rotation_sigma(0.02, cfg)
+        0.02 / abs(scale_factor(cfg))
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])

@@ -24,7 +24,6 @@ from chipgyro.noise import (
     PowerSpectralDensity,
     convert_psd,
     phase_kernel,
-    phase_sigma_to_rotation_sigma,
     phase_variance,
 )
 
@@ -125,7 +124,7 @@ def test_slow_rotation_reads_back_as_itself(n_loops, v_over_vr, latitude_deg):
     )
     s, f_min, f_max = 1e-14, 1e-6, 1e-4
     result = phase_variance(PowerSpectralDensity(domain="rotation", white=s), cfg, f_min, f_max)
-    sigma_omega = phase_sigma_to_rotation_sigma(result.sigma, cfg)
+    sigma_omega = result.sigma / abs(scale_factor(cfg))
     assert sigma_omega / math.sqrt(s * (f_max - f_min)) == pytest.approx(1.0, rel=1e-6, abs=0)
 
 
@@ -554,6 +553,16 @@ def test_psd_validation():
         convert_psd(psd, "acceleration", _small_config())
 
 
+@pytest.mark.parametrize("component", ["white", "flicker", "random_walk"])
+def test_tabulated_psd_with_an_analytic_component_raises(component):
+    """A table is the whole PSD: an analytic component next to it would be
+    ignored by evaluate, so it is refused."""
+    with pytest.raises(ConfigError, match="^a tabulated PSD takes no white, flicker or random_walk component$"):
+        PowerSpectralDensity(
+            domain="phase", frequencies=np.array([1.0, 2.0]), values=np.array([1.0, 1.0]), **{component: 1.0}
+        )
+
+
 def test_psd_from_csv(tmp_path):
     path = tmp_path / "psd.csv"
     path.write_text("f_hz,psd_value\n0.1,1e-8\n1.0,1e-9\n10.0,1e-10\n")
@@ -564,10 +573,3 @@ def test_psd_from_csv(tmp_path):
     bad.write_text("freq,value\n0.1,1e-8\n1.0,1e-9\n")
     with pytest.raises(ConfigError):
         PowerSpectralDensity.from_csv(str(bad), domain="phase")
-
-
-def test_phase_sigma_to_rotation_sigma_inverts_scale_factor():
-    cfg = _small_config()
-    sigma_phi = 0.02
-    omega = phase_sigma_to_rotation_sigma(sigma_phi, cfg)
-    assert omega * scale_factor(cfg) == pytest.approx(sigma_phi, rel=1e-14, abs=0)
